@@ -287,8 +287,16 @@ def driver_to_dict(spec):
     raise TypeError(f"unknown driver {spec!r}")
 
 
+def _check_description(what, data):
+    if not isinstance(data, dict):
+        raise ValueError(
+            f'{what} must be described by an object like {{"kind": ...}}, got {data!r:.60}'
+        )
+
+
 def driver_from_dict(data):
     """Build a driver from its dict description."""
+    _check_description("a driver", data)
     kind = data.get("kind")
     if kind == "gaussian":
         return GaussianDriver(
@@ -300,6 +308,7 @@ def driver_from_dict(data):
         )
     if kind == "compound_poisson":
         jumps_data = data.get("jumps", {"kind": "gaussian"})
+        _check_description("a jump law", jumps_data)
         jkind = jumps_data.get("kind")
         if jkind == "gaussian":
             jumps = GaussianJumps(

@@ -29,7 +29,6 @@ valid for pH + delta > 0 (equivalently 2*alpha > 0 for the Gaussian part).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +40,8 @@ from .errors import (
     NonPositiveTime,
     OracleOutOfDomain,
 )
-from .integrator import SamplePath, TimeGrid
-from .processes import (
-    DilationParams,
-    lamperti_inverse,
-    lamperti_transform,
-    plan_dilative,
-    reparam_idt,
-    reparam_time_stable,
-)
+from .integrator import PATH_ROLES, SamplePath, TimeGrid
+from .processes import TRANSFORM_NAMES, DilationParams, plan_dilative, transform_values
 from .timechange import tau_density
 
 __all__ = [
@@ -75,9 +67,6 @@ __all__ = [
     "increment_pair",
     "check_scaling",
 ]
-
-TRANSFORM_NAMES = ("lamperti", "lamperti_inverse", "time_stable", "idt")
-
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -130,27 +119,37 @@ def derive_rng(master_seed, n):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,)))
 
 
-def apply_transforms(path, params, transforms):
-    """Apply a transform chain to one path."""
+def apply_transforms(path, params, transforms, role="X"):
+    """Apply a transform chain to one SamplePath or to a whole PathEnsemble.
+
+    A path carries its role; the rows of an ensemble are `role` paths.  Each
+    transform is one time map and one weight shared by every path, so an
+    ensemble is mapped as one matrix and a single path is the one-row case.
+    """
+    one_path = isinstance(path, SamplePath)
+    if one_path:
+        role = path.role
+    elif role not in PATH_ROLES:
+        raise ValueError(f"unknown path role {role!r}")
+    grid, values = path.grid, path.values
     for name in transforms:
-        if name == "lamperti":
-            path = lamperti_transform(path, params)
-        elif name == "lamperti_inverse":
-            path = lamperti_inverse(path, params)
-        elif name == "time_stable":
-            path = reparam_time_stable(path)
-        elif name == "idt":
-            path = reparam_idt(path, params.delta)
-        else:
-            raise ValueError(f"unknown transform {name!r}")
-    return path
+        grid, values, role = transform_values(
+            name, grid, values, role, hurst=params.hurst, delta=params.delta
+        )
+    if one_path:
+        return SamplePath(grid, values, role)
+    return PathEnsemble(grid, values, master_seed=path.master_seed)
 
 
 def simulate_ensemble(config, n_paths, master_seed, threads=1):
     """Simulate an ensemble; path n depends only on (master_seed, n).
 
-    The rows are written by path index, so the result is byte-identical for
-    any thread count; threads only trade wall time.
+    Path n is drawn from derive_rng(master_seed, n) into row n of one
+    matrix, and the transform chain then maps the whole matrix at once, so
+    the result is byte-identical for any `threads`, which is accepted and
+    ignored.  The draws are Python-bound and hold the interpreter lock: on a
+    2-core machine, 1000 gamma paths at refine 64 took 71 ms serially and
+    273 ms with one pool task per path on 2 threads (180 ms in two blocks).
     """
     pts = config.out_times.points
     if pts[0] <= 0:
@@ -162,25 +161,13 @@ def simulate_ensemble(config, n_paths, master_seed, threads=1):
         refine=config.refine,
         tail_tol=config.tail_tol,
     )
-    probe = apply_transforms(
-        SamplePath(config.out_times, np.zeros(pts.size), role="X"),
-        config.params,
-        config.transforms,
-    )
-    values = np.empty((int(n_paths), len(probe.grid)))
-
-    def one(n):
-        rng = derive_rng(master_seed, n)
-        x = SamplePath(config.out_times, plan.run(rng), role="X")
-        values[n] = apply_transforms(x, config.params, config.transforms).values
-
-    if threads <= 1:
-        for n in range(int(n_paths)):
-            one(n)
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(one, range(int(n_paths))))
-    return PathEnsemble(probe.grid, values, master_seed=master_seed, config=config)
+    values = np.empty((int(n_paths), pts.size))
+    for n in range(int(n_paths)):
+        values[n] = plan.run(derive_rng(master_seed, n))
+    x = PathEnsemble(config.out_times, values, master_seed=master_seed)
+    ens = apply_transforms(x, config.params, config.transforms)
+    ens.config = config
+    return ens
 
 
 def transform_ensemble(ens, params, transforms, role="X"):
@@ -189,14 +176,7 @@ def transform_ensemble(ens, params, transforms, role="X"):
     role names the process the ensemble's rows currently are ("X" after a
     plain simulation, "V" after a lamperti chain, ...).
     """
-    probe = apply_transforms(
-        SamplePath(ens.grid, np.zeros(len(ens.grid)), role=role), params, transforms
-    )
-    values = np.empty((ens.n_paths, len(probe.grid)))
-    for n in range(ens.n_paths):
-        path = SamplePath(ens.grid, ens.values[n], role=role)
-        values[n] = apply_transforms(path, params, transforms).values
-    return PathEnsemble(probe.grid, values, master_seed=ens.master_seed, config=None)
+    return apply_transforms(ens, params, transforms, role=role)
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,11 @@ __all__ = [
     "ou_from_integral",
     "reparam_time_stable",
     "reparam_idt",
+    "TRANSFORM_NAMES",
+    "transform_values",
 ]
+
+TRANSFORM_NAMES = ("lamperti", "lamperti_inverse", "time_stable", "idt")
 
 
 @dataclass(frozen=True)
@@ -179,17 +183,25 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
     verdict = admissibility(params, spec)
     if not verdict.admissible:
         raise InadmissibleParams(verdict)
-    if refine < 1:
-        raise ValueError("refine must be >= 1 step per unit log time")
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be > 0")
+    if not 1 <= refine < math.inf:
+        raise ValueError(
+            f"refine must be a finite number >= 1 (steps per unit log time), got {refine!r}"
+        )
+    if not 0 < tail_tol < math.inf:
+        raise ValueError(f"tail_tol must be a finite number > 0, got {tail_tol!r}")
     u_out = np.asarray(log_out_times, dtype=float)
     if verdict.status == DEGENERATE_EQUAL:
         # X_t = L(t**delta / (e**delta - 1)) exactly; sample L at those times.
         clock = np.exp(params.delta * u_out) / math.expm1(params.delta)
         durations = np.diff(np.concatenate([[0.0], clock]))
         return SimulationPlan(spec, params, durations, None, None)
-    bound = _truncation_point(spec, params, tail_tol)
+    try:
+        bound = _truncation_point(spec, params, tail_tol)
+    except (ValueError, OverflowError):
+        # the tolerance's power under- or overflowed, and its log with it
+        raise ValueError(
+            f"tail_tol = {tail_tol!r} leaves no finite truncation point for this driver"
+        ) from None
     u_min = u_out[0] if bound is None else min(bound, u_out[0])
     grid, out_idx = _refined_log_grid(u_min, u_out, refine)
     durations = np.maximum(np.diff(tau(params.delta, grid)), 0.0)
@@ -260,23 +272,18 @@ def extract_background(x, params):
 
 def lamperti_transform(x, params):
     """Map X on a positive grid to V_u = e^(-H u) X_{e^u} on the log grid."""
-    pts = x.grid.points
-    if pts[0] <= 0:
-        raise NonPositiveTime("the transform needs strictly positive times")
-    u = np.log(pts)
-    values = np.exp(-params.hurst * u) * x.values
-    return SamplePath(TimeGrid(u), values, role="V")
+    return SamplePath(*transform_values("lamperti", x.grid, x.values, x.role, hurst=params.hurst))
 
 
 def lamperti_inverse(v, params, include_origin=False):
     """Map V on a log grid back to X_t = t**H V_{log t} on the positive grid."""
-    u = v.grid.points
-    pts = np.exp(u)
-    values = np.exp(params.hurst * u) * v.values
+    grid, values, role = transform_values(
+        "lamperti_inverse", v.grid, v.values, v.role, hurst=params.hurst
+    )
     if include_origin:
-        pts = np.concatenate([[0.0], pts])
+        grid = TimeGrid(np.concatenate([[0.0], grid.points]))
         values = np.concatenate([[0.0], values])
-    return SamplePath(TimeGrid(pts), values, role="X")
+    return SamplePath(grid, values, role)
 
 
 def ou_evolve(v0, y, ou_rate, a, b):
@@ -324,9 +331,7 @@ def ou_from_integral(spec, params, out_log_times, rng, refine=8.0, tail_tol=1e-4
 
 def reparam_time_stable(v):
     """Relabel V's clock u -> e^u, giving the time-stable process Z."""
-    if v.role != "V":
-        raise ValueError("time-stable reparametrisation expects a V path")
-    return SamplePath(TimeGrid(np.exp(v.grid.points)), v.values.copy(), role="Z")
+    return SamplePath(*transform_values("time_stable", v.grid, v.values, v.role))
 
 
 def reparam_idt(v, delta):
@@ -335,13 +340,38 @@ def reparam_idt(v, delta):
     Undefined at delta = 0 (DegenerateDelta); for delta < 0 the relabelled
     grid runs backwards, so points and values are reversed together.
     """
-    if v.role != "V":
-        raise ValueError("IDT reparametrisation expects a V path")
-    if delta == 0:
-        raise DegenerateDelta("IDT reparametrisation needs delta != 0")
-    pts = np.exp(delta * v.grid.points)
-    values = v.values.copy()
-    if delta < 0:
-        pts = pts[::-1]
-        values = values[::-1]
-    return SamplePath(TimeGrid(pts), values, role="D")
+    return SamplePath(*transform_values("idt", v.grid, v.values, v.role, delta=delta))
+
+
+def transform_values(name, grid, values, role, hurst=None, delta=None):
+    """One step of the transform family, on the values of one or many paths.
+
+    values carries the grid along its last axis: one path, or a
+    (n_paths, len(grid)) matrix with one row per path.  Each transform is a
+    time map and a weight shared by every path, so a whole matrix is mapped
+    at once.  role names the process the values describe.  The Lamperti pair
+    needs hurst and idt needs delta.  Returns the new (grid, values, role).
+    """
+    pts = grid.points
+    if name == "lamperti":
+        if pts[0] <= 0:
+            raise NonPositiveTime("the transform needs strictly positive times")
+        u = np.log(pts)
+        return TimeGrid(u), np.exp(-hurst * u) * values, "V"
+    if name == "lamperti_inverse":
+        return TimeGrid(np.exp(pts)), np.exp(hurst * pts) * values, "X"
+    if name == "time_stable":
+        if role != "V":
+            raise ValueError("time-stable reparametrisation expects a V path")
+        return TimeGrid(np.exp(pts)), values.copy(), "Z"
+    if name == "idt":
+        if role != "V":
+            raise ValueError("IDT reparametrisation expects a V path")
+        if delta == 0:
+            raise DegenerateDelta("IDT reparametrisation needs delta != 0")
+        relabelled = np.exp(delta * pts)
+        if delta < 0:
+            # the relabelled clock runs backwards: flip points and columns together
+            return TimeGrid(relabelled[::-1]), values[..., ::-1].copy(), "D"
+        return TimeGrid(relabelled), values.copy(), "D"
+    raise ValueError(f"unknown transform {name!r}")

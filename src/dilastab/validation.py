@@ -86,6 +86,11 @@ def required_moment_order(params):
 def admissibility(params, spec):
     """Classify (alpha, delta) against the driver's moment metadata."""
     alpha, delta = params.alpha, params.delta
+    if not (np.isfinite(alpha) and np.isfinite(delta)):
+        return AdmissibilityVerdict(
+            INADMISSIBLE,
+            reason=f"alpha and delta must be finite; got alpha = {alpha:g}, delta = {delta:g}",
+        )
     if delta > 0:
         if alpha > delta / 2:
             return AdmissibilityVerdict(CONDITION_A)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -368,3 +369,93 @@ def test_lamperti_needs_geometric_spacing(capsys):
     )
     assert code == 2
     assert "geometric" in err
+
+
+def assert_one_error_line(code, err, *words):
+    assert code == 2
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for word in words:
+        assert word in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("simulate",), ("verify", "--law", "idt", "--n", "2", "--times", "1", "--thetas", "1")],
+)
+@pytest.mark.parametrize("n_paths", ["0", "-3"])
+def test_nonpositive_n_paths_exit_2(capsys, command, n_paths):
+    code, _, err = run_cli(capsys, *command, *SMALL[:-2], "--n-paths", n_paths)
+    assert_one_error_line(code, err, "n_paths")
+
+
+def test_verify_rejects_ensembles_below_the_cf_floor(capsys):
+    args = ("verify", "--law", "idt", "--n", "2", "--times", "1", "--thetas", "0.5")
+    code, _, err = run_cli(capsys, *args, "--n-paths", "24")
+    assert_one_error_line(code, err, "n_paths >= 25", "5/sqrt(n_paths)")
+    code, _, _ = run_cli(capsys, *args, "--n-paths", "400", "--threshold", "0")
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--delta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_parameters_exit_2(capsys, flag, value):
+    code, _, err = run_cli(capsys, "simulate", *SMALL, f"{flag}={value}")
+    assert_one_error_line(code, err, "must be finite", f"{flag[2:]} = {value}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
+def test_unusable_refine_exit_2(capsys, value):
+    code, _, err = run_cli(capsys, "simulate", *SMALL, "--refine", value)
+    assert_one_error_line(code, err, "refine", repr(float(value)))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-4", "1e-300"])
+def test_unusable_tail_tol_exit_2(capsys, value):
+    code, _, err = run_cli(capsys, "simulate", *SMALL, f"--tail-tol={value}")
+    assert_one_error_line(code, err, "tail_tol", repr(float(value)))
+
+
+@pytest.mark.parametrize(
+    "content, words",
+    [
+        ('{"grid": null}', ("grid", "JSON object")),
+        ('{"driver": "gaussian"}', ("driver", "'gaussian'")),
+        ("[1, 2]", ("config file", "JSON object")),
+        ('{"n_paths": null}', ("n_paths",)),
+        ('{"transforms": "lamperti"}', ("transforms", "list")),
+    ],
+)
+def test_malformed_config_exit_2(capsys, tmp_path, content, words):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(content)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert_one_error_line(code, err, *words)
+
+
+GOLDEN_BASE = ("simulate", "--t-min", "0.5", "--t-max", "2.0", "--points", "4", "--n-paths", "6")
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        (
+            ("--transform", "lamperti", "--transform", "idt"),
+            "d2f251b748b097a6554413070e66b8500511cb9a91ed23d624c739f9148808eb",
+        ),
+        (
+            ("--transform", "lamperti", "--transform", "idt", "--delta", "-0.5"),
+            "9259005df70a2af47bea6bdeae31662ab7f5319bb75fe1cf75c1d68ca8f330d2",
+        ),
+        (
+            ("--include-origin",),
+            "7aa04284c7ea2e287f902fc99c1e8ae0792d9deca2e0f90a6d53d3466e570868",
+        ),
+    ],
+)
+def test_simulate_bytes_are_pinned(capsys, extra, digest):
+    # sha256 of outputs recorded before ensembles became matrix-first; any
+    # change to the draws, the transform arithmetic or the formatting shows
+    code, out, _ = run_cli(capsys, *GOLDEN_BASE, "--seed", "13", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

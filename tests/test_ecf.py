@@ -22,11 +22,13 @@ from dilastab import (
     OffGrid,
     OracleOutOfDomain,
     PathEnsemble,
+    SamplePath,
     SymmetricStableDriver,
     TestPoint,
     TimeGrid,
     TimeStableLaw,
     TranslativeLaw,
+    apply_transforms,
     check_scaling,
     derive_rng,
     estimate_ecf,
@@ -281,6 +283,77 @@ def test_transform_ensemble_chain():
     assert np.array_equal(z.values, v.values)
     d = transform_ensemble(v, UNIT, ("idt",), role="V")
     assert np.allclose(d.grid.points, cfg.out_times.points, rtol=1e-14)
+
+
+def row_by_row(ens, params, transforms, role):
+    """The reference: the chain applied to each row as its own SamplePath."""
+    rows = [
+        apply_transforms(SamplePath(ens.grid, row, role=role), params, transforms)
+        for row in ens.values
+    ]
+    return rows[0].grid.points, np.array([path.values for path in rows]), rows[0].role
+
+
+@pytest.mark.parametrize(
+    "params, chain",
+    [
+        (UNIT, ("lamperti",)),
+        (UNIT, ("lamperti", "lamperti_inverse")),
+        (UNIT, ("lamperti", "time_stable")),
+        (UNIT, ("lamperti", "idt")),
+        (DilationParams(1.0, -0.5), ("lamperti", "idt")),
+    ],
+)
+def test_ensemble_chain_equals_row_by_row(params, chain):
+    cfg = EnsembleConfig(GaussianDriver(), params, TimeGrid.geometric(0.5, 2.0, 5))
+    x = simulate_ensemble(cfg, 12, master_seed=3)
+    # the whole chain at once, and its last step on an ensemble of the
+    # intermediate role, both bit-for-bit equal to the per-row chain
+    points, values, _ = row_by_row(x, params, chain, "X")
+    chained = EnsembleConfig(GaussianDriver(), params, cfg.out_times, transforms=chain)
+    for ens in (transform_ensemble(x, params, chain), simulate_ensemble(chained, 12, 3)):
+        assert np.array_equal(ens.grid.points, points)
+        assert np.array_equal(ens.values, values)
+    v = transform_ensemble(x, params, chain[:1])
+    last = transform_ensemble(v, params, chain[1:], role="V")
+    assert np.array_equal(last.values, row_by_row(v, params, chain[1:], "V")[1])
+    assert last.master_seed == 3 and last.config is None
+
+
+def test_idt_with_negative_delta_reverses_columns():
+    params = DilationParams(1.0, -0.5)
+    grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
+    v = PathEnsemble(grid, np.arange(6.0).reshape(2, 3))
+    d = transform_ensemble(v, params, ("idt",), role="V")
+    assert np.array_equal(d.grid.points, np.exp(-0.5 * grid.points)[::-1])
+    assert np.array_equal(d.values, [[2.0, 1.0, 0.0], [5.0, 4.0, 3.0]])
+    assert np.array_equal(v.values, np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize(
+    "points, params, chain, role, error",
+    [
+        ((0.0, 1.0), UNIT, ("lamperti",), "X", NonPositiveTime),
+        ((0.5, 1.0), UNIT, ("time_stable",), "X", ValueError),
+        ((0.5, 1.0), UNIT, ("lamperti", "idt", "idt"), "X", ValueError),
+        ((-1.0, 1.0), DilationParams(0.7, 0.0), ("idt",), "V", DegenerateDelta),
+        ((0.5, 1.0), UNIT, ("spin",), "X", ValueError),
+        ((0.5, 1.0), UNIT, ("lamperti",), "Q", ValueError),
+    ],
+)
+def test_ensemble_chain_raises_like_row_by_row(points, params, chain, role, error):
+    ens = PathEnsemble(TimeGrid(np.array(points)), np.zeros((3, 2)))
+    with pytest.raises(error):
+        transform_ensemble(ens, params, chain, role=role)
+    with pytest.raises(error):
+        row_by_row(ens, params, chain, role)
+
+
+def test_empty_ensemble():
+    cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), transforms=("lamperti", "idt"))
+    ens = simulate_ensemble(cfg, 0, master_seed=1)
+    assert ens.values.shape == (0, 3)
+    assert np.allclose(ens.grid.points, cfg.out_times.points, rtol=1e-14)
 
 
 def test_check_scaling_small_run():
