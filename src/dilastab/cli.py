@@ -166,6 +166,11 @@ def _load_config(args):
         tail_tol=_number(float, "tail_tol", pick("tail_tol", "tail_tol", 1e-4)),
         transforms=tuple(transforms),
     )
+    for key in ("t_min", "t_max"):
+        # checked here: grid_points would make numpy warn on stderr first
+        value = getattr(config, key)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     if config.n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {config.n_paths}")
     if "lamperti" in config.transforms and config.spacing != "geometric":

@@ -159,33 +159,51 @@ def _standard_symmetric_stable(index, shape, rng):
 def sample_increments(spec, durations, rng):
     """Draw independent increments of L over intervals of the given lengths.
 
-    Vectorised over durations; a duration of 0 yields exactly 0.0.
+    Vectorised over durations; a duration of 0 yields exactly 0.0.  Each
+    driver draws one standard variate of each kind per duration (cell), all
+    k cells of a kind at once, and maps them with the float operations of
+    numpy's own location-scale samplers.  The variates drawn, and their
+    order, therefore fix the output bytes for a seed:
+
+    ===========================  =============================================
+    driver                       variates, in order
+    ===========================  =============================================
+    Gaussian                     k standard normals
+    stable, index 2              k standard normals
+    stable, index < 2            k uniforms on (-pi/2, pi/2), then k standard
+                                 exponentials (drawn but unused at index 1)
+    compound Poisson, Gaussian   k Poisson counts, then k standard normals
+    compound Poisson, two-point  k Poisson counts, then k binomial(count, 1/2)
+    gamma                        k standard gammas of shape shape * duration
+    ===========================  =============================================
     """
     dts = np.asarray(durations, dtype=float)
-    if np.any(dts < 0):
+    if (dts < 0).any():
         raise ValueError("durations must be >= 0")
     scalar = dts.ndim == 0
     dts = np.atleast_1d(dts)
+    k = dts.shape
     if isinstance(spec, GaussianDriver):
-        out = rng.normal(spec.drift * dts, np.sqrt(spec.variance * dts))
+        out = spec.drift * dts + np.sqrt(spec.variance * dts) * rng.standard_normal(k)
     elif isinstance(spec, SymmetricStableDriver):
         if spec.index == 2.0:
-            out = rng.normal(0.0, np.sqrt(2.0 * spec.scale * dts))
+            # 0.0 + keeps rng.normal(0.0, scale)'s +0.0 where the product is -0.0
+            out = 0.0 + np.sqrt(2.0 * spec.scale * dts) * rng.standard_normal(k)
         else:
-            draws = _standard_symmetric_stable(spec.index, dts.shape, rng)
+            draws = _standard_symmetric_stable(spec.index, k, rng)
             out = (spec.scale * dts) ** (1.0 / spec.index) * draws
     elif isinstance(spec, CompoundPoissonDriver):
         counts = rng.poisson(spec.rate * dts)
         if isinstance(spec.jumps, GaussianJumps):
-            out = rng.normal(counts * spec.jumps.mean, np.sqrt(counts * spec.jumps.variance))
+            scale = np.sqrt(counts * spec.jumps.variance)
+            out = counts * spec.jumps.mean + scale * rng.standard_normal(k)
         else:
             ups = rng.binomial(counts, 0.5)
             out = spec.jumps.magnitude * (2.0 * ups - counts)
     elif isinstance(spec, GammaDriver):
-        out = rng.gamma(spec.shape * dts, 1.0 / spec.rate)
+        out = rng.standard_gamma(spec.shape * dts) * (1.0 / spec.rate)
     else:
         raise TypeError(f"unknown driver {spec!r}")
-    out = np.asarray(out, dtype=float)
     return float(out[0]) if scalar else out
 
 

@@ -256,11 +256,6 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=16):
     return out
 
 
-def _estimate_psi(ens, times, thetas, r_steps):
-    """Unwrapped log-CF estimate at the full ray endpoint."""
-    return estimate_log_cf(ens, times, thetas, r_steps=r_steps)[-1]
-
-
 def oracle_log_cf(spec, params, t, theta):
     """Closed-form log-CF of the additive process at one (t, theta).
 
@@ -505,17 +500,32 @@ def check_scaling(ens, law, points, r_steps=16, oracle=None):
     single ensemble both sides share paths, which makes the z-scores
     conservative.  oracle, when given, is called as oracle(times, thetas) on
     each scaled point and its value is attached to the row.
+
+    Each distinct ray is estimated once per call: a law whose scaled points
+    are other points' base points (IdtLaw with n = 2 on times 0.5, 1, 2)
+    reuses those estimates.  Rays are keyed by the ensemble's identity too,
+    so the two sides of a pair never share one.
     """
     if isinstance(ens, tuple):
         scaled_ens, base_ens = ens
     else:
         scaled_ens = base_ens = ens
+    psi = {}
+
+    def estimate_psi(side, times, thetas):
+        """Unwrapped log-CF estimate at the full ray endpoint."""
+        # repr tells -0.0 from 0.0, whose estimates can differ in a zero's sign
+        key = (id(side), repr(times), repr(thetas))
+        if key not in psi:
+            psi[key] = estimate_log_cf(side, times, thetas, r_steps=r_steps)[-1]
+        return psi[key]
+
     rows = []
     for point in points:
         sp = law.scaled_point(point)
         bp = law.base_point(point)
-        lhs = _estimate_psi(scaled_ens, sp.times, sp.thetas, r_steps)
-        base = _estimate_psi(base_ens, bp.times, bp.thetas, r_steps)
+        lhs = estimate_psi(scaled_ens, sp.times, sp.thetas)
+        base = estimate_psi(base_ens, bp.times, bp.thetas)
         mult = law.multiplier
         rhs_val = mult * base.logcf
         se = math.hypot(lhs.logcf_se, mult * base.logcf_se)

@@ -163,14 +163,23 @@ class SimulationPlan:
     params: DilationParams
     durations: np.ndarray  # clock increments fed to the driver sampler
     weights: np.ndarray | None  # e^(u H) left-endpoint weights; None -> direct L
-    out_index: np.ndarray | None  # positions of output times in the cumulative sums
+    out_index: np.ndarray | None  # grid positions of the output times
+
+    def __post_init__(self):
+        if self.out_index is not None:
+            # grid point i > 0 is the (i-1)-th partial sum; an output time at
+            # the truncation point (i = 0) is X = 0 and is prepended in run
+            self._at_start = bool(self.out_index[0] == 0)
+            self._take = self.out_index[int(self._at_start) :] - 1
 
     def run(self, rng):
         increments = sample_increments(self.spec, self.durations, rng)
         if self.weights is None:
             return np.cumsum(increments)
-        cums = np.concatenate([[0.0], np.cumsum(self.weights * increments)])
-        return cums[self.out_index]
+        values = np.cumsum(self.weights * increments)[self._take]
+        if self._at_start:
+            return np.concatenate([[0.0], values])
+        return values
 
 
 def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):

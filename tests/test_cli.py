@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -404,6 +405,23 @@ def test_nonfinite_parameters_exit_2(capsys, flag, value):
     assert_one_error_line(code, err, "must be finite", f"{flag[2:]} = {value}")
 
 
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (("--t-max", "inf"), "t_max", "inf"),
+        (("--t-min", "inf", "--spacing", "linear"), "t_min", "inf"),
+        (("--t-max", "nan"), "t_max", "nan"),
+    ],
+)
+def test_nonfinite_grid_times_exit_2(capsys, argv, key, value):
+    # outside pytest a numpy RuntimeWarning would print to stderr before the error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "simulate", "--points", "3", "--n-paths", "2", *argv)
+    assert_one_error_line(code, err, f"{key} must be finite", value)
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
 def test_unusable_refine_exit_2(capsys, value):
     code, _, err = run_cli(capsys, "simulate", *SMALL, "--refine", value)
@@ -459,3 +477,87 @@ def test_simulate_bytes_are_pinned(capsys, extra, digest):
     code, out, _ = run_cli(capsys, *GOLDEN_BASE, "--seed", "13", *extra)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _stable(index):
+    return json.dumps({"kind": "symmetric_stable", "index": index, "scale": 1.0})
+
+
+@pytest.mark.parametrize(
+    "driver, extra, digest",
+    [
+        (_stable(1.5), (), "f37254182c52a5f17d08cdb5b677a95eb0d17b599b3256c1a89bfabbb6c5e106"),
+        (_stable(1.0), (), "1f6f2ffebaa7ba8c48fb0413239602bf508f9cab0cc820920debce343e875763"),
+        (_stable(2.0), (), "41742c98481e3cbc41a14d11e75374ec15a1f44a81a4ad0028c0daee2cd6df79"),
+        (
+            '{"kind": "gamma", "shape": 1.0, "rate": 1.0}',
+            (),
+            "a08ff209a458dfa674b819fe5abfb5d85210622527f90b9343f02df1dd4abeb0",
+        ),
+        (
+            '{"kind": "compound_poisson", "rate": 3.0,'
+            ' "jumps": {"kind": "gaussian", "mean": 0.5, "variance": 2.0}}',
+            (),
+            "554179f6842056493859a3ac5b3d4149dbaa76f428fb52e7a440bca591cf6154",
+        ),
+        (
+            '{"kind": "compound_poisson", "rate": 3.0,'
+            ' "jumps": {"kind": "two_point", "magnitude": 0.5}}',
+            (),
+            "d6302f37ae4d3241cbb6e17cef042297291624626dd63539093008b8164e4a7d",
+        ),
+        (
+            '{"kind": "gaussian", "variance": 2.0, "drift": 0.3}',
+            (),
+            "69c5110b41d80a6d98bac1ebd2857e40176c12d0fa10ca776071f2e8aad11908",
+        ),
+        (
+            '{"kind": "gaussian", "variance": 1.0, "drift": 0.0}',
+            ("--alpha", "0.5", "--delta", "1"),  # alpha = delta/2: X is L at a clock
+            "525cb661d53b23178eb254ddc9bd4e525a2d485808d548fd5d3227e3e04d9414",
+        ),
+    ],
+    ids=[
+        "stable-1.5",
+        "stable-1.0",
+        "stable-2.0",
+        "gamma",
+        "compound-poisson-gaussian",
+        "compound-poisson-two-point",
+        "gaussian-drift",
+        "alpha-delta-half",
+    ],
+)
+def test_simulate_bytes_are_pinned_per_driver(capsys, driver, extra, digest):
+    # sha256 recorded before the driver samplers drew standard variates and
+    # mapped them in numpy; the order of the variates each driver draws is
+    # the seed-to-bytes contract
+    code, out, _ = run_cli(capsys, *GOLDEN_BASE, "--seed", "13", "--driver", driver, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_report_bytes_are_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--law",
+        "idt",
+        "--n",
+        "2",
+        "--times",
+        "0.5,1",
+        "--thetas",
+        "0.5,1",
+        "--pair",
+        "0.5,1,1,-0.5",
+        "--n-paths",
+        "200",
+        "--seed",
+        "13",
+    )
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "5536292f86e98acad90d82c9aec1ddd4a0d150b03726385a1d4ccb4a3997bd5c"
+    )

@@ -113,6 +113,37 @@ def test_sampling_matches_exponent(spec):
         assert abs(ecf - want) <= 4.0 * se + 1e-12
 
 
+def location_scale_reference(spec, dts, rng):
+    """The increments from numpy's location-scale samplers, one call per law."""
+    if isinstance(spec, GaussianDriver):
+        return rng.normal(spec.drift * dts, np.sqrt(spec.variance * dts))
+    if isinstance(spec, SymmetricStableDriver):
+        return rng.normal(0.0, np.sqrt(2.0 * spec.scale * dts))
+    if isinstance(spec, CompoundPoissonDriver):
+        counts = rng.poisson(spec.rate * dts)
+        return rng.normal(counts * spec.jumps.mean, np.sqrt(counts * spec.jumps.variance))
+    return rng.gamma(spec.shape * dts, 1.0 / spec.rate)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GaussianDriver(1.0, 0.0),
+        GaussianDriver(2.0, 0.5),
+        SymmetricStableDriver(2.0, 1.2),
+        CompoundPoissonDriver(2.0, GaussianJumps(0.5, 1.0)),
+        GammaDriver(2.0, 3.0),
+    ],
+)
+def test_standard_variates_map_like_numpy_samplers(spec):
+    # the standard variates, mapped in numpy, give exactly the location-scale
+    # samplers' floats, signed zeros included
+    dts = np.array([0.0, 0.1, 2.5, 0.0, 1e-9, 7.0] * 50)
+    got = sample_increments(spec, dts, np.random.default_rng(3))
+    want = location_scale_reference(spec, dts, np.random.default_rng(3))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_zero_duration_is_zero():
     rng = np.random.default_rng(0)
     for spec in ALL_DRIVERS:

@@ -394,3 +394,75 @@ def test_check_scaling_flags_wrong_multiplier():
     points = [TestPoint((1.0,), (1.0,)), TestPoint((0.5,), (1.5,))]
     report = check_scaling(ens, wrong, points)
     assert report.pass_fraction == 0.0
+
+
+IDT_POINTS = marginal_points((0.5, 1.0, 2.0), (0.25, 0.5, 0.75, 1.0)) + [
+    increment_pair(0.5, 1.0, 1.0),
+    increment_pair(1.0, 2.0, 1.0),
+]
+
+
+def idt_ensemble(n_paths, seed):
+    cfg = EnsembleConfig(
+        GaussianDriver(), UNIT, (0.5, 1.0, 2.0, 4.0), transforms=("lamperti", "idt")
+    )
+    return simulate_ensemble(cfg, n_paths, master_seed=seed)
+
+
+def pointwise_rows(scaled_ens, base_ens, law, points, r_steps=16):
+    """The reference: both sides of every point estimated on their own."""
+    rows = []
+    for point in points:
+        sp, bp = law.scaled_point(point), law.base_point(point)
+        lhs = estimate_log_cf(scaled_ens, sp.times, sp.thetas, r_steps)[-1]
+        base = estimate_log_cf(base_ens, bp.times, bp.thetas, r_steps)[-1]
+        rhs = law.multiplier * base.logcf
+        se = math.hypot(lhs.logcf_se, law.multiplier * base.logcf_se)
+        diff = lhs.logcf - rhs
+        rows.append((lhs.logcf, rhs, diff.real / se, diff.imag / se))
+    return rows
+
+
+def count_log_cf_calls(monkeypatch):
+    import dilastab.ecf as ecf_module
+
+    calls = []
+    original = ecf_module.estimate_log_cf
+
+    def counted(ens, times, thetas, r_steps=16):
+        calls.append((id(ens), tuple(times), tuple(thetas)))
+        return original(ens, times, thetas, r_steps=r_steps)
+
+    monkeypatch.setattr(ecf_module, "estimate_log_cf", counted)
+    return calls
+
+
+def test_check_scaling_estimates_each_distinct_ray_once(monkeypatch):
+    ens = idt_ensemble(600, 5)
+    law = IdtLaw(2.0)
+    rays = set()
+    for point in IDT_POINTS:
+        for side in (law.scaled_point(point), law.base_point(point)):
+            rays.add((side.times, side.thetas))
+    assert (len(rays), 2 * len(IDT_POINTS)) == (19, 28)
+    expected = pointwise_rows(ens, ens, law, IDT_POINTS)
+    calls = count_log_cf_calls(monkeypatch)
+    report = check_scaling(ens, law, IDT_POINTS)
+    assert len(calls) == len(set(calls)) == len(rays)
+    got = [(row.lhs, row.rhs, row.z_real, row.z_imag) for row in report.rows]
+    assert got == expected
+
+
+def test_check_scaling_keeps_paired_ensembles_apart(monkeypatch):
+    scaled, base = idt_ensemble(600, 5), idt_ensemble(600, 6)
+    law = IdtLaw(2.0)
+    expected = pointwise_rows(scaled, base, law, IDT_POINTS)
+    calls = count_log_cf_calls(monkeypatch)
+    report = check_scaling((scaled, base), law, IDT_POINTS)
+    # every point's scaled ray is on one ensemble and its base ray on the
+    # other, so no estimate is shared between the sides
+    assert len(calls) == 2 * len(IDT_POINTS)
+    got = [(row.lhs, row.rhs, row.z_real, row.z_imag) for row in report.rows]
+    assert got == expected
+    shared = [(r.lhs, r.rhs) for r in check_scaling(scaled, law, IDT_POINTS).rows]
+    assert [(lhs, rhs) for lhs, rhs, *_ in got] != shared

@@ -105,7 +105,12 @@ def test_strictly_increasing(delta, s, gap):
 
 @given(deltas, st.floats(-5, 5))
 def test_inverse_round_trip(delta, t):
-    assert tau_inv(delta, tau(delta, t)) == pytest.approx(t, rel=1e-9, abs=1e-9)
+    back = tau_inv(delta, tau(delta, t))
+    # near a bound of its image tau is flat (delta = -4, t = 5: tau' ~ 8e-9),
+    # so one ulp of tau(t) moves the inverse by ulp / tau'; allow a few of
+    # those on top of the 1e-9 bound, which alone holds where tau is well conditioned
+    conditioning = 4 * math.ulp(tau(delta, t)) / tau_density(delta, t)
+    assert abs(back - t) <= 1e-9 * max(1.0, abs(t)) + conditioning
 
 
 @given(deltas, st.floats(-3, 3))
