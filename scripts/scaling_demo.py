@@ -20,10 +20,10 @@ from dilastab import (
     TestPoint,
     TimeStableLaw,
     TranslativeLaw,
+    apply_transforms,
     check_scaling,
     increment_pair,
     simulate_ensemble,
-    transform_ensemble,
 )
 
 
@@ -81,9 +81,9 @@ def main():
     ]
     flat_points = [TestPoint(p.times, mapped_thetas(p)) for p in points]
 
-    v_ens = transform_ensemble(ens, params, ("lamperti",))
-    z_ens = transform_ensemble(v_ens, params, ("time_stable",), role="V")
-    d_ens = transform_ensemble(v_ens, params, ("idt",), role="V")
+    v_ens = apply_transforms(ens, params, ("lamperti",))
+    z_ens = apply_transforms(v_ens, params, ("time_stable",), role="V")
+    d_ens = apply_transforms(v_ens, params, ("idt",), role="V")
 
     print_report(
         "dilative", check_scaling(ens, DilativeLaw(1.0, 1.0, args.T), points)

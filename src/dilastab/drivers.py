@@ -6,18 +6,23 @@ increment sampler.  Sampling is exact in distribution for every duration
 dt >= 0 -- there is no Euler stepping anywhere -- so grid refinement in the
 simulators only sharpens the weight discretisation, never the driver law.
 
+Every driver and jump law is a frozen dataclass that owns its law: its
+kind (the name in DRIVER_KINDS or JUMP_KINDS, which driver_from_dict reads),
+its exponent, its draw and its moments.
+
 Conventions:
-  * unit_levy_exponent(spec, theta) returns Psi with E exp(i theta L(t))
+  * spec.levy_exponent(theta) returns Psi with E exp(i theta L(t))
     = exp(t * Psi(theta)); Psi(0) = 0 and Re Psi <= 0.
   * the symmetric stable exponent is -scale * |theta|**index; index = 2
     is the Gaussian with variance 2 * scale.
-  * max_moment_order is the supremum of q with E |L(1)|**q < infinity.
+  * spec.max_moment_order() is the supremum of q with E |L(1)|**q < infinity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,135 +30,241 @@ from .errors import GridMissingOrigin, OffGrid
 from .integrator import SamplePath
 
 __all__ = [
+    "LevyDriver",
     "GaussianDriver",
     "SymmetricStableDriver",
     "CompoundPoissonDriver",
     "GammaDriver",
     "GaussianJumps",
     "TwoPointJumps",
-    "unit_levy_exponent",
-    "sample_increment",
+    "DRIVER_KINDS",
+    "JUMP_KINDS",
     "sample_increments",
     "sample_two_sided",
-    "max_moment_order",
-    "has_finite_log_moment",
-    "mean_rate",
-    "variance_rate",
     "driver_to_dict",
     "driver_from_dict",
 ]
 
 
+class _Parameters:
+    """The check shared by every driver and jump law: all numbers finite.
+
+    Each law's own range checks follow in its _check().
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        self._check()
+
+
 @dataclass(frozen=True)
-class GaussianJumps:
+class GaussianJumps(_Parameters):
     """Gaussian jump sizes for the compound Poisson driver."""
 
     mean: float = 0.0
     variance: float = 1.0
 
-    def __post_init__(self):
+    kind = "gaussian"
+
+    def _check(self):
         if self.variance < 0:
             raise ValueError("jump variance must be >= 0")
 
+    def cf(self, th):
+        return np.exp(1j * self.mean * th - 0.5 * self.variance * th**2)
+
+    def draw_sums(self, counts, rng):
+        scale = np.sqrt(counts * self.variance)
+        return counts * self.mean + scale * rng.standard_normal(counts.shape)
+
 
 @dataclass(frozen=True)
-class TwoPointJumps:
+class TwoPointJumps(_Parameters):
     """Jumps of size +magnitude or -magnitude with equal probability."""
 
     magnitude: float = 1.0
 
-    def __post_init__(self):
+    kind = "two_point"
+    mean = 0.0
+
+    def _check(self):
         if self.magnitude <= 0:
             raise ValueError("jump magnitude must be > 0")
 
+    def cf(self, th):
+        return np.cos(self.magnitude * th).astype(complex)
+
+    @property
+    def variance(self):
+        return self.magnitude**2
+
+    def draw_sums(self, counts, rng):
+        ups = rng.binomial(counts, 0.5)
+        return self.magnitude * (2.0 * ups - counts)
+
+
+JUMP_KINDS = {law.kind: law for law in (GaussianJumps, TwoPointJumps)}
+
+
+class LevyDriver(_Parameters):
+    """A Levy driver: its unit-time exponent, exact increments and moments.
+
+    Each driver defines _exponent(th), the Levy exponent at a float array
+    th; draw(dts, rng), its increments over a 1-d array of durations, with
+    the variates listed in sample_increments; mean_rate() = E L(1); and
+    variance_rate() = Var L(1), possibly infinite.  max_moment_order(), the
+    supremum of the finite absolute moment orders of L(1), is infinite
+    unless the driver says otherwise.
+    """
+
+    def levy_exponent(self, theta):
+        """Log-characteristic function of L(1) at theta (scalar or array)."""
+        out = self._exponent(np.asarray(theta, dtype=float))
+        return complex(out) if np.ndim(theta) == 0 else out
+
+    def max_moment_order(self):
+        return math.inf
+
 
 @dataclass(frozen=True)
-class GaussianDriver:
+class GaussianDriver(LevyDriver):
     """Brownian motion with drift: L(t) ~ N(drift * t, variance * t)."""
 
     variance: float = 1.0
     drift: float = 0.0
 
-    def __post_init__(self):
+    kind = "gaussian"
+
+    def _check(self):
         if self.variance < 0:
             raise ValueError("variance must be >= 0")
 
+    def _exponent(self, th):
+        return 1j * self.drift * th - 0.5 * self.variance * th**2
+
+    def draw(self, dts, rng):
+        return self.drift * dts + np.sqrt(self.variance * dts) * rng.standard_normal(dts.shape)
+
+    def mean_rate(self):
+        return self.drift
+
+    def variance_rate(self):
+        return self.variance
+
 
 @dataclass(frozen=True)
-class SymmetricStableDriver:
+class SymmetricStableDriver(LevyDriver):
     """Symmetric stable motion with exponent -scale * |theta|**index."""
 
     index: float = 1.5
     scale: float = 1.0
 
-    def __post_init__(self):
+    kind = "symmetric_stable"
+
+    def _check(self):
         if not 0.0 < self.index <= 2.0:
             raise ValueError("stability index must lie in (0, 2]")
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
 
+    def _exponent(self, th):
+        return (-self.scale * np.abs(th) ** self.index).astype(complex)
+
+    def draw(self, dts, rng):
+        p = self.index
+        if p == 2.0:
+            # 0.0 + keeps rng.normal(0.0, scale)'s +0.0 where the product is -0.0
+            return 0.0 + np.sqrt(2.0 * self.scale * dts) * rng.standard_normal(dts.shape)
+        # Chambers-Mallows-Stuck in the symmetric case; CF is exp(-|theta|**p)
+        u = rng.uniform(-math.pi / 2, math.pi / 2, dts.shape)
+        w = rng.standard_exponential(dts.shape)
+        if p == 1.0:
+            draws = np.tan(u)
+        else:
+            pu = p * u
+            draws = np.sin(pu) / np.cos(u) ** (1.0 / p) * (np.cos(u - pu) / w) ** ((1.0 - p) / p)
+        return (self.scale * dts) ** (1.0 / p) * draws
+
+    def mean_rate(self):
+        # the centre is 0 by symmetry
+        return 0.0
+
+    def variance_rate(self):
+        return 2.0 * self.scale if self.index == 2.0 else math.inf
+
+    def max_moment_order(self):
+        return self.index if self.index < 2.0 else math.inf
+
 
 @dataclass(frozen=True)
-class CompoundPoissonDriver:
-    """Compound Poisson process with the given jump intensity and jump law."""
+class CompoundPoissonDriver(LevyDriver):
+    """Compound Poisson process with the given jump intensity and jump law.
+
+    A jump law (one of JUMP_KINDS) has a mean and a variance, as fields or
+    properties; cf(th), the characteristic function of one jump at an array
+    th; and draw_sums(counts, rng), the sums of counts[i] independent jumps,
+    one per cell.
+    """
 
     rate: float = 1.0
-    jumps: GaussianJumps | TwoPointJumps = GaussianJumps()
+    jumps: GaussianJumps | TwoPointJumps = field(
+        default=GaussianJumps(), metadata={"kinds": JUMP_KINDS}
+    )
 
-    def __post_init__(self):
+    kind = "compound_poisson"
+
+    def _check(self):
         if self.rate < 0:
             raise ValueError("jump rate must be >= 0")
-        if not isinstance(self.jumps, (GaussianJumps, TwoPointJumps)):
+        if not isinstance(self.jumps, tuple(JUMP_KINDS.values())):
             raise ValueError("jumps must be GaussianJumps or TwoPointJumps")
+
+    def _exponent(self, th):
+        return self.rate * (self.jumps.cf(th) - 1.0)
+
+    def draw(self, dts, rng):
+        return self.jumps.draw_sums(rng.poisson(self.rate * dts), rng)
+
+    def mean_rate(self):
+        return self.rate * self.jumps.mean
+
+    def variance_rate(self):
+        return self.rate * (self.jumps.variance + self.jumps.mean**2)
 
 
 @dataclass(frozen=True)
-class GammaDriver:
+class GammaDriver(LevyDriver):
     """Gamma subordinator: L(t) ~ Gamma(shape * t, rate)."""
 
     shape: float = 1.0
     rate: float = 1.0
 
-    def __post_init__(self):
+    kind = "gamma"
+
+    def _check(self):
         if self.shape <= 0 or self.rate <= 0:
             raise ValueError("shape and rate must be > 0")
 
+    def _exponent(self, th):
+        return -self.shape * np.log(1.0 - 1j * th / self.rate)
 
-LevyDriver = GaussianDriver | SymmetricStableDriver | CompoundPoissonDriver | GammaDriver
+    def draw(self, dts, rng):
+        return rng.standard_gamma(self.shape * dts) * (1.0 / self.rate)
 
+    def mean_rate(self):
+        return self.shape / self.rate
 
-def unit_levy_exponent(spec, theta):
-    """Log-characteristic function of L(1) at theta (scalar or array)."""
-    th = np.asarray(theta, dtype=float)
-    if isinstance(spec, GaussianDriver):
-        out = 1j * spec.drift * th - 0.5 * spec.variance * th**2
-    elif isinstance(spec, SymmetricStableDriver):
-        out = (-spec.scale * np.abs(th) ** spec.index).astype(complex)
-    elif isinstance(spec, CompoundPoissonDriver):
-        if isinstance(spec.jumps, GaussianJumps):
-            jump_cf = np.exp(1j * spec.jumps.mean * th - 0.5 * spec.jumps.variance * th**2)
-        else:
-            jump_cf = np.cos(spec.jumps.magnitude * th).astype(complex)
-        out = spec.rate * (jump_cf - 1.0)
-    elif isinstance(spec, GammaDriver):
-        out = -spec.shape * np.log(1.0 - 1j * th / spec.rate)
-    else:
-        raise TypeError(f"unknown driver {spec!r}")
-    return complex(out) if np.ndim(theta) == 0 else out
+    def variance_rate(self):
+        return self.shape / self.rate**2
 
 
-def _standard_symmetric_stable(index, shape, rng):
-    # Chambers-Mallows-Stuck in the symmetric case; CF is exp(-|theta|**index).
-    u = rng.uniform(-math.pi / 2, math.pi / 2, shape)
-    w = rng.standard_exponential(shape)
-    if index == 1.0:
-        return np.tan(u)
-    iu = index * u
-    return (
-        np.sin(iu)
-        / np.cos(u) ** (1.0 / index)
-        * (np.cos(u - iu) / w) ** ((1.0 - index) / index)
-    )
+DRIVER_KINDS = {
+    driver.kind: driver
+    for driver in (GaussianDriver, SymmetricStableDriver, CompoundPoissonDriver, GammaDriver)
+}
 
 
 def sample_increments(spec, durations, rng):
@@ -180,36 +291,9 @@ def sample_increments(spec, durations, rng):
     dts = np.asarray(durations, dtype=float)
     if (dts < 0).any():
         raise ValueError("durations must be >= 0")
-    scalar = dts.ndim == 0
-    dts = np.atleast_1d(dts)
-    k = dts.shape
-    if isinstance(spec, GaussianDriver):
-        out = spec.drift * dts + np.sqrt(spec.variance * dts) * rng.standard_normal(k)
-    elif isinstance(spec, SymmetricStableDriver):
-        if spec.index == 2.0:
-            # 0.0 + keeps rng.normal(0.0, scale)'s +0.0 where the product is -0.0
-            out = 0.0 + np.sqrt(2.0 * spec.scale * dts) * rng.standard_normal(k)
-        else:
-            draws = _standard_symmetric_stable(spec.index, k, rng)
-            out = (spec.scale * dts) ** (1.0 / spec.index) * draws
-    elif isinstance(spec, CompoundPoissonDriver):
-        counts = rng.poisson(spec.rate * dts)
-        if isinstance(spec.jumps, GaussianJumps):
-            scale = np.sqrt(counts * spec.jumps.variance)
-            out = counts * spec.jumps.mean + scale * rng.standard_normal(k)
-        else:
-            ups = rng.binomial(counts, 0.5)
-            out = spec.jumps.magnitude * (2.0 * ups - counts)
-    elif isinstance(spec, GammaDriver):
-        out = rng.standard_gamma(spec.shape * dts) * (1.0 / spec.rate)
-    else:
-        raise TypeError(f"unknown driver {spec!r}")
-    return float(out[0]) if scalar else out
-
-
-def sample_increment(spec, dt, rng):
-    """Draw one increment of L over an interval of length dt >= 0."""
-    return sample_increments(spec, float(dt), rng)
+    if dts.ndim == 0:
+        return float(spec.draw(dts.reshape(1), rng)[0])
+    return spec.draw(dts, rng)
 
 
 def sample_two_sided(spec, grid, rng):
@@ -239,105 +323,41 @@ def sample_two_sided(spec, grid, rng):
     return SamplePath(grid, values, role="L")
 
 
-def max_moment_order(spec):
-    """Supremum of the finite absolute moment orders of L(1)."""
-    if isinstance(spec, SymmetricStableDriver) and spec.index < 2.0:
-        return spec.index
-    return math.inf
-
-
-def has_finite_log_moment(spec):
-    """Whether E log^+ |L(1)| is finite.  True for every built-in driver."""
-    return isinstance(
-        spec, (GaussianDriver, SymmetricStableDriver, CompoundPoissonDriver, GammaDriver)
-    )
-
-
-def mean_rate(spec):
-    """E L(1).  The symmetric stable centre is 0 by symmetry."""
-    if isinstance(spec, GaussianDriver):
-        return spec.drift
-    if isinstance(spec, SymmetricStableDriver):
-        return 0.0
-    if isinstance(spec, CompoundPoissonDriver):
-        jump_mean = spec.jumps.mean if isinstance(spec.jumps, GaussianJumps) else 0.0
-        return spec.rate * jump_mean
-    if isinstance(spec, GammaDriver):
-        return spec.shape / spec.rate
-    raise TypeError(f"unknown driver {spec!r}")
-
-
-def variance_rate(spec):
-    """Var L(1); infinite for the stable driver with index < 2."""
-    if isinstance(spec, GaussianDriver):
-        return spec.variance
-    if isinstance(spec, SymmetricStableDriver):
-        return 2.0 * spec.scale if spec.index == 2.0 else math.inf
-    if isinstance(spec, CompoundPoissonDriver):
-        if isinstance(spec.jumps, GaussianJumps):
-            second = spec.jumps.variance + spec.jumps.mean**2
-        else:
-            second = spec.jumps.magnitude**2
-        return spec.rate * second
-    if isinstance(spec, GammaDriver):
-        return spec.shape / spec.rate**2
-    raise TypeError(f"unknown driver {spec!r}")
-
-
 def driver_to_dict(spec):
     """JSON-ready description of a driver; inverse of driver_from_dict."""
-    if isinstance(spec, GaussianDriver):
-        return {"kind": "gaussian", "variance": spec.variance, "drift": spec.drift}
-    if isinstance(spec, SymmetricStableDriver):
-        return {"kind": "symmetric_stable", "index": spec.index, "scale": spec.scale}
-    if isinstance(spec, CompoundPoissonDriver):
-        if isinstance(spec.jumps, GaussianJumps):
-            jumps = {
-                "kind": "gaussian",
-                "mean": spec.jumps.mean,
-                "variance": spec.jumps.variance,
-            }
-        else:
-            jumps = {"kind": "two_point", "magnitude": spec.jumps.magnitude}
-        return {"kind": "compound_poisson", "rate": spec.rate, "jumps": jumps}
-    if isinstance(spec, GammaDriver):
-        return {"kind": "gamma", "shape": spec.shape, "rate": spec.rate}
-    raise TypeError(f"unknown driver {spec!r}")
+    out = {"kind": spec.kind}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        out[f.name] = driver_to_dict(value) if "kinds" in f.metadata else value
+    return out
 
 
-def _check_description(what, data):
+def _from_dict(what, kinds, data):
     if not isinstance(data, dict):
         raise ValueError(
-            f'{what} must be described by an object like {{"kind": ...}}, got {data!r:.60}'
+            f'a {what} must be described by an object like {{"kind": ...}}, got {data!r:.60}'
         )
+    kind = data.get("kind")
+    law = kinds.get(kind) if isinstance(kind, str) else None
+    if law is None:
+        raise ValueError(f"unknown {what} kind {kind!r:.60}")
+    values = {}
+    for f in fields(law):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if "kinds" in f.metadata:
+            values[f.name] = _from_dict("jump law", f.metadata["kinds"], value)
+        else:
+            try:
+                values[f.name] = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{kind} {what} field {f.name} must be a number, got {value!r:.60}"
+                ) from None
+    return law(**values)
 
 
 def driver_from_dict(data):
-    """Build a driver from its dict description."""
-    _check_description("a driver", data)
-    kind = data.get("kind")
-    if kind == "gaussian":
-        return GaussianDriver(
-            variance=float(data.get("variance", 1.0)), drift=float(data.get("drift", 0.0))
-        )
-    if kind == "symmetric_stable":
-        return SymmetricStableDriver(
-            index=float(data.get("index", 1.5)), scale=float(data.get("scale", 1.0))
-        )
-    if kind == "compound_poisson":
-        jumps_data = data.get("jumps", {"kind": "gaussian"})
-        _check_description("a jump law", jumps_data)
-        jkind = jumps_data.get("kind")
-        if jkind == "gaussian":
-            jumps = GaussianJumps(
-                mean=float(jumps_data.get("mean", 0.0)),
-                variance=float(jumps_data.get("variance", 1.0)),
-            )
-        elif jkind == "two_point":
-            jumps = TwoPointJumps(magnitude=float(jumps_data.get("magnitude", 1.0)))
-        else:
-            raise ValueError(f"unknown jump law {jkind!r}")
-        return CompoundPoissonDriver(rate=float(data.get("rate", 1.0)), jumps=jumps)
-    if kind == "gamma":
-        return GammaDriver(shape=float(data.get("shape", 1.0)), rate=float(data.get("rate", 1.0)))
-    raise ValueError(f"unknown driver kind {kind!r}")
+    """Build a driver from its dict description; absent fields take their defaults."""
+    return _from_dict("driver", DRIVER_KINDS, data)

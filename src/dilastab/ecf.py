@@ -14,7 +14,8 @@ check_scaling turns a scaling law into z-scores: for each test point it
 compares the estimated log-CF at the law's scaled arguments against the
 law's multiplier times the estimated log-CF at the base arguments, each
 component normalised by the pooled standard error.  A point passes when both
-components have |z| <= 3.
+components have |z| <= 3; a point with an aborted ray is unestimable and
+fails.
 
 Closed-form oracles exist for the Gaussian and symmetric stable drivers:
 with q = delta/(e^delta - 1) and H = alpha - delta/2,
@@ -29,7 +30,7 @@ valid for pH + delta > 0 (equivalently 2*alpha > 0 for the Gaussian part).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .errors import (
     OracleOutOfDomain,
 )
 from .integrator import PATH_ROLES, SamplePath, TimeGrid
-from .processes import TRANSFORM_NAMES, DilationParams, plan_dilative, transform_values
+from .processes import TRANSFORMS, DilationParams, plan_dilative, transform_values
 from .timechange import tau_density
 
 __all__ = [
@@ -49,15 +50,16 @@ __all__ = [
     "PathEnsemble",
     "EcfEstimate",
     "TestPoint",
+    "ScalingLaw",
     "DilativeLaw",
     "TranslativeLaw",
     "TimeStableLaw",
     "IdtLaw",
+    "LAWS",
     "ScalingRow",
     "ScalingReport",
     "derive_rng",
     "simulate_ensemble",
-    "transform_ensemble",
     "apply_transforms",
     "estimate_ecf",
     "estimate_log_cf",
@@ -73,7 +75,7 @@ class EnsembleConfig:
     """What to simulate: driver, scaling parameters, output grid, transforms.
 
     out_times is the output grid of the underlying additive process (strictly
-    positive); transforms is a chain of names from TRANSFORM_NAMES applied to
+    positive); transforms is a chain of names from TRANSFORMS applied to
     every path, e.g. ("lamperti",) for the OU-type transform or
     ("lamperti", "time_stable") for its time-stable relabelling.
     """
@@ -90,7 +92,7 @@ class EnsembleConfig:
             object.__setattr__(self, "out_times", TimeGrid(self.out_times))
         object.__setattr__(self, "transforms", tuple(self.transforms))
         for name in self.transforms:
-            if name not in TRANSFORM_NAMES:
+            if name not in TRANSFORMS:
                 raise ValueError(f"unknown transform {name!r}")
 
 
@@ -168,15 +170,6 @@ def simulate_ensemble(config, n_paths, master_seed, threads=1):
     ens = apply_transforms(x, config.params, config.transforms)
     ens.config = config
     return ens
-
-
-def transform_ensemble(ens, params, transforms, role="X"):
-    """Apply a transform chain to every path of an existing ensemble.
-
-    role names the process the ensemble's rows currently are ("X" after a
-    plain simulation, "V" after a lamperti chain, ...).
-    """
-    return apply_transforms(ens, params, transforms, role=role)
 
 
 @dataclass(frozen=True)
@@ -340,8 +333,24 @@ def increment_pair(t1, t2, theta, ratio=-0.5):
     return TestPoint((float(t1), float(t2)), (float(theta), float(ratio * theta)))
 
 
+class ScalingLaw:
+    """A scaling law: Psi at scaled_point(p) equals multiplier * Psi at base_point(p).
+
+    kind names the law, and chain is the transform chain that carries X to
+    the representation the law holds for.
+    """
+
+    chain = ()
+
+    def base_point(self, point):
+        return point
+
+    def to_dict(self):
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+
 @dataclass(frozen=True)
-class DilativeLaw:
+class DilativeLaw(ScalingLaw):
     """Dilative scaling: Psi at times T*t equals T**delta * Psi at thetas T**H."""
 
     alpha: float
@@ -362,41 +371,34 @@ class DilativeLaw:
     def multiplier(self):
         return self.T**self.delta
 
-    def to_dict(self):
-        return {"kind": self.kind, "alpha": self.alpha, "delta": self.delta, "T": self.T}
-
 
 @dataclass(frozen=True)
-class TranslativeLaw:
+class TranslativeLaw(ScalingLaw):
     """Translative scaling: Psi at times t + T equals e^(delta T) * Psi."""
 
     delta: float
     T: float
 
     kind = "translative"
+    chain = ("lamperti",)
 
     def scaled_point(self, point):
         return TestPoint(tuple(t + self.T for t in point.times), point.thetas)
-
-    def base_point(self, point):
-        return point
 
     @property
     def multiplier(self):
         return math.exp(self.delta * self.T)
 
-    def to_dict(self):
-        return {"kind": self.kind, "delta": self.delta, "T": self.T}
-
 
 @dataclass(frozen=True)
-class TimeStableLaw:
+class TimeStableLaw(ScalingLaw):
     """Time stability: Psi at times n**(1/delta) * t equals n * Psi."""
 
     delta: float
     n: float
 
     kind = "time_stable"
+    chain = ("lamperti", "time_stable")
 
     def __post_init__(self):
         if self.delta == 0:
@@ -406,65 +408,65 @@ class TimeStableLaw:
         factor = self.n ** (1.0 / self.delta)
         return TestPoint(tuple(factor * t for t in point.times), point.thetas)
 
-    def base_point(self, point):
-        return point
-
     @property
     def multiplier(self):
         return float(self.n)
 
-    def to_dict(self):
-        return {"kind": self.kind, "delta": self.delta, "n": self.n}
-
 
 @dataclass(frozen=True)
-class IdtLaw:
+class IdtLaw(ScalingLaw):
     """Divisibility in time: Psi at times n * t equals n * Psi."""
 
     n: float
 
     kind = "idt"
+    chain = ("lamperti", "idt")
 
     def scaled_point(self, point):
         return TestPoint(tuple(self.n * t for t in point.times), point.thetas)
-
-    def base_point(self, point):
-        return point
 
     @property
     def multiplier(self):
         return float(self.n)
 
-    def to_dict(self):
-        return {"kind": self.kind, "n": self.n}
+
+LAWS = (DilativeLaw, TranslativeLaw, TimeStableLaw, IdtLaw)
 
 
 @dataclass(frozen=True)
 class ScalingRow:
-    """Comparison at one test point: lhs vs multiplier * rhs, with z-scores."""
+    """Comparison at one test point: lhs vs multiplier * rhs, with z-scores.
+
+    When either side's log-CF cannot be estimated (LowMagnitude), lhs, rhs
+    and the z-scores are None, unestimable says why, and the row fails.
+    """
 
     times: tuple
     thetas: tuple
-    lhs: complex
-    rhs: complex
-    z_real: float
-    z_imag: float
+    lhs: complex | None
+    rhs: complex | None
+    z_real: float | None
+    z_imag: float | None
     oracle: complex | None = None
+    unestimable: str | None = None
 
     @property
     def passed(self):
-        return abs(self.z_real) <= 3.0 and abs(self.z_imag) <= 3.0
+        return self.unestimable is None and abs(self.z_real) <= 3.0 and abs(self.z_imag) <= 3.0
 
     def to_dict(self):
+        estimated = self.unestimable is None
         out = {
             "times": list(self.times),
             "thetas": list(self.thetas),
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "z": [self.z_real, self.z_imag],
+            "lhs": [self.lhs.real, self.lhs.imag] if estimated else None,
+            "rhs": [self.rhs.real, self.rhs.imag] if estimated else None,
+            "z": [self.z_real, self.z_imag] if estimated else None,
         }
         if self.oracle is not None:
             out["oracle"] = [self.oracle.real, self.oracle.imag]
+        if not estimated:
+            out["unestimable"] = self.unestimable
         return out
 
 
@@ -476,12 +478,20 @@ class ScalingReport:
     rows: tuple
     pass_fraction: float
 
+    @property
+    def unestimable(self):
+        """How many rows could not be estimated; each counts as failed."""
+        return sum(1 for row in self.rows if row.unestimable is not None)
+
     def to_dict(self):
-        return {
+        out = {
             "law": self.law.to_dict(),
             "rows": [row.to_dict() for row in self.rows],
             "pass_fraction": self.pass_fraction,
         }
+        if self.unestimable:
+            out["unestimable"] = self.unestimable
+        return out
 
 
 def _z_score(diff, se):
@@ -499,12 +509,13 @@ def check_scaling(ens, law, points, r_steps=16, oracle=None):
     when the two sides should be estimated from independent samples.  For a
     single ensemble both sides share paths, which makes the z-scores
     conservative.  oracle, when given, is called as oracle(times, thetas) on
-    each scaled point and its value is attached to the row.
+    each estimated row's scaled point and its value is attached to the row.
 
     Each distinct ray is estimated once per call: a law whose scaled points
     are other points' base points (IdtLaw with n = 2 on times 0.5, 1, 2)
     reuses those estimates.  Rays are keyed by the ensemble's identity too,
-    so the two sides of a pair never share one.
+    so the two sides of a pair never share one.  A ray whose |cf| falls
+    below the floor makes its rows unestimable; the other rows still run.
     """
     if isinstance(ens, tuple):
         scaled_ens, base_ens = ens
@@ -513,11 +524,14 @@ def check_scaling(ens, law, points, r_steps=16, oracle=None):
     psi = {}
 
     def estimate_psi(side, times, thetas):
-        """Unwrapped log-CF estimate at the full ray endpoint."""
+        """Unwrapped log-CF estimate at the full ray endpoint, or its LowMagnitude."""
         # repr tells -0.0 from 0.0, whose estimates can differ in a zero's sign
         key = (id(side), repr(times), repr(thetas))
         if key not in psi:
-            psi[key] = estimate_log_cf(side, times, thetas, r_steps=r_steps)[-1]
+            try:
+                psi[key] = estimate_log_cf(side, times, thetas, r_steps=r_steps)[-1]
+            except LowMagnitude as exc:
+                psi[key] = exc
         return psi[key]
 
     rows = []
@@ -526,16 +540,18 @@ def check_scaling(ens, law, points, r_steps=16, oracle=None):
         bp = law.base_point(point)
         lhs = estimate_psi(scaled_ens, sp.times, sp.thetas)
         base = estimate_psi(base_ens, bp.times, bp.thetas)
-        mult = law.multiplier
-        rhs_val = mult * base.logcf
-        se = math.hypot(lhs.logcf_se, mult * base.logcf_se)
-        z_re = _z_score(lhs.logcf.real - rhs_val.real, se)
-        z_im = _z_score(lhs.logcf.imag - rhs_val.imag, se)
-        oracle_val = oracle(sp.times, sp.thetas) if oracle is not None else None
-        rows.append(
-            ScalingRow(
-                point.times, point.thetas, lhs.logcf, rhs_val, z_re, z_im, oracle_val
-            )
-        )
+        sides = {"scaled side": lhs, "base side": base}
+        low = "; ".join(f"{side}: {e}" for side, e in sides.items() if isinstance(e, LowMagnitude))
+        if low:
+            row = ScalingRow(point.times, point.thetas, None, None, None, None, unestimable=low)
+        else:
+            oracle_val = oracle(sp.times, sp.thetas) if oracle is not None else None
+            mult = law.multiplier
+            rhs_val = mult * base.logcf
+            se = math.hypot(lhs.logcf_se, mult * base.logcf_se)
+            z_re = _z_score(lhs.logcf.real - rhs_val.real, se)
+            z_im = _z_score(lhs.logcf.imag - rhs_val.imag, se)
+            row = ScalingRow(point.times, point.thetas, lhs.logcf, rhs_val, z_re, z_im, oracle_val)
+        rows.append(row)
     passed = sum(1 for row in rows if row.passed)
     return ScalingReport(law, tuple(rows), passed / len(rows) if rows else 1.0)

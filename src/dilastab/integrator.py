@@ -14,6 +14,7 @@ refinement limit but not on a fixed grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,9 @@ class TimeGrid:
 
     @classmethod
     def geometric(cls, t_min, t_max, n):
-        if t_min <= 0:
-            raise ValueError("geometric grids need t_min > 0")
-        return cls(np.exp(np.linspace(np.log(float(t_min)), np.log(float(t_max)), int(n))))
+        if min(t_min, t_max) <= 0:
+            raise ValueError(f"geometric grids need times > 0, got {t_min!r} to {t_max!r}")
+        return cls(np.exp(np.linspace(math.log(t_min), math.log(t_max), int(n))))
 
     def __len__(self):
         return self.points.size

@@ -44,12 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import (
-    SymmetricStableDriver,
-    mean_rate,
-    sample_increments,
-    variance_rate,
-)
+from .drivers import SymmetricStableDriver, sample_increments
 from .errors import (
     DegenerateDelta,
     GridMissingUnit,
@@ -74,11 +69,11 @@ __all__ = [
     "ou_from_integral",
     "reparam_time_stable",
     "reparam_idt",
-    "TRANSFORM_NAMES",
+    "Transform",
+    "TRANSFORMS",
     "transform_values",
+    "pull_back",
 ]
-
-TRANSFORM_NAMES = ("lamperti", "lamperti_inverse", "time_stable", "idt")
 
 
 @dataclass(frozen=True)
@@ -120,8 +115,8 @@ def _truncation_point(spec, params, tail_tol):
         # admissible parameter regimes force p*H + delta > 0
         rate = p * h + d
         return math.log(tail_tol**p * rate / (spec.scale * q)) / rate
-    m1 = mean_rate(spec)
-    m2 = variance_rate(spec)
+    m1 = spec.mean_rate()
+    m2 = spec.variance_rate()
     bounds = []
     if m2 > 0:
         rate = 2.0 * params.alpha
@@ -352,6 +347,73 @@ def reparam_idt(v, delta):
     return SamplePath(*transform_values("idt", v.grid, v.values, v.role, delta=delta))
 
 
+def _log_clock(pts, delta):
+    if pts[0] <= 0:
+        raise NonPositiveTime("the transform needs strictly positive times")
+    return np.log(pts)
+
+
+def _exp_clock(pts, delta):
+    return np.exp(pts)
+
+
+def _idt_clock(pts, delta):
+    if delta == 0:
+        raise DegenerateDelta("IDT reparametrisation needs delta != 0")
+    return np.exp(delta * pts)
+
+
+def _log_time(s, delta):
+    if s <= 0:
+        raise ValueError(f"cannot pull the nonpositive time {s!r} back through a log clock")
+    return math.log(s)
+
+
+def _idt_time(s, delta):
+    if delta == 0:
+        raise DegenerateDelta("IDT reparametrisation needs delta != 0")
+    return _log_time(s, delta) / delta
+
+
+@dataclass(frozen=True)
+class Transform:
+    """One step of the transform family: a time map and a weight shared by every path.
+
+    clock(points, delta) maps the grid forward; inverse(s, delta) maps one
+    time of the new grid back.  weight(old, new, hurst) multiplies the
+    values; None relabels the clock only.  source is the role the input must
+    have (None: any) and role the role of the output.
+    """
+
+    clock: object
+    inverse: object
+    weight: object
+    source: str | None
+    role: str
+
+
+TRANSFORMS = {
+    # V_u = e^(-H u) X_(e^u)
+    "lamperti": Transform(
+        _log_clock, lambda s, delta: math.exp(s), lambda t, u, h: np.exp(-h * u), None, "V"
+    ),
+    # X_t = t^H V_(log t)
+    "lamperti_inverse": Transform(
+        _exp_clock, _log_time, lambda u, t, h: np.exp(h * u), None, "X"
+    ),
+    # Z_s = V_(log s)
+    "time_stable": Transform(_exp_clock, _log_time, None, "V", "Z"),
+    # D_r = V_(log(r) / delta)
+    "idt": Transform(_idt_clock, _idt_time, None, "V", "D"),
+}
+
+def _transform(name):
+    try:
+        return TRANSFORMS[name]
+    except KeyError:
+        raise ValueError(f"unknown transform {name!r}") from None
+
+
 def transform_values(name, grid, values, role, hurst=None, delta=None):
     """One step of the transform family, on the values of one or many paths.
 
@@ -361,26 +423,22 @@ def transform_values(name, grid, values, role, hurst=None, delta=None):
     at once.  role names the process the values describe.  The Lamperti pair
     needs hurst and idt needs delta.  Returns the new (grid, values, role).
     """
+    step = _transform(name)
+    if step.source is not None and role != step.source:
+        raise ValueError(f"the {name} transform expects a {step.source} path, got {role}")
     pts = grid.points
-    if name == "lamperti":
-        if pts[0] <= 0:
-            raise NonPositiveTime("the transform needs strictly positive times")
-        u = np.log(pts)
-        return TimeGrid(u), np.exp(-hurst * u) * values, "V"
-    if name == "lamperti_inverse":
-        return TimeGrid(np.exp(pts)), np.exp(hurst * pts) * values, "X"
-    if name == "time_stable":
-        if role != "V":
-            raise ValueError("time-stable reparametrisation expects a V path")
-        return TimeGrid(np.exp(pts)), values.copy(), "Z"
-    if name == "idt":
-        if role != "V":
-            raise ValueError("IDT reparametrisation expects a V path")
-        if delta == 0:
-            raise DegenerateDelta("IDT reparametrisation needs delta != 0")
-        relabelled = np.exp(delta * pts)
-        if delta < 0:
-            # the relabelled clock runs backwards: flip points and columns together
-            return TimeGrid(relabelled[::-1]), values[..., ::-1].copy(), "D"
-        return TimeGrid(relabelled), values.copy(), "D"
-    raise ValueError(f"unknown transform {name!r}")
+    new = step.clock(pts, delta)
+    if new.size > 1 and new[0] > new[-1]:
+        # the relabelled clock runs backwards (idt at delta < 0): flip points
+        # and columns together
+        pts, new, values = pts[::-1], new[::-1], values[..., ::-1]
+    if step.weight is None:
+        return TimeGrid(new), values.copy(), step.role
+    return TimeGrid(new), step.weight(pts, new, hurst) * values, step.role
+
+
+def pull_back(transforms, delta, s):
+    """Map one time of a chain's final grid back to the time of X it came from."""
+    for name in reversed(transforms):
+        s = _transform(name).inverse(s, delta)
+    return s

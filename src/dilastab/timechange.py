@@ -12,13 +12,11 @@ scaled-increment ones when used as a deterministic clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import TimeChangeRange
 
-__all__ = ["DELTA_ZERO_TOL", "TimeChange", "tau", "tau_density", "tau_inv"]
+__all__ = ["DELTA_ZERO_TOL", "tau", "tau_density", "tau_inv"]
 
 # |delta| below this is treated as exactly 0 (identity clock).
 DELTA_ZERO_TOL = 1e-12
@@ -61,18 +59,3 @@ def tau_density(delta, u):
         return _shape_like(np.ones_like(u_arr), u)
     return _shape_like(np.exp(delta * u_arr) * (delta / np.expm1(delta)), u)
 
-
-@dataclass(frozen=True)
-class TimeChange:
-    """The exponential clock for a fixed delta, as a callable object."""
-
-    delta: float
-
-    def __call__(self, t):
-        return tau(self.delta, t)
-
-    def inverse(self, s):
-        return tau_inv(self.delta, s)
-
-    def density(self, u):
-        return tau_density(self.delta, u)

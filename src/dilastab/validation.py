@@ -11,8 +11,9 @@ converges under sufficient conditions that split by the sign of delta:
                    maximal finite moment order; only the sufficient condition
                    is enforced, because a sharp boundary criterion is not
                    available in this regime.
-  selfsimilar      delta = 0 and alpha > 0 with a finite log moment; the
-                   process is then alpha-selfsimilar.
+  selfsimilar      delta = 0 and alpha > 0 with a finite log moment, which
+                   every built-in driver has; the process is then
+                   alpha-selfsimilar.
   degenerate_equal delta > 0 and alpha = delta/2; the process is a pure
                    deterministic time change of the driver and is simulated
                    directly rather than through the integral.
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import has_finite_log_moment, max_moment_order
 from .errors import NotEnoughSamples, WrongRegime
 
 __all__ = [
@@ -106,10 +106,6 @@ def admissibility(params, spec):
             return AdmissibilityVerdict(
                 INADMISSIBLE, reason=f"delta = 0 needs alpha > 0; got alpha = {alpha:g}"
             )
-        if not has_finite_log_moment(spec):
-            return AdmissibilityVerdict(
-                INADMISSIBLE, reason="delta = 0 needs a driver with a finite log moment"
-            )
         return AdmissibilityVerdict(SELFSIMILAR)
     # delta < 0
     if alpha <= -delta / 2:
@@ -119,7 +115,7 @@ def admissibility(params, spec):
             f"-delta/2 = {-delta / 2:g}",
         )
     required = -delta / (alpha + delta / 2)
-    available = max_moment_order(spec)
+    available = spec.max_moment_order()
     if available <= required:
         return AdmissibilityVerdict(
             INADMISSIBLE,

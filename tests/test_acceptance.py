@@ -35,6 +35,7 @@ from dilastab import (
     TranslativeLaw,
     TwoPointJumps,
     admissibility,
+    apply_transforms,
     cascade_partial_sums,
     check_scaling,
     estimate_log_cf,
@@ -48,7 +49,6 @@ from dilastab import (
     simulate_dilative,
     simulate_driving,
     simulate_ensemble,
-    transform_ensemble,
 )
 from dilastab.cli import main as cli_main
 from dilastab.processes import ou_from_integral
@@ -275,8 +275,8 @@ def test_criterion_06_transform_consistency(gauss_bundle):
 
     # transforming there and back preserves the scaling verdicts
     ens = gauss_bundle["ens"]
-    v_ens = transform_ensemble(ens, UNIT, ("lamperti",))
-    back = transform_ensemble(v_ens, UNIT, ("lamperti_inverse",), role="V")
+    v_ens = apply_transforms(ens, UNIT, ("lamperti",))
+    back = apply_transforms(v_ens, UNIT, ("lamperti_inverse",), role="V")
     law = DilativeLaw(1.0, 1.0, 2.0)
     direct = check_scaling(ens, law, GAUSS_POINTS)
     round_trip = check_scaling(back, law, GAUSS_POINTS)
@@ -312,9 +312,9 @@ def test_criterion_07_law_transport(gauss_bundle):
     # delta = 1 makes the relabelled clocks coincide with the original times
     flat_points = [TestPoint(p.times, scaled_thetas(p)) for p in GAUSS_POINTS]
 
-    v_ens = transform_ensemble(ens, UNIT, ("lamperti",))
-    z_ens = transform_ensemble(v_ens, UNIT, ("time_stable",), role="V")
-    d_ens = transform_ensemble(v_ens, UNIT, ("idt",), role="V")
+    v_ens = apply_transforms(ens, UNIT, ("lamperti",))
+    z_ens = apply_transforms(v_ens, UNIT, ("time_stable",), role="V")
+    d_ens = apply_transforms(v_ens, UNIT, ("idt",), role="V")
 
     reports = {
         "translative": check_scaling(

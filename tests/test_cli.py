@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from dilastab import cli
 from dilastab.cli import main
 
 
@@ -561,3 +562,165 @@ def test_verify_report_bytes_are_pinned(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "5536292f86e98acad90d82c9aec1ddd4a0d150b03726385a1d4ccb4a3997bd5c"
     )
+
+
+@pytest.mark.parametrize(
+    "driver, words",
+    [
+        ('{"kind": "gaussian", "variance": null}', ("variance", "must be a number", "None")),
+        ('{"kind": "compound_poisson", "rate": [1]}', ("rate", "must be a number", "[1]")),
+        (
+            '{"kind": "compound_poisson", "jumps": {"kind": "two_point", "magnitude": "x"}}',
+            ("magnitude", "must be a number"),
+        ),
+        ('{"kind": ["gaussian"]}', ("unknown driver kind", "['gaussian']")),
+        ('{"kind": "gaussian", "drift": "nan"}', ("drift must be finite", "nan")),
+        ('{"kind": "gaussian", "variance": 1e400}', ("variance must be finite", "inf")),
+        (
+            '{"kind": "compound_poisson", "jumps": {"kind": "gaussian", "mean": "-inf"}}',
+            ("mean must be finite", "-inf"),
+        ),
+    ],
+)
+def test_bad_driver_fields_exit_2(capsys, driver, words):
+    code, out, err = run_cli(capsys, "simulate", *SMALL, "--driver", driver)
+    assert out == ""
+    assert_one_error_line(code, err, *words)
+
+
+VERIFY_IDT = ("verify", "--law", "idt", "--n", "2", "--times", "1", "--thetas", "0.5")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--law", "dilative", "--T", "2", "--times", "1", "--thetas", "nan"), "--thetas"),
+        (("verify", "--law", "dilative", "--T", "2", "--times", "inf", "--thetas", "1"), "--times"),
+        (VERIFY_IDT + ("--pair", "0.5,1,nan,-0.5"), "--pair"),
+        (("verify", "--law", "dilative", "--T", "nan", "--times", "1", "--thetas", "1"), "--T"),
+        (("verify", "--law", "idt", "--n", "inf", "--times", "1", "--thetas", "1"), "--n"),
+        (VERIFY_IDT + ("--threshold", "nan"), "--threshold"),
+        (VERIFY_IDT + ("--law-alpha=-inf",), "--law-alpha"),
+        (VERIFY_IDT + ("--law-delta", "nan"), "--law-delta"),
+    ],
+)
+def test_nonfinite_verify_numbers_exit_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, "--n-paths", "50")
+    assert out == ""
+    assert_one_error_line(code, err, f"{flag} must be finite")
+
+
+def test_unestimable_rows_are_reported_not_fatal(capsys):
+    # one ray's |cf| falls below the floor 5/sqrt(200): that row is marked
+    # unestimable and fails, and the other rows are still checked
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--law",
+        "dilative",
+        "--T",
+        "2",
+        "--times",
+        "0.5,1",
+        "--thetas",
+        "0.5,1",
+        "--n-paths",
+        "200",
+        "--seed",
+        "13",
+        "--driver",
+        _stable(1.5),
+    )
+    assert code == 3
+    assert "unestimable" in err
+    report = json.loads(out)
+    rows = report["rows"]
+    assert len(rows) == 4
+    bad = [row for row in rows if "unestimable" in row]
+    assert report["unestimable"] == len(bad) >= 1
+    for row in bad:
+        assert row["lhs"] is None and row["rhs"] is None and row["z"] is None
+        assert "below the floor" in row["unestimable"]
+    for row in rows:
+        if row not in bad:
+            assert len(row["z"]) == 2 and row["lhs"] is not None
+    assert report["pass_fraction"] <= 1 - len(bad) / 4
+
+
+@pytest.mark.parametrize(
+    "law, extra, times",
+    [
+        ("dilative", ("--T", "3"), "0.7,1.3"),
+        ("translative", ("--T", "0.3"), "-0.2,0.4"),
+        ("time_stable", ("--n", "3"), "0.7,1.3"),
+        ("idt", ("--n", "3"), "0.7,1.3"),
+    ],
+)
+@pytest.mark.parametrize("delta", ["1", "-0.5"])
+def test_verify_test_times_lie_on_the_transformed_grid(capsys, monkeypatch, law, extra, times, delta):
+    # every scaled and base time of the law, pulled back through the law's
+    # chain and simulated, is a point of the transformed ensemble's grid
+    seen = []
+
+    def checked(ens, law, points, **kwargs):
+        for point in points:
+            for t in law.scaled_point(point).times + law.base_point(point).times:
+                assert ens.grid.contains(t), (t, ens.grid.points)
+        seen.append(len(points))
+        return check_scaling(ens, law, points, **kwargs)
+
+    check_scaling = cli.check_scaling
+    monkeypatch.setattr(cli, "check_scaling", checked)
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--law",
+        law,
+        *extra,
+        f"--times={times}",
+        "--thetas",
+        "0.5",
+        f"--pair={times},0.5,-0.25",
+        "--alpha",
+        "1",
+        "--delta",
+        delta,
+        "--n-paths",
+        "100",
+        "--threshold",
+        "0",
+    )
+    assert code == 0
+    assert seen == [3]
+    assert json.loads(out)["law"]["kind"] == law
+
+
+def test_verify_law_chain_needs_geometric_spacing(capsys):
+    # the chain a law picks is checked like one given with --transform
+    code, _, err = run_cli(
+        capsys,
+        "verify",
+        "--law",
+        "translative",
+        "--T",
+        "0.5",
+        "--times",
+        "0",
+        "--thetas",
+        "1",
+        "--spacing",
+        "linear",
+    )
+    assert_one_error_line(code, err, "geometric")
+
+
+def test_verify_idt_at_zero_delta_exit_2(capsys):
+    code, _, err = run_cli(capsys, *VERIFY_IDT, "--delta", "0", "--alpha", "1")
+    assert_one_error_line(code, err, "delta != 0")
+
+
+def test_unknown_spacing_in_config_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"grid": {"spacing": "hexagonal"}}')
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert_one_error_line(code, err, "spacing", "hexagonal")

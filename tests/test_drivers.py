@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dilastab import (
+    DRIVER_KINDS,
+    JUMP_KINDS,
     CompoundPoissonDriver,
     GammaDriver,
     GaussianDriver,
@@ -17,14 +19,8 @@ from dilastab import (
     TwoPointJumps,
     driver_from_dict,
     driver_to_dict,
-    has_finite_log_moment,
-    max_moment_order,
-    mean_rate,
-    sample_increment,
     sample_increments,
     sample_two_sided,
-    unit_levy_exponent,
-    variance_rate,
 )
 
 ALL_DRIVERS = [
@@ -40,35 +36,35 @@ ALL_DRIVERS = [
 
 
 def test_exponent_gaussian():
-    assert unit_levy_exponent(GaussianDriver(1.0, 0.0), 1.0) == -0.5
-    psi = unit_levy_exponent(GaussianDriver(2.0, 0.5), 1.5)
+    assert GaussianDriver(1.0, 0.0).levy_exponent(1.0) == -0.5
+    psi = GaussianDriver(2.0, 0.5).levy_exponent(1.5)
     assert psi == pytest.approx(complex(-2.25, 0.75), rel=1e-15)
 
 
 def test_exponent_stable():
-    psi = unit_levy_exponent(SymmetricStableDriver(1.5, 1.0), 2.0)
+    psi = SymmetricStableDriver(1.5, 1.0).levy_exponent(2.0)
     assert psi == pytest.approx(-(2.0**1.5), rel=1e-15)
     # index 2 coincides with a centred Gaussian of variance 2 * scale
-    g = unit_levy_exponent(GaussianDriver(2.4, 0.0), 0.9)
-    s = unit_levy_exponent(SymmetricStableDriver(2.0, 1.2), 0.9)
+    g = GaussianDriver(2.4, 0.0).levy_exponent(0.9)
+    s = SymmetricStableDriver(2.0, 1.2).levy_exponent(0.9)
     assert s == pytest.approx(g, rel=1e-15)
 
 
 def test_exponent_compound_poisson():
     spec = CompoundPoissonDriver(2.0, GaussianJumps(0.5, 1.0))
     want = 2.0 * (cmath.exp(0.5j - 0.5) - 1.0)
-    assert unit_levy_exponent(spec, 1.0) == pytest.approx(want, rel=1e-14)
+    assert spec.levy_exponent(1.0) == pytest.approx(want, rel=1e-14)
     assert want == pytest.approx(
         complex(-0.9354385395686584, 0.5815725764253837), rel=1e-15
     )
     two = CompoundPoissonDriver(1.5, TwoPointJumps(0.8))
-    assert unit_levy_exponent(two, 2.0) == pytest.approx(
+    assert two.levy_exponent(2.0) == pytest.approx(
         1.5 * (math.cos(1.6) - 1.0), rel=1e-14
     )
 
 
 def test_exponent_gamma():
-    psi = unit_levy_exponent(GammaDriver(2.0, 3.0), 1.0)
+    psi = GammaDriver(2.0, 3.0).levy_exponent(1.0)
     want = -2.0 * cmath.log(1.0 - 1j / 3.0)
     assert psi == pytest.approx(want, rel=1e-14)
     assert want == pytest.approx(
@@ -78,12 +74,12 @@ def test_exponent_gamma():
 
 def test_exponent_at_zero():
     for spec in ALL_DRIVERS:
-        assert unit_levy_exponent(spec, 0.0) == 0
+        assert spec.levy_exponent(0.0) == 0
 
 
 def test_exponent_array():
     th = np.array([-1.0, 0.0, 2.0])
-    out = unit_levy_exponent(GaussianDriver(1.0, 0.3), th)
+    out = GaussianDriver(1.0, 0.3).levy_exponent(th)
     assert out.shape == th.shape
     assert out[1] == 0
 
@@ -91,8 +87,8 @@ def test_exponent_array():
 @given(st.floats(-8, 8), st.sampled_from(range(len(ALL_DRIVERS))))
 def test_exponent_conjugate_symmetry(theta, i):
     spec = ALL_DRIVERS[i]
-    psi = unit_levy_exponent(spec, theta)
-    assert unit_levy_exponent(spec, -theta) == pytest.approx(
+    psi = spec.levy_exponent(theta)
+    assert spec.levy_exponent(-theta) == pytest.approx(
         psi.conjugate(), rel=1e-12, abs=1e-15
     )
     assert psi.real <= 1e-15
@@ -108,7 +104,7 @@ def test_sampling_matches_exponent(spec):
     draws = sample_increments(spec, np.full(n, dt), rng)
     for theta in (0.5, 1.3):
         ecf = np.exp(1j * theta * draws).mean()
-        want = cmath.exp(dt * unit_levy_exponent(spec, theta))
+        want = cmath.exp(dt * spec.levy_exponent(theta))
         se = math.sqrt((1.0 - abs(ecf) ** 2) / n)
         assert abs(ecf - want) <= 4.0 * se + 1e-12
 
@@ -157,7 +153,7 @@ def test_negative_duration_rejected():
 
 
 def test_scalar_increment():
-    out = sample_increment(GammaDriver(1.0, 1.0), 0.3, np.random.default_rng(1))
+    out = sample_increments(GammaDriver(1.0, 1.0), 0.3, np.random.default_rng(1))
     assert isinstance(out, float)
 
 
@@ -208,7 +204,7 @@ def test_two_sided_negative_increment_law():
         incs[k] = path.value_at(0.0) - path.value_at(-1.5)
     theta = 0.8
     ecf = np.exp(1j * theta * incs).mean()
-    want = cmath.exp(1.5 * unit_levy_exponent(GaussianDriver(1.0, 0.4), theta))
+    want = cmath.exp(1.5 * GaussianDriver(1.0, 0.4).levy_exponent(theta))
     se = math.sqrt((1.0 - abs(ecf) ** 2) / n)
     assert abs(ecf - want) <= 4.0 * se
 
@@ -221,41 +217,48 @@ def test_two_sided_reproducible():
 
 
 def test_moment_metadata():
-    assert max_moment_order(SymmetricStableDriver(1.5, 1.0)) == 1.5
-    assert max_moment_order(SymmetricStableDriver(2.0, 1.0)) == math.inf
-    assert max_moment_order(GaussianDriver()) == math.inf
-    assert max_moment_order(GammaDriver()) == math.inf
-    for spec in ALL_DRIVERS:
-        assert has_finite_log_moment(spec)
+    assert SymmetricStableDriver(1.5, 1.0).max_moment_order() == 1.5
+    assert SymmetricStableDriver(2.0, 1.0).max_moment_order() == math.inf
+    assert GaussianDriver().max_moment_order() == math.inf
+    assert GammaDriver().max_moment_order() == math.inf
 
 
 def test_moment_rates():
-    assert mean_rate(GaussianDriver(2.0, 0.5)) == 0.5
-    assert variance_rate(GaussianDriver(2.0, 0.5)) == 2.0
-    assert mean_rate(SymmetricStableDriver(1.5, 1.0)) == 0.0
-    assert variance_rate(SymmetricStableDriver(1.5, 1.0)) == math.inf
-    assert variance_rate(SymmetricStableDriver(2.0, 1.2)) == 2.4
+    assert GaussianDriver(2.0, 0.5).mean_rate() == 0.5
+    assert GaussianDriver(2.0, 0.5).variance_rate() == 2.0
+    assert SymmetricStableDriver(1.5, 1.0).mean_rate() == 0.0
+    assert SymmetricStableDriver(1.5, 1.0).variance_rate() == math.inf
+    assert SymmetricStableDriver(2.0, 1.2).variance_rate() == 2.4
     cp = CompoundPoissonDriver(2.0, GaussianJumps(0.5, 1.0))
-    assert mean_rate(cp) == 1.0
-    assert variance_rate(cp) == 2.0 * (1.0 + 0.25)
+    assert cp.mean_rate() == 1.0
+    assert cp.variance_rate() == 2.0 * (1.0 + 0.25)
     two = CompoundPoissonDriver(1.5, TwoPointJumps(0.8))
-    assert mean_rate(two) == 0.0
-    assert variance_rate(two) == pytest.approx(1.5 * 0.64)
-    assert mean_rate(GammaDriver(2.0, 3.0)) == pytest.approx(2.0 / 3.0)
-    assert variance_rate(GammaDriver(2.0, 3.0)) == pytest.approx(2.0 / 9.0)
+    assert two.mean_rate() == 0.0
+    assert two.variance_rate() == pytest.approx(1.5 * 0.64)
+    assert GammaDriver(2.0, 3.0).mean_rate() == pytest.approx(2.0 / 3.0)
+    assert GammaDriver(2.0, 3.0).variance_rate() == pytest.approx(2.0 / 9.0)
 
 
 def test_empirical_moments_match_rates():
     rng = np.random.default_rng(11)
     spec = CompoundPoissonDriver(2.0, GaussianJumps(0.5, 1.0))
     draws = sample_increments(spec, np.full(20_000, 1.0), rng)
-    assert draws.mean() == pytest.approx(mean_rate(spec), abs=4 * draws.std() / 140)
-    assert draws.var() == pytest.approx(variance_rate(spec), rel=0.1)
+    assert draws.mean() == pytest.approx(spec.mean_rate(), abs=4 * draws.std() / 140)
+    assert draws.var() == pytest.approx(spec.variance_rate(), rel=0.1)
 
 
 def test_driver_dict_round_trip():
-    for spec in ALL_DRIVERS:
-        assert driver_from_dict(driver_to_dict(spec)) == spec
+    # every kind in the tables, at its defaults and in ALL_DRIVERS, so that a
+    # new kind cannot skip the round trip
+    assert {type(spec) for spec in ALL_DRIVERS} == set(DRIVER_KINDS.values())
+    defaults = [driver() for driver in DRIVER_KINDS.values()]
+    defaults += [CompoundPoissonDriver(jumps=jumps()) for jumps in JUMP_KINDS.values()]
+    for spec in ALL_DRIVERS + defaults:
+        data = driver_to_dict(spec)
+        assert data["kind"] == spec.kind and DRIVER_KINDS[spec.kind] is type(spec)
+        assert driver_from_dict(data) == spec
+        # absent fields take the dataclass defaults
+        assert driver_from_dict({"kind": spec.kind}) == type(spec)()
 
 
 def test_driver_dict_rejects_unknown():
@@ -263,6 +266,8 @@ def test_driver_dict_rejects_unknown():
         driver_from_dict({"kind": "cauchy"})
     with pytest.raises(ValueError):
         driver_from_dict({"kind": "compound_poisson", "jumps": {"kind": "levy"}})
+    with pytest.raises(ValueError, match="unknown driver kind"):
+        driver_from_dict({"kind": ["gaussian"]})
 
 
 def test_invalid_parameters_rejected():
@@ -282,3 +287,19 @@ def test_invalid_parameters_rejected():
         TwoPointJumps(magnitude=0.0)
     with pytest.raises(ValueError):
         GammaDriver(shape=0.0)
+    # one shared check rejects every non-finite parameter, by its field name
+    for law, field in [
+        (GaussianDriver, "variance"),
+        (GaussianDriver, "drift"),
+        (SymmetricStableDriver, "index"),
+        (SymmetricStableDriver, "scale"),
+        (CompoundPoissonDriver, "rate"),
+        (GammaDriver, "shape"),
+        (GammaDriver, "rate"),
+        (GaussianJumps, "mean"),
+        (GaussianJumps, "variance"),
+        (TwoPointJumps, "magnitude"),
+    ]:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                law(**{field: value})

@@ -39,7 +39,6 @@ from dilastab import (
     oracle_log_cf,
     simulate_dilative,
     simulate_ensemble,
-    transform_ensemble,
 )
 
 UNIT = DilationParams(1.0, 1.0)
@@ -276,12 +275,12 @@ def test_simulate_ensemble_reproducible_and_thread_invariant():
 def test_transform_ensemble_chain():
     cfg = EnsembleConfig(GaussianDriver(), UNIT, TimeGrid.geometric(0.5, 2.0, 3))
     ens = simulate_ensemble(cfg, 20, master_seed=7)
-    v = transform_ensemble(ens, UNIT, ("lamperti",))
+    v = apply_transforms(ens, UNIT, ("lamperti",))
     assert np.allclose(v.grid.points, np.log(cfg.out_times.points), rtol=1e-14)
-    z = transform_ensemble(v, UNIT, ("time_stable",), role="V")
+    z = apply_transforms(v, UNIT, ("time_stable",), role="V")
     assert np.allclose(z.grid.points, cfg.out_times.points, rtol=1e-14)
     assert np.array_equal(z.values, v.values)
-    d = transform_ensemble(v, UNIT, ("idt",), role="V")
+    d = apply_transforms(v, UNIT, ("idt",), role="V")
     assert np.allclose(d.grid.points, cfg.out_times.points, rtol=1e-14)
 
 
@@ -311,11 +310,11 @@ def test_ensemble_chain_equals_row_by_row(params, chain):
     # intermediate role, both bit-for-bit equal to the per-row chain
     points, values, _ = row_by_row(x, params, chain, "X")
     chained = EnsembleConfig(GaussianDriver(), params, cfg.out_times, transforms=chain)
-    for ens in (transform_ensemble(x, params, chain), simulate_ensemble(chained, 12, 3)):
+    for ens in (apply_transforms(x, params, chain), simulate_ensemble(chained, 12, 3)):
         assert np.array_equal(ens.grid.points, points)
         assert np.array_equal(ens.values, values)
-    v = transform_ensemble(x, params, chain[:1])
-    last = transform_ensemble(v, params, chain[1:], role="V")
+    v = apply_transforms(x, params, chain[:1])
+    last = apply_transforms(v, params, chain[1:], role="V")
     assert np.array_equal(last.values, row_by_row(v, params, chain[1:], "V")[1])
     assert last.master_seed == 3 and last.config is None
 
@@ -324,7 +323,7 @@ def test_idt_with_negative_delta_reverses_columns():
     params = DilationParams(1.0, -0.5)
     grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
     v = PathEnsemble(grid, np.arange(6.0).reshape(2, 3))
-    d = transform_ensemble(v, params, ("idt",), role="V")
+    d = apply_transforms(v, params, ("idt",), role="V")
     assert np.array_equal(d.grid.points, np.exp(-0.5 * grid.points)[::-1])
     assert np.array_equal(d.values, [[2.0, 1.0, 0.0], [5.0, 4.0, 3.0]])
     assert np.array_equal(v.values, np.arange(6.0).reshape(2, 3))
@@ -344,7 +343,7 @@ def test_idt_with_negative_delta_reverses_columns():
 def test_ensemble_chain_raises_like_row_by_row(points, params, chain, role, error):
     ens = PathEnsemble(TimeGrid(np.array(points)), np.zeros((3, 2)))
     with pytest.raises(error):
-        transform_ensemble(ens, params, chain, role=role)
+        apply_transforms(ens, params, chain, role=role)
     with pytest.raises(error):
         row_by_row(ens, params, chain, role)
 

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dilastab import (
     DegenerateDelta,
     DilationParams,
     GaussianDriver,
+    TRANSFORMS,
     GridMissingUnit,
     InadmissibleParams,
     NonPositiveTime,
@@ -26,6 +29,7 @@ from dilastab import (
     simulate_driving,
     tau,
 )
+from dilastab.processes import pull_back
 
 UNIT = DilationParams(1.0, 1.0)
 OUT = TimeGrid(np.array([0.5, 1.0, 2.0, 4.0]))
@@ -283,3 +287,30 @@ def test_stable_simulation_runs():
     params = DilationParams(1.0, 0.5)
     path = simulate_dilative(SymmetricStableDriver(1.5), params, OUT, rng)
     assert np.all(np.isfinite(path.values))
+
+
+@given(
+    st.sampled_from(sorted(TRANSFORMS)),
+    st.one_of(st.floats(-4.0, -0.1), st.floats(0.1, 4.0)),
+    st.floats(1e-3, 50.0),
+)
+def test_transform_inverse_undoes_clock(name, delta, t):
+    # each table entry's scalar inverse maps its forward clock back, at
+    # either sign of delta; one rounding of exp(delta * t) near 1 moves
+    # log(.) / delta by about 1e-16 / |delta|, hence the absolute term
+    step = TRANSFORMS[name]
+    forward = float(step.clock(np.array([t]), delta)[0])
+    assert pull_back((name,), delta, forward) == step.inverse(forward, delta)
+    assert step.inverse(forward, delta) == pytest.approx(t, rel=1e-13, abs=1e-14)
+
+
+def test_pull_back_inverts_a_chain_and_rejects_what_it_cannot():
+    t = 1.7
+    s = float(np.exp(-0.5 * np.log(t)))  # lamperti then idt at delta = -0.5
+    assert pull_back(("lamperti", "idt"), -0.5, s) == pytest.approx(t, rel=1e-14)
+    with pytest.raises(ValueError):
+        pull_back(("idt",), 1.0, 0.0)
+    with pytest.raises(DegenerateDelta):
+        pull_back(("idt",), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        pull_back(("spin",), 1.0, 1.0)

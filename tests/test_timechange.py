@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dilastab import TimeChange, TimeChangeRange, tau, tau_density, tau_inv
+from dilastab import TimeChangeRange, tau, tau_density, tau_inv
 from dilastab.timechange import DELTA_ZERO_TOL
 
 E = math.e
@@ -80,13 +80,6 @@ def test_inverse_range_error():
     assert tau_inv(-1.0, bound - 0.1) > 0
     with pytest.raises(TimeChangeRange):
         tau_inv(1.0, -1.0)
-
-
-def test_callable_wrapper():
-    clock = TimeChange(0.7)
-    assert clock(1.3) == tau(0.7, 1.3)
-    assert clock.inverse(clock(1.3)) == pytest.approx(1.3, rel=1e-12)
-    assert clock.density(0.0) == tau_density(0.7, 0.0)
 
 
 @given(deltas, st.floats(-5, 5), st.floats(-5, 5))
