@@ -295,9 +295,11 @@ def cmd_oracle(args):
     run = _load_config(args)
     if args.times is None or args.thetas is None:
         raise ValueError("oracle needs --times and --thetas")
+    times = _finite("--times", _parse_floats(args.times))
+    thetas = _finite("--thetas", _parse_floats(args.thetas))
     lines = ["t,theta,re,im"]
-    for t in _parse_floats(args.times):
-        for theta in _parse_floats(args.thetas):
+    for t in times:
+        for theta in thetas:
             value = oracle_log_cf(run.driver, run.params, t, theta)
             lines.append(f"{_fmt(t)},{_fmt(theta)},{_fmt(value.real)},{_fmt(value.imag)}")
     _write_text(args.output, "\n".join(lines) + "\n")

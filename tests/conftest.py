@@ -1,11 +1,23 @@
+import os
 import sys
+from pathlib import Path
 
 import hypothesis
+import pytest
 
 # statistical helpers make individual examples slow on a loaded machine;
 # the per-example deadline adds noise without catching anything here
 hypothesis.settings.register_profile("dilastab", deadline=None)
 hypothesis.settings.load_profile("dilastab")
+
+
+@pytest.fixture
+def package_env():
+    """The environment for a subprocess that imports this dilastab."""
+    import dilastab
+
+    paths = [str(Path(dilastab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -724,3 +724,41 @@ def test_unknown_spacing_in_config_exit_2(capsys, tmp_path):
     cfg.write_text('{"grid": {"spacing": "hexagonal"}}')
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert_one_error_line(code, err, "spacing", "hexagonal")
+
+
+def test_oracle_overflow_exit_2(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--times", "1e300", "--thetas", "1", "--alpha", "2")
+    assert out == ""
+    assert_one_error_line(code, err, "overflows")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(("--times", "nan", "--thetas", "1"), "--times"), (("--times", "1", "--thetas", "inf"), "--thetas")],
+)
+def test_nonfinite_oracle_numbers_exit_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "oracle", *argv)
+    assert out == ""
+    assert_one_error_line(code, err, f"{flag} must be finite")
+
+
+def test_verify_row_keeps_no_oracle_that_overflows(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--law",
+        "dilative",
+        "--T",
+        "1e200",
+        "--times",
+        "1",
+        "--thetas",
+        "1",
+        "--n-paths",
+        "30",
+        "--driver",
+        '{"kind": "gaussian", "variance": 0}',
+    )
+    assert code == 0 and err == ""
+    (row,) = json.loads(out)["rows"]
+    assert "oracle" not in row and row["z"] == [0.0, 0.0]

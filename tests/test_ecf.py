@@ -1,6 +1,9 @@
 import cmath
 import json
 import math
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from dilastab import (
     simulate_dilative,
     simulate_ensemble,
 )
+from dilastab._seeds import BLOCK
 
 UNIT = DilationParams(1.0, 1.0)
 
@@ -156,6 +160,13 @@ def test_oracle_edge_cases():
         oracle_log_cf(CompoundPoissonDriver(1.0, GaussianJumps()), UNIT, 1.0, 1.0)
     with pytest.raises(OracleOutOfDomain):
         oracle_log_cf(GammaDriver(), UNIT, 1.0, 1.0)
+    # t**rate overflows (OverflowError), or the product does (inf, then nan at variance 0)
+    with pytest.raises(OracleOutOfDomain, match="overflows"):
+        oracle_log_cf(GaussianDriver(), DilationParams(2.0, 1.0), 1e300, 1.0)
+    with pytest.raises(OracleOutOfDomain, match="overflows"):
+        oracle_log_cf(GaussianDriver(variance=1e300), UNIT, 1e10, 1e10)
+    with pytest.raises(OracleOutOfDomain, match="overflows"):
+        oracle_log_cf(SymmetricStableDriver(1.5, 1.0), UNIT, 1e300, 1.0)
 
 
 @given(
@@ -373,6 +384,21 @@ def test_check_scaling_small_run():
     assert "oracle" in parsed["rows"][0]
 
 
+def test_check_scaling_leaves_out_an_oracle_out_of_domain():
+    cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), refine=8.0)
+    ens = simulate_ensemble(cfg, 200, master_seed=3)
+
+    def oracle(times, thetas):
+        if times == (1.0,):
+            raise OracleOutOfDomain("overflows")
+        return oracle_joint_log_cf(GaussianDriver(), UNIT, times, thetas)
+
+    report = check_scaling(ens, DilativeLaw(1.0, 1.0, 2.0), marginal_points((0.5, 1.0), (0.5,)), oracle=oracle)
+    first, second = report.to_dict()["rows"]
+    assert "oracle" not in first and len(first["z"]) == 2
+    assert "oracle" in second
+
+
 def test_check_scaling_accepts_paired_ensembles():
     cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), refine=16.0)
     ens = simulate_ensemble(cfg, 800, master_seed=11)
@@ -465,3 +491,54 @@ def test_check_scaling_keeps_paired_ensembles_apart(monkeypatch):
     assert got == expected
     shared = [(r.lhs, r.rhs) for r in check_scaling(scaled, law, IDT_POINTS).rows]
     assert [(lhs, rhs) for lhs, rhs, *_ in got] != shared
+
+
+def reference_rng(seed, n):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**100 + 5, 2**130])
+def test_derive_rng_is_the_spawned_seed_sequence(seed):
+    # BLOCK and then BLOCK - 1 step back across a block edge; 2**32 takes the fallback
+    for n in (0, BLOCK, BLOCK - 1, 70000, 2**32 - 1, 2**32):
+        got, want = derive_rng(seed, n), reference_rng(seed, n)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.integers(0, 2**63, 8), want.integers(0, 2**63, 8))
+
+
+def test_derive_rng_numpy_integers_match_python_ints():
+    want = derive_rng(7, 5).random(6)
+    for seed, n in [(np.int64(7), 5), (np.uint64(7), np.uint64(5)), (7, np.uint32(5))]:
+        assert np.array_equal(derive_rng(seed, n).random(6), want)
+
+
+def test_derive_rng_rejects_what_seed_sequence_rejects():
+    for seed, n in [(-1, 0), (7, -1)]:
+        with pytest.raises(ValueError):
+            derive_rng(seed, n)
+
+
+def test_derived_generator_pickles_and_spawns_like_the_reference():
+    got, want = derive_rng(7, 3), reference_rng(7, 3)
+    assert np.array_equal(got.random(3), want.random(3))
+    got2, want2 = pickle.loads(pickle.dumps(got)), pickle.loads(pickle.dumps(want))
+    assert np.array_equal(got2.random(5), want2.random(5))
+    for _ in range(2):
+        for child, ref in zip(got.spawn(2), want.spawn(2)):
+            assert np.array_equal(child.random(4), ref.random(4))
+    seq = got.bit_generator.seed_seq
+    assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) == (7, (3,), 4)
+
+
+def test_derived_generators_do_not_share_state():
+    a, b, again = derive_rng(7, 10), derive_rng(7, 11), derive_rng(7, 10)
+    ref_a, ref_b = reference_rng(7, 10), reference_rng(7, 11)
+    for _ in range(3):
+        assert a.random() == ref_a.random()
+        assert b.random() == ref_b.random()
+    assert np.array_equal(again.random(4), reference_rng(7, 10).random(4))
+
+
+def test_import_leaves_numpy_random_unloaded(package_env):
+    code = "import sys, dilastab; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=package_env).returncode == 0

@@ -1,0 +1,18 @@
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_scaling_demo_output_is_pinned(package_env):
+    # sha256 of the default run's stdout, recorded before derive_rng computed
+    # its seeds in blocks; the four reports depend on every path's stream
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "scaling_demo.py")],
+        env=package_env,
+        capture_output=True,
+        check=True,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == "d511f2e0a983fc036c86f9778aabbfd495ba6d13c96866a8cd598018a0c469d9"
