@@ -91,7 +91,14 @@ def _json_object(what, value):
 
 
 def _number(kind, key, value):
-    """kind(value), with a malformed value reported under its config key."""
+    """kind(value), with a malformed value reported under its config key.
+
+    JSON true is no number, and an int key takes only integral numbers
+    (1000.0 but not 2.7): int() would turn true into 1 and truncate 2.7 to 2.
+    """
+    truncated = kind is int and isinstance(value, float) and not value.is_integer()
+    if kind is not str and (isinstance(value, bool) or truncated):
+        raise ValueError(f"{key} must be a number ({kind.__name__}), got {value!r:.60}")
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -117,11 +124,15 @@ def _load_config(args):
         value = getattr(args, key, None)
         return _number(kind, key, data[key] if value is None else value)
 
-    seed = getattr(args, "seed", None)
+    # checked here, where an error can name the seed's source; derive_rng's cannot
+    seed, seed_key = getattr(args, "seed", None), "--seed"
     if seed is None:
-        seed = data.get("master_seed")
+        seed, seed_key = data.get("master_seed"), "master_seed"
     if seed is None:
-        seed = int(os.environ.get("DILASTAB_SEED", "0"))
+        seed, seed_key = os.environ.get("DILASTAB_SEED", "0"), "DILASTAB_SEED"
+    master_seed = _number(int, seed_key, seed)
+    if master_seed < 0:
+        raise ValueError(f"{seed_key} must be a non-negative integer, got {master_seed}")
 
     transforms = getattr(args, "transform", None) or data["transforms"]
     if not isinstance(transforms, list):
@@ -135,7 +146,7 @@ def _load_config(args):
         points=pick("points", int),
         spacing=pick("spacing", str),
         n_paths=pick("n_paths", int),
-        master_seed=_number(int, "master_seed", seed),
+        master_seed=master_seed,
         refine=pick("refine", float),
         tail_tol=pick("tail_tol", float),
         transforms=tuple(transforms),

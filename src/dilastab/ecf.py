@@ -1,14 +1,16 @@
 """Empirical characteristic functions and scaling-law verification.
 
 An ensemble holds N independent path realisations on a common grid.  The
-finite dimensional empirical CF at (times, thetas) averages
-exp(i * sum_j theta_j * X(t_j)) over paths; its standard error is
-sqrt((1 - |cf|^2) / N).  Log-CFs are estimated along the ray r * theta,
-r in (0, 1], with the phase unwrapped continuously from r = 0 where the
-log-CF is 0 -- the principal-branch angle alone would be wrong whenever the
-accumulated phase passes pi.  A ray is aborted (LowMagnitude) when |cf| falls
-below max(0.1, 5/sqrt(N)), the region where log-CF estimates stop being
-meaningful at the available sample size.
+finite dimensional empirical CF at (times, thetas) averages the per-path
+terms exp(i * W), W = sum_j theta_j * X(t_j), over paths; its standard error
+is sqrt((1 - |cf|^2) / N).  The terms of a whole ray are one complex array,
+filled with cos(W) and sin(W) rather than computed as np.exp(1j * W): the
+same bytes at about half the cost.  Log-CFs are estimated along the ray
+r * theta, r in (0, 1], with the phase unwrapped continuously from r = 0
+where the log-CF is 0 -- the principal-branch angle alone would be wrong
+whenever the accumulated phase passes pi.  A ray is aborted (LowMagnitude)
+when |cf| falls below max(0.1, 5/sqrt(N)), the region where log-CF estimates
+stop being meaningful at the available sample size.
 
 check_scaling turns a scaling law into z-scores: for each test point it
 compares the estimated log-CF at the law's scaled arguments against the
@@ -210,6 +212,23 @@ def _projection(ens, times, thetas):
     return ens.values[:, idx] @ th
 
 
+def _cf_terms(rs, w):
+    """The per-path CF terms: row j is exp(1j * rs[j] * w), one complex array.
+
+    cos fills the real parts and sin the imaginary parts, which equals
+    np.exp(1j * np.outer(rs, w)) bit for bit wherever rs[j] * w is finite
+    (NaN elsewhere) at half its cost: exp also forms the complex product
+    1j * x and exponentiates its zero real part.
+    """
+    x = np.outer(rs, w)
+    # sin(-0.0) is -0.0, where exp(1j * -0.0) has a +0.0 imaginary part
+    x += 0.0
+    terms = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=terms.real)
+    np.sin(x, out=terms.imag)
+    return terms
+
+
 def estimate_ecf(ens, times, thetas):
     """Empirical CF of (X(t_1), ..., X(t_k)) at (theta_1, ..., theta_k).
 
@@ -218,7 +237,7 @@ def estimate_ecf(ens, times, thetas):
     """
     w = _projection(ens, times, thetas)
     n = w.size
-    cf = complex(np.exp(1j * w).mean())
+    cf = complex(_cf_terms((1.0,), w).mean())
     mag = abs(cf)
     se = math.sqrt(max(0.0, 1.0 - mag * mag) / n)
     if mag == 0.0:
@@ -243,7 +262,7 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=16):
     n = w.size
     floor = max(0.1, 5.0 / math.sqrt(n))
     rs = np.arange(1, r_steps + 1) / r_steps
-    cfs = np.exp(1j * np.outer(rs, w)).mean(axis=1)
+    cfs = _cf_terms(rs, w).mean(axis=1)
     mags = np.abs(cfs)
     low = np.nonzero(mags < floor)[0]
     if low.size:

@@ -452,6 +452,57 @@ def test_malformed_config_exit_2(capsys, tmp_path, content, words):
     assert_one_error_line(code, err, *words)
 
 
+@pytest.mark.parametrize(
+    "content, key",
+    [
+        ('{"master_seed": 1.5}', "master_seed"),
+        ('{"master_seed": false}', "master_seed"),
+        ('{"n_paths": 2.7}', "n_paths"),
+        ('{"n_paths": true}', "n_paths"),
+        ('{"n_paths": Infinity}', "n_paths"),
+        ('{"grid": {"points": 2.9}}', "points"),
+        ('{"alpha": true}', "alpha"),
+    ],
+)
+def test_config_numbers_are_not_truncated(capsys, tmp_path, content, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(content)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert_one_error_line(code, err, key)
+    assert out == ""
+
+
+def test_config_integral_floats_are_integers(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"master_seed": 11.0, "n_paths": 4.0, "grid": {"points": 3.0}}')
+    code, by_file, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--t-min", "0.5", "--t-max", "2.0")
+    _, by_flag, _ = run_cli(capsys, "simulate", *SMALL, "--seed", "11")
+    assert code == 0 and by_file == by_flag
+
+
+@pytest.mark.parametrize(
+    "argv, env, content, key",
+    [
+        (("--seed", "-1"), None, None, "--seed"),
+        ((), "-1", None, "DILASTAB_SEED"),
+        ((), "abc", None, "DILASTAB_SEED"),
+        ((), "1.5", None, "DILASTAB_SEED"),
+        ((), None, '{"master_seed": -2}', "master_seed"),
+    ],
+)
+def test_bad_seed_names_its_source(capsys, monkeypatch, tmp_path, argv, env, content, key):
+    if env is None:
+        monkeypatch.delenv("DILASTAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("DILASTAB_SEED", env)
+    if content is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(content)
+        argv += ("--config", str(cfg))
+    code, _, err = run_cli(capsys, "simulate", *SMALL, *argv)
+    assert_one_error_line(code, err, key)
+
+
 GOLDEN_BASE = ("simulate", "--t-min", "0.5", "--t-max", "2.0", "--points", "4", "--n-paths", "6")
 
 

@@ -44,6 +44,7 @@ from dilastab import (
     simulate_ensemble,
 )
 from dilastab._seeds import BLOCK
+from dilastab.ecf import _cf_terms
 
 UNIT = DilationParams(1.0, 1.0)
 
@@ -113,6 +114,69 @@ def test_log_cf_aborts_on_low_magnitude():
     assert err.r == 0.25
     assert err.floor == pytest.approx(max(0.1, 5 / math.sqrt(1000)))
     assert err.magnitude < err.floor
+
+
+def exp_log_cf(w, r_steps):
+    """estimate_log_cf's (cf_mean, logcf) per ray position from np.exp(1j * x), or its LowMagnitude."""
+    rs = np.arange(1, r_steps + 1) / r_steps
+    cfs = np.exp(1j * np.outer(rs, w)).mean(axis=1)
+    mags = np.abs(cfs)
+    floor = max(0.1, 5.0 / math.sqrt(w.size))
+    low = np.nonzero(mags < floor)[0]
+    if low.size:
+        return LowMagnitude(float(rs[low[0]]), float(mags[low[0]]), floor)
+    phases = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))[1:]
+    return cfs, np.array([complex(math.log(m), p) for m, p in zip(mags, phases)])
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
+def cf_ensembles():
+    rng = np.random.default_rng(8)
+    grid = TimeGrid(np.array([0.5, 1.0]))
+    huge = 1e22 * (1.0 + 1e-16 * rng.integers(-3, 4, (500, 2)))
+    return {
+        "gaussian": PathEnsemble(grid, rng.normal(0.3, 1.0, (2000, 2))),
+        "gamma": PathEnsemble(grid, rng.gamma(2.0, 0.5, (2000, 2))),
+        "near 1e22": PathEnsemble(grid, huge),
+        "at 1e22": PathEnsemble(grid, np.full((500, 2), 1e22)),
+    }
+
+
+@pytest.mark.parametrize("name", ["gaussian", "gamma", "near 1e22", "at 1e22"])
+@pytest.mark.parametrize(
+    "times, thetas",
+    [((1.0,), (0.0,)), ((1.0,), (-0.0,)), ((1.0,), (0.5,)), ((0.5, 1.0), (0.5, -0.25))],
+)
+def test_ecf_bytes_equal_the_complex_exponential(name, times, thetas):
+    ens = cf_ensembles()[name]
+    w = ens.values[:, [ens.grid.index_of(t) for t in times]] @ np.asarray(thetas)
+    want = exp_log_cf(w, r_steps=16)
+    if isinstance(want, LowMagnitude):
+        with pytest.raises(LowMagnitude) as exc:
+            estimate_log_cf(ens, times, thetas, r_steps=16)
+        assert (exc.value.r, exc.value.magnitude, exc.value.floor) == (want.r, want.magnitude, want.floor)
+    else:
+        ray = estimate_log_cf(ens, times, thetas, r_steps=16)
+        assert_same_bits([est.cf_mean for est in ray], want[0])
+        assert_same_bits([est.logcf for est in ray], want[1])
+    assert_same_bits(estimate_ecf(ens, times, thetas).cf_mean, np.exp(1j * w).mean())
+
+
+def test_cf_terms_equal_the_complex_exponential_elementwise():
+    rng = np.random.default_rng(9)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e22, -1e22, 1e300, -1e300, np.pi, -np.pi]
+    w = np.concatenate([edge, rng.normal(0.0, 3.0, 200), 1e22 * rng.normal(size=50)])
+    rs = np.arange(1, 17) / 16
+    got = _cf_terms(rs, w)
+    assert_same_bits(got, np.exp(1j * np.outer(rs, w)))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_cf_terms(rs, np.array([np.inf, -np.inf, np.nan]))).all()
 
 
 def test_oracle_gaussian_frozen():
