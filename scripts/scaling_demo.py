@@ -82,8 +82,8 @@ def main():
     flat_points = [TestPoint(p.times, mapped_thetas(p)) for p in points]
 
     v_ens = apply_transforms(ens, params, ("lamperti",))
-    z_ens = apply_transforms(v_ens, params, ("time_stable",), role="V")
-    d_ens = apply_transforms(v_ens, params, ("idt",), role="V")
+    z_ens = apply_transforms(v_ens, params, ("time_stable",))
+    d_ens = apply_transforms(v_ens, params, ("idt",))
 
     print_report(
         "dilative", check_scaling(ens, DilativeLaw(1.0, 1.0, args.T), points)

@@ -135,7 +135,7 @@ def _load_config(args):
         raise ValueError(f"{seed_key} must be a non-negative integer, got {master_seed}")
 
     transforms = getattr(args, "transform", None) or data["transforms"]
-    if not isinstance(transforms, list):
+    if not isinstance(transforms, list) or not all(isinstance(name, str) for name in transforms):
         raise ValueError(f"transforms must be a list of names, got {transforms!r:.60}")
 
     config = RunConfig(
@@ -210,8 +210,13 @@ def cmd_simulate(args):
     return 0
 
 
-def _parse_floats(text):
-    return [float(part) for part in text.split(",") if part.strip()]
+def _parse_floats(flag, text):
+    """The comma-separated numbers given to flag, each checked by _finite."""
+    try:
+        values = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r:.60}") from None
+    return _finite(flag, values)
 
 
 def _finite(flag, values):
@@ -262,20 +267,29 @@ def cmd_verify(args):
     if args.times is None or args.thetas is None:
         raise ValueError("verify needs --times and --thetas")
     points = marginal_points(
-        _finite("--times", _parse_floats(args.times)),
-        _finite("--thetas", _parse_floats(args.thetas)),
+        _parse_floats("--times", args.times), _parse_floats("--thetas", args.thetas)
     )
     for pair in args.pair or []:
-        vals = _finite("--pair", _parse_floats(pair))
+        vals = _parse_floats("--pair", pair)
         if len(vals) != 4:
             raise ValueError("--pair needs t1,t2,theta1,theta2")
         points.append(TestPoint((vals[0], vals[1]), (vals[2], vals[3])))
 
-    needed = []
-    for point in points:
-        needed.extend(law.scaled_point(point).times)
-        needed.extend(law.base_point(point).times)
-    pulled = [pull_back(run.transforms, run.params.delta, s) for s in sorted(set(needed))]
+    # every number the law derives, checked before anything is simulated
+    try:
+        reached = [law.scaled_point(p) for p in points] + [law.base_point(p) for p in points]
+        needed = sorted({t for point in reached for t in point.times})
+        pulled = [pull_back(run.transforms, run.params.delta, s) for s in needed]
+        derived = [law.multiplier, *pulled, *(th for point in reached for th in point.thetas)]
+        in_range = all(math.isfinite(x) for x in derived)
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        (scale,) = (f.name for f in fields(law) if f.name in ("T", "n"))
+        raise ValueError(
+            f"--{scale} = {getattr(law, scale)!r} takes the test points or the "
+            "law's multiplier out of the float range"
+        )
 
     ens = simulate_ensemble(
         _ensemble_config(run, extra_times=pulled),
@@ -306,8 +320,8 @@ def cmd_oracle(args):
     run = _load_config(args)
     if args.times is None or args.thetas is None:
         raise ValueError("oracle needs --times and --thetas")
-    times = _finite("--times", _parse_floats(args.times))
-    thetas = _finite("--thetas", _parse_floats(args.thetas))
+    times = _parse_floats("--times", args.times)
+    thetas = _parse_floats("--thetas", args.thetas)
     lines = ["t,theta,re,im"]
     for t in times:
         for theta in thetas:
@@ -315,6 +329,16 @@ def cmd_oracle(args):
             lines.append(f"{_fmt(t)},{_fmt(theta)},{_fmt(value.real)},{_fmt(value.imag)}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects an argument with one stderr line, like every other error.
+
+    add_subparsers builds each subcommand's parser with this class too.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def _add_common(parser):
@@ -341,7 +365,7 @@ def _add_common(parser):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dilastab",
         description="simulate dilatively stable processes and verify their scaling laws",
     )
@@ -398,10 +422,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy raises where it would warn on stderr and go on with inf or nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (DilastabError, ValueError, KeyError) as exc:
         # InadmissibleParams is a DilastabError, json.JSONDecodeError a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (FloatingPointError, OverflowError) as exc:
+        # numpy's error under the errstate above, or a float power's or math's
+        print(f"error: this configuration leaves the float range ({exc})", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

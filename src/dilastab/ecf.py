@@ -44,8 +44,10 @@ from .errors import (
     NonPositiveTime,
     OracleOutOfDomain,
 )
-from .integrator import PATH_ROLES, SamplePath, TimeGrid
-from .processes import TRANSFORMS, DilationParams, plan_dilative, transform_values
+from .integrator import PATH_ROLES, TimeGrid
+
+# apply_transforms is looked up here by simulate_ensemble (and by bench/spans.py)
+from .processes import TRANSFORMS, DilationParams, apply_transforms, plan_dilative
 from .timechange import tau_density
 
 __all__ = [
@@ -63,8 +65,6 @@ __all__ = [
     "ScalingReport",
     "derive_rng",
     "simulate_ensemble",
-    "apply_transforms",
-    "estimate_ecf",
     "estimate_log_cf",
     "oracle_log_cf",
     "oracle_joint_log_cf",
@@ -101,17 +101,18 @@ class EnsembleConfig:
 
 @dataclass(eq=False)
 class PathEnsemble:
-    """N path realisations on a common grid, one row per path."""
+    """N path realisations on a common grid, one row per path, all of one role."""
 
     grid: TimeGrid
     values: np.ndarray
-    master_seed: int | None = None
-    config: EnsembleConfig | None = None
+    role: str = "X"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[1] != len(self.grid):
             raise ValueError("values must be (n_paths, len(grid))")
+        if self.role not in PATH_ROLES:
+            raise ValueError(f"unknown path role {self.role!r}")
         self.values = vals
 
     @property
@@ -137,35 +138,12 @@ def derive_rng(master_seed, n):
     return _path_rng()(master_seed, n)
 
 
-def apply_transforms(path, params, transforms, role="X"):
-    """Apply a transform chain to one SamplePath or to a whole PathEnsemble.
-
-    A path carries its role; the rows of an ensemble are `role` paths.  Each
-    transform is one time map and one weight shared by every path, so an
-    ensemble is mapped as one matrix and a single path is the one-row case.
-    """
-    one_path = isinstance(path, SamplePath)
-    if one_path:
-        role = path.role
-    elif role not in PATH_ROLES:
-        raise ValueError(f"unknown path role {role!r}")
-    grid, values = path.grid, path.values
-    for name in transforms:
-        grid, values, role = transform_values(
-            name, grid, values, role, hurst=params.hurst, delta=params.delta
-        )
-    if one_path:
-        return SamplePath(grid, values, role)
-    return PathEnsemble(grid, values, master_seed=path.master_seed)
-
-
-def simulate_ensemble(config, n_paths, master_seed, threads=1):
+def simulate_ensemble(config, n_paths, master_seed):
     """Simulate an ensemble; path n depends only on (master_seed, n).
 
     Path n is drawn from derive_rng(master_seed, n) into row n of one
-    matrix, and the transform chain then maps the whole matrix at once, so
-    the result is byte-identical for any `threads`, which is accepted and
-    ignored.  Path n's stream is exactly
+    matrix, and the transform chain then maps the whole matrix at once.
+    Path n's stream is exactly
     np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,))),
     whose PCG64 seeds derive_rng computes for 1024 consecutive paths in one
     numpy pass: 1.7 us per path rather than 10.5 us on a 2-core machine.
@@ -186,10 +164,8 @@ def simulate_ensemble(config, n_paths, master_seed, threads=1):
     values = np.empty((int(n_paths), pts.size))
     for n in range(int(n_paths)):
         values[n] = plan.run(derive_rng(master_seed, n))
-    x = PathEnsemble(config.out_times, values, master_seed=master_seed)
-    ens = apply_transforms(x, config.params, config.transforms)
-    ens.config = config
-    return ens
+    x = PathEnsemble(config.out_times, values)
+    return apply_transforms(x, config.params, config.transforms)
 
 
 @dataclass(frozen=True)
@@ -227,26 +203,6 @@ def _cf_terms(rs, w):
     np.cos(x, out=terms.real)
     np.sin(x, out=terms.imag)
     return terms
-
-
-def estimate_ecf(ens, times, thetas):
-    """Empirical CF of (X(t_1), ..., X(t_k)) at (theta_1, ..., theta_k).
-
-    The logcf field carries the principal branch; use estimate_log_cf for a
-    continuously unwrapped version.
-    """
-    w = _projection(ens, times, thetas)
-    n = w.size
-    cf = complex(_cf_terms((1.0,), w).mean())
-    mag = abs(cf)
-    se = math.sqrt(max(0.0, 1.0 - mag * mag) / n)
-    if mag == 0.0:
-        logcf = complex(-math.inf, 0.0)
-        logcf_se = math.inf
-    else:
-        logcf = complex(math.log(mag), math.atan2(cf.imag, cf.real))
-        logcf_se = se / mag
-    return EcfEstimate(tuple(times), tuple(thetas), cf, se, logcf, logcf_se)
 
 
 def estimate_log_cf(ens, times, theta_direction, r_steps=16):
@@ -391,6 +347,11 @@ class ScalingLaw:
 
     chain = ()
 
+    def _check_positive(self, name):
+        # a power of a nonpositive factor is complex, and a log of it undefined
+        if not getattr(self, name) > 0:
+            raise ValueError(f"the {self.kind} law needs {name} > 0, got {getattr(self, name)!r}")
+
     def base_point(self, point):
         return point
 
@@ -407,6 +368,9 @@ class DilativeLaw(ScalingLaw):
     T: float
 
     kind = "dilative"
+
+    def __post_init__(self):
+        self._check_positive("T")
 
     def scaled_point(self, point):
         return TestPoint(tuple(self.T * t for t in point.times), point.thetas)
@@ -452,6 +416,7 @@ class TimeStableLaw(ScalingLaw):
     def __post_init__(self):
         if self.delta == 0:
             raise DegenerateDelta("time stability needs delta != 0")
+        self._check_positive("n")
 
     def scaled_point(self, point):
         factor = self.n ** (1.0 / self.delta)
@@ -470,6 +435,9 @@ class IdtLaw(ScalingLaw):
 
     kind = "idt"
     chain = ("lamperti", "idt")
+
+    def __post_init__(self):
+        self._check_positive("n")
 
     def scaled_point(self, point):
         return TestPoint(tuple(self.n * t for t in point.times), point.thetas)

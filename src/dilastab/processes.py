@@ -24,17 +24,16 @@ In the boundary case alpha = delta/2 (H = 0, delta > 0) the integral
 degenerates and X is instead simulated directly as L(t**delta / (e**delta -
 1)).
 
-The transform family:
+The transform family, TRANSFORMS, applied by apply_transforms:
 
-  * lamperti_transform   V_u = e^(-H u) X_{e^u}; V has the translative
-                         scaling Psi_{. + T} = e^(delta T) Psi_. and solves a
-                         wide-sense Ornstein-Uhlenbeck equation with rate
-                         lambda = delta/2 - alpha driven by Y.
-  * reparam_time_stable  Z_s = V_{log s}: n-fold time scaling s -> n**(1/delta) s
-                         multiplies Psi by n.
-  * reparam_idt          D_s = V_{log(s)/delta}: Psi at dilated times n*s is
-                         n times Psi at s (infinite divisibility with respect
-                         to time).
+  * lamperti     V_u = e^(-H u) X_{e^u}; V has the translative scaling
+                 Psi_{. + T} = e^(delta T) Psi_. and solves a wide-sense
+                 Ornstein-Uhlenbeck equation with rate lambda = delta/2 - alpha
+                 driven by Y.  lamperti_inverse maps V back to X.
+  * time_stable  Z_s = V_{log s}: n-fold time scaling s -> n**(1/delta) s
+                 multiplies Psi by n.
+  * idt          D_s = V_{log(s)/delta}: Psi at dilated times n*s is n times
+                 Psi at s (infinite divisibility with respect to time).
 """
 
 from __future__ import annotations
@@ -63,15 +62,11 @@ __all__ = [
     "simulate_dilative",
     "simulate_driving",
     "extract_background",
-    "lamperti_transform",
-    "lamperti_inverse",
     "ou_evolve",
     "ou_from_integral",
-    "reparam_time_stable",
-    "reparam_idt",
     "Transform",
     "TRANSFORMS",
-    "transform_values",
+    "apply_transforms",
     "pull_back",
 ]
 
@@ -213,26 +208,16 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
     return SimulationPlan(spec, params, durations, weights, out_idx)
 
 
-def simulate_dilative(
-    spec, params, out_times, rng, refine=8.0, tail_tol=1e-4, include_origin=False
-):
+def simulate_dilative(spec, params, out_times, rng, refine=8.0, tail_tol=1e-4):
     """Simulate one path of the additive (alpha, delta)-dilatively stable process.
 
-    out_times must be strictly positive; with include_origin the point t = 0
-    with X = 0 is prepended to the returned path.
+    out_times must be strictly positive.
     """
     pts = out_times.points
     if pts[0] <= 0:
         raise NonPositiveTime("output times must be strictly positive")
     plan = plan_dilative(spec, params, np.log(pts), refine=refine, tail_tol=tail_tol)
-    values = plan.run(rng)
-    if include_origin:
-        return SamplePath(
-            TimeGrid(np.concatenate([[0.0], pts])),
-            np.concatenate([[0.0], values]),
-            role="X",
-        )
-    return SamplePath(out_times, values, role="X")
+    return SamplePath(out_times, plan.run(rng), role="X")
 
 
 def simulate_driving(spec, delta, log_times, rng):
@@ -272,22 +257,6 @@ def extract_background(x, params):
     dy = pts[:-1] ** (-params.hurst) * np.diff(x.values)
     cums = np.concatenate([[0.0], np.cumsum(dy)])
     return SamplePath(TimeGrid(u), cums - cums[i1], role="Y")
-
-
-def lamperti_transform(x, params):
-    """Map X on a positive grid to V_u = e^(-H u) X_{e^u} on the log grid."""
-    return SamplePath(*transform_values("lamperti", x.grid, x.values, x.role, hurst=params.hurst))
-
-
-def lamperti_inverse(v, params, include_origin=False):
-    """Map V on a log grid back to X_t = t**H V_{log t} on the positive grid."""
-    grid, values, role = transform_values(
-        "lamperti_inverse", v.grid, v.values, v.role, hurst=params.hurst
-    )
-    if include_origin:
-        grid = TimeGrid(np.concatenate([[0.0], grid.points]))
-        values = np.concatenate([[0.0], values])
-    return SamplePath(grid, values, role)
 
 
 def ou_evolve(v0, y, ou_rate, a, b):
@@ -331,20 +300,6 @@ def ou_from_integral(spec, params, out_log_times, rng, refine=8.0, tail_tol=1e-4
     x_values = plan.run(rng)
     values = np.exp(-params.hurst * u_out) * x_values
     return SamplePath(out_log_times, values, role="V")
-
-
-def reparam_time_stable(v):
-    """Relabel V's clock u -> e^u, giving the time-stable process Z."""
-    return SamplePath(*transform_values("time_stable", v.grid, v.values, v.role))
-
-
-def reparam_idt(v, delta):
-    """Relabel V's clock u -> e^(delta u), giving the IDT process D.
-
-    Undefined at delta = 0 (DegenerateDelta); for delta < 0 the relabelled
-    grid runs backwards, so points and values are reversed together.
-    """
-    return SamplePath(*transform_values("idt", v.grid, v.values, v.role, delta=delta))
 
 
 def _log_clock(pts, delta):
@@ -414,27 +369,32 @@ def _transform(name):
         raise ValueError(f"unknown transform {name!r}") from None
 
 
-def transform_values(name, grid, values, role, hurst=None, delta=None):
-    """One step of the transform family, on the values of one or many paths.
+def apply_transforms(path, params, transforms):
+    """Apply a transform chain to a SamplePath or a PathEnsemble.
 
-    values carries the grid along its last axis: one path, or a
-    (n_paths, len(grid)) matrix with one row per path.  Each transform is a
-    time map and a weight shared by every path, so a whole matrix is mapped
-    at once.  role names the process the values describe.  The Lamperti pair
-    needs hurst and idt needs delta.  Returns the new (grid, values, role).
+    path.values carries the grid along its last axis: one path, or a
+    (n_paths, len(grid)) matrix with one row per path, all of role path.role.
+    Each transform is a time map and a weight shared by every path, so an
+    ensemble is mapped as one matrix and a single path is the one-row case.
+    Returns a path of the same type with the new grid, values and role.
     """
-    step = _transform(name)
-    if step.source is not None and role != step.source:
-        raise ValueError(f"the {name} transform expects a {step.source} path, got {role}")
-    pts = grid.points
-    new = step.clock(pts, delta)
-    if new.size > 1 and new[0] > new[-1]:
-        # the relabelled clock runs backwards (idt at delta < 0): flip points
-        # and columns together
-        pts, new, values = pts[::-1], new[::-1], values[..., ::-1]
-    if step.weight is None:
-        return TimeGrid(new), values.copy(), step.role
-    return TimeGrid(new), step.weight(pts, new, hurst) * values, step.role
+    grid, values, role = path.grid, path.values, path.role
+    for name in transforms:
+        step = _transform(name)
+        if step.source is not None and role != step.source:
+            raise ValueError(f"the {name} transform expects a {step.source} path, got {role}")
+        pts = grid.points
+        new = step.clock(pts, params.delta)
+        if new.size > 1 and new[0] > new[-1]:
+            # the relabelled clock runs backwards (idt at delta < 0): flip
+            # points and columns together
+            pts, new, values = pts[::-1], new[::-1], values[..., ::-1]
+        if step.weight is None:
+            values = values.copy()
+        else:
+            values = step.weight(pts, new, params.hurst) * values
+        grid, role = TimeGrid(new), step.role
+    return type(path)(grid, values, role)
 
 
 def pull_back(transforms, delta, s):

@@ -41,7 +41,6 @@ from dilastab import (
     estimate_log_cf,
     extract_background,
     increment_pair,
-    lamperti_transform,
     oracle_joint_log_cf,
     oracle_log_cf,
     ou_evolve,
@@ -270,13 +269,13 @@ def test_criterion_06_transform_consistency(gauss_bundle):
     for seed in range(5):
         v = ou_from_integral(GaussianDriver(), UNIT, log_out, np.random.default_rng(seed))
         x = simulate_dilative(GaussianDriver(), UNIT, out, np.random.default_rng(seed))
-        w = lamperti_transform(x, UNIT)
+        w = apply_transforms(x, UNIT, ("lamperti",))
         agree = agree and np.allclose(v.values, w.values, rtol=1e-12, atol=1e-14)
 
     # transforming there and back preserves the scaling verdicts
     ens = gauss_bundle["ens"]
     v_ens = apply_transforms(ens, UNIT, ("lamperti",))
-    back = apply_transforms(v_ens, UNIT, ("lamperti_inverse",), role="V")
+    back = apply_transforms(v_ens, UNIT, ("lamperti_inverse",))
     law = DilativeLaw(1.0, 1.0, 2.0)
     direct = check_scaling(ens, law, GAUSS_POINTS)
     round_trip = check_scaling(back, law, GAUSS_POINTS)
@@ -313,8 +312,8 @@ def test_criterion_07_law_transport(gauss_bundle):
     flat_points = [TestPoint(p.times, scaled_thetas(p)) for p in GAUSS_POINTS]
 
     v_ens = apply_transforms(ens, UNIT, ("lamperti",))
-    z_ens = apply_transforms(v_ens, UNIT, ("time_stable",), role="V")
-    d_ens = apply_transforms(v_ens, UNIT, ("idt",), role="V")
+    z_ens = apply_transforms(v_ens, UNIT, ("time_stable",))
+    d_ens = apply_transforms(v_ens, UNIT, ("idt",))
 
     reports = {
         "translative": check_scaling(

@@ -1,15 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dilastab import cli
 from dilastab.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # how argparse ends a rejected command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -813,3 +820,206 @@ def test_verify_row_keeps_no_oracle_that_overflows(capsys):
     assert code == 0 and err == ""
     (row,) = json.loads(out)["rows"]
     assert "oracle" not in row and row["z"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("simulate", "--n-paths", "abc"), "--n-paths"),
+        (("simulate", "--seed", "x"), "--seed"),
+        (("verify", "--law", "nope", "--times", "1", "--thetas", "1"), "--law"),
+        (("verify", "--times", "1", "--thetas", "1"), "--law"),
+        (("simulate", "--bogus", "1"), "--bogus"),
+        (VERIFY_IDT[:-2] + ("--thetas", "0.5,abc"), "--thetas"),
+    ],
+    ids=[
+        "wrong-type",
+        "wrong-type-seed",
+        "invalid-choice",
+        "missing-required",
+        "unknown-flag",
+        "number-list",
+    ],
+)
+def test_argument_rejections_are_one_line(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    assert_one_error_line(code, err, flag)
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run_cli(capsys, "verify", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: dilastab verify [-h]")
+
+
+VERIFY_ONE_POINT = ("verify", "--n-paths", "30", "--times", "1", "--thetas", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--law", "translative", "--T", "800"),
+        ("--law", "dilative", "--T", "1e300", "--alpha", "3"),
+    ],
+    ids=["multiplier-and-pull-back", "theta-scale"],
+)
+def test_verify_law_out_of_float_range_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *VERIFY_ONE_POINT, *argv)
+    assert out == ""
+    assert_one_error_line(code, err, "--T", "float range")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", *SMALL, "--alpha", "1e308"),
+        ("simulate", *SMALL, "--refine", "1e308"),
+        ("verify", "--law", "dilative", "--T", "2", "--times", "1", "--thetas", "1e308")
+        + ("--n-paths", "30"),
+    ],
+    ids=["weight-overflow", "cell-count-overflow", "projection-overflow"],
+)
+def test_float_overflow_exit_2(capsys, argv):
+    # numpy would warn on stderr and write inf, or Python raise OverflowError
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    assert_one_error_line(code, err, "float range")
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (("--law", "dilative", "--T", "-2"), ("dilative", "T > 0")),
+        (("--law", "idt", "--n", "0"), ("idt", "n > 0")),
+        (("--law", "time_stable", "--n", "-1"), ("time_stable", "n > 0")),
+    ],
+)
+def test_verify_law_needs_a_positive_scale(capsys, argv, words):
+    code, out, err = run_cli(capsys, *VERIFY_ONE_POINT, *argv)
+    assert out == ""
+    assert_one_error_line(code, err, *words)
+
+
+@pytest.mark.parametrize("command", [("simulate",), VERIFY_IDT])
+def test_unhashable_transform_names_exit_2(capsys, tmp_path, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"transforms": [[1]]}')
+    code, out, err = run_cli(capsys, *command, "--n-paths", "30", "--config", str(cfg))
+    assert out == ""
+    assert_one_error_line(code, err, "transforms", "[[1]]")
+
+
+# The fuzz test below draws command lines from the documented flags: three
+# values in four are valid, so that many runs get past the parser.
+BAD_FLOATS = ("-1", "0", "1e308", "-1e308", "nan", "-inf", "abc")
+BAD_INTS = ("0", "-2", "1e308", "inf", "abc")
+BAD_LISTS = ("-1,1", "0", "1e308", "nan", "abc", "")
+
+
+def either(valid, bad=()):
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(bad if i == 0 and bad else valid))
+
+
+FLOATS = either(("2", "0.5", "1"), BAD_FLOATS)
+LISTS = either(("1", "0.5,2"), BAD_LISTS)
+COMMON_FLAGS = {
+    "--driver": either(
+        (
+            '{"kind": "symmetric_stable", "index": 1.5}',
+            '{"kind": "compound_poisson", "jumps": {"kind": "two_point"}}',
+        ),
+        ('{"kind": "gamma", "shape": 1e308}', '{"kind": "gaussian", "variance": -1}', "{"),
+    ),
+    "--alpha": FLOATS,
+    "--delta": FLOATS,
+    "--t-min": FLOATS,
+    "--t-max": FLOATS,
+    "--points": either(("3", "5"), BAD_INTS),
+    "--spacing": either(("linear", "geometric"), ("hexagonal",)),
+    "--seed": either(("3", "7"), BAD_INTS),
+    "--refine": FLOATS,
+    "--tail-tol": FLOATS,
+    "--transform": either(("lamperti", "lamperti_inverse", "time_stable", "idt"), ("spin",)),
+    "--threads": either(("1", "2"), BAD_INTS),
+}
+COMMAND_FLAGS = {
+    "simulate": ({"--include-origin": None}, ()),
+    "verify": (
+        {
+            "--law": either(("dilative", "translative", "time_stable", "idt"), ("nope",)),
+            "--T": FLOATS,
+            "--n": FLOATS,
+            "--times": LISTS,
+            "--thetas": LISTS,
+            "--law-alpha": FLOATS,
+            "--law-delta": FLOATS,
+            "--pair": either(("0.5,1,1,-0.5",), ("1,2,nan,1", "1,2", "abc")),
+            "--threshold": either(("0", "0.5"), BAD_FLOATS),
+            "--r-steps": either(("1", "4"), BAD_INTS),
+        },
+        ("--law", "--T", "--n", "--times", "--thetas"),
+    ),
+    "oracle": ({"--times": LISTS, "--thetas": LISTS}, ("--times", "--thetas")),
+}
+# valid values of n_paths stay at most 40, so every drawn run is cheap
+N_PATHS = either(("30", "40"), ("1", "0", "-5", "1e308", "nan", "abc"))
+CONFIGS = either(
+    (
+        None,
+        "{}",
+        '{"transforms": ["lamperti", "idt"], "grid": {"spacing": "geometric"}}',
+        '{"driver": {"kind": "gamma"}, "master_seed": 5}',
+    ),
+    (
+        '{"transforms": [[1]]}',
+        '{"grid": {"points": 1e308, "spacing": "linear"}}',
+        '{"grid": {"t_min": 0, "spacing": "linear"}}',
+        '{"n_paths": 1e308}',
+        '{"alpha": "x", "master_seed": -1}',
+        "[1]",
+        "{",
+    ),
+)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    own, always = COMMAND_FLAGS[command]
+    flags = {**COMMON_FLAGS, **own}
+    chosen = list(always) + draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
+    argv = [command]
+    for flag in dict.fromkeys(chosen):
+        values = flags[flag]
+        argv.append(flag if values is None else f"{flag}={draw(values)}")
+    config = draw(CONFIGS)
+    if config is None or "n_paths" not in config:
+        argv.append(f"--n-paths={draw(N_PATHS)}")
+    return argv, config
+
+
+@settings(max_examples=150)
+@given(case=command_lines())
+@example(case=(["simulate", "--n-paths", "abc"], None))
+@example(case=([*VERIFY_ONE_POINT, "--law", "translative", "--T", "800"], None))
+@example(case=([*VERIFY_ONE_POINT, "--law", "dilative", "--T", "1e300", "--alpha", "3"], None))
+@example(case=(["simulate", "--n-paths", "30"], '{"transforms": [[1]]}'))
+def test_fuzzed_command_lines_exit_cleanly(tmp_path_factory, case):
+    argv, config = case
+    if config is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    # an exception other than SystemExit escapes and fails the test with its traceback
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), (argv, lines)
+    assert not any("Traceback" in line for line in lines)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import pickle
@@ -34,7 +35,6 @@ from dilastab import (
     apply_transforms,
     check_scaling,
     derive_rng,
-    estimate_ecf,
     estimate_log_cf,
     increment_pair,
     marginal_points,
@@ -55,11 +55,16 @@ def normal_ensemble(mean, std, n, seed):
     return PathEnsemble(grid, rng.normal(mean, std, (n, 1)))
 
 
+def estimate_cf(ens, times, thetas):
+    """The empirical CF at one point: the r = 1 end of a one-step ray."""
+    return estimate_log_cf(ens, times, thetas, r_steps=1)[-1]
+
+
 def test_estimate_matches_gaussian_cf():
     n = 20_000
     ens = normal_ensemble(0.4, 1.2, n, 0)
     for theta in (0.5, 1.0):
-        est = estimate_ecf(ens, (1.0,), (theta,))
+        est = estimate_cf(ens, (1.0,), (theta,))
         want = cmath.exp(1j * 0.4 * theta - 0.72 * theta**2)
         assert abs(est.cf_mean - want) <= 4.0 * est.cf_se
         assert est.times == (1.0,) and est.thetas == (theta,)
@@ -67,7 +72,7 @@ def test_estimate_matches_gaussian_cf():
 
 def test_se_formula():
     ens = normal_ensemble(0.0, 1.0, 500, 1)
-    est = estimate_ecf(ens, (1.0,), (0.7,))
+    est = estimate_cf(ens, (1.0,), (0.7,))
     draws = np.exp(0.7j * ens.values[:, 0])
     want_se = math.sqrt((1.0 - abs(draws.mean()) ** 2) / 500)
     assert est.cf_se == pytest.approx(want_se, rel=1e-12)
@@ -77,9 +82,9 @@ def test_se_formula():
 def test_projection_validation():
     ens = normal_ensemble(0.0, 1.0, 50, 2)
     with pytest.raises(ValueError):
-        estimate_ecf(ens, (1.0,), (0.5, 0.7))
+        estimate_cf(ens, (1.0,), (0.5, 0.7))
     with pytest.raises(OffGrid):
-        estimate_ecf(ens, (2.0,), (0.5,))
+        estimate_cf(ens, (2.0,), (0.5,))
 
 
 def test_log_cf_unwraps_past_principal_branch():
@@ -165,7 +170,9 @@ def test_ecf_bytes_equal_the_complex_exponential(name, times, thetas):
         ray = estimate_log_cf(ens, times, thetas, r_steps=16)
         assert_same_bits([est.cf_mean for est in ray], want[0])
         assert_same_bits([est.logcf for est in ray], want[1])
-    assert_same_bits(estimate_ecf(ens, times, thetas).cf_mean, np.exp(1j * w).mean())
+        assert_same_bits(estimate_cf(ens, times, thetas).cf_mean, np.exp(1j * w).mean())
+    # the mean at r = 1 even where the ray aborts before reaching it
+    assert_same_bits(_cf_terms((1.0,), w).mean(axis=1), [np.exp(1j * w).mean()])
 
 
 def test_cf_terms_equal_the_complex_exponential_elementwise():
@@ -331,15 +338,12 @@ def test_ensemble_config_coercion():
         EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0), transforms=("spin",))
 
 
-def test_simulate_ensemble_reproducible_and_thread_invariant():
+def test_simulate_ensemble_reproducible():
     cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), refine=8.0)
     a = simulate_ensemble(cfg, 40, master_seed=99)
     b = simulate_ensemble(cfg, 40, master_seed=99)
-    c = simulate_ensemble(cfg, 40, master_seed=99, threads=3)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
-    assert a.n_paths == 40
-    assert a.master_seed == 99
+    assert a.n_paths == 40 and a.role == "X"
     # row n is exactly the single-path simulation under the derived stream
     direct = simulate_dilative(
         GaussianDriver(), UNIT, cfg.out_times, derive_rng(99, 0), refine=8.0
@@ -352,11 +356,13 @@ def test_transform_ensemble_chain():
     ens = simulate_ensemble(cfg, 20, master_seed=7)
     v = apply_transforms(ens, UNIT, ("lamperti",))
     assert np.allclose(v.grid.points, np.log(cfg.out_times.points), rtol=1e-14)
-    z = apply_transforms(v, UNIT, ("time_stable",), role="V")
+    assert v.role == "V"
+    z = apply_transforms(v, UNIT, ("time_stable",))
     assert np.allclose(z.grid.points, cfg.out_times.points, rtol=1e-14)
     assert np.array_equal(z.values, v.values)
-    d = apply_transforms(v, UNIT, ("idt",), role="V")
+    d = apply_transforms(v, UNIT, ("idt",))
     assert np.allclose(d.grid.points, cfg.out_times.points, rtol=1e-14)
+    assert (z.role, d.role) == ("Z", "D")
 
 
 def row_by_row(ens, params, transforms, role):
@@ -383,22 +389,31 @@ def test_ensemble_chain_equals_row_by_row(params, chain):
     x = simulate_ensemble(cfg, 12, master_seed=3)
     # the whole chain at once, and its last step on an ensemble of the
     # intermediate role, both bit-for-bit equal to the per-row chain
-    points, values, _ = row_by_row(x, params, chain, "X")
+    points, values, role = row_by_row(x, params, chain, "X")
     chained = EnsembleConfig(GaussianDriver(), params, cfg.out_times, transforms=chain)
     for ens in (apply_transforms(x, params, chain), simulate_ensemble(chained, 12, 3)):
         assert np.array_equal(ens.grid.points, points)
         assert np.array_equal(ens.values, values)
+        assert ens.role == role
     v = apply_transforms(x, params, chain[:1])
-    last = apply_transforms(v, params, chain[1:], role="V")
+    last = apply_transforms(v, params, chain[1:])
     assert np.array_equal(last.values, row_by_row(v, params, chain[1:], "V")[1])
-    assert last.master_seed == 3 and last.config is None
+    assert last.role == role
+
+
+def test_ensemble_carries_one_role():
+    grid = TimeGrid(np.array([0.5, 1.0]))
+    assert [f.name for f in dataclasses.fields(PathEnsemble)] == ["grid", "values", "role"]
+    assert PathEnsemble(grid, np.zeros((2, 2))).role == "X"
+    with pytest.raises(ValueError, match="role"):
+        PathEnsemble(grid, np.zeros((2, 2)), role="Q")
 
 
 def test_idt_with_negative_delta_reverses_columns():
     params = DilationParams(1.0, -0.5)
     grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
-    v = PathEnsemble(grid, np.arange(6.0).reshape(2, 3))
-    d = apply_transforms(v, params, ("idt",), role="V")
+    v = PathEnsemble(grid, np.arange(6.0).reshape(2, 3), role="V")
+    d = apply_transforms(v, params, ("idt",))
     assert np.array_equal(d.grid.points, np.exp(-0.5 * grid.points)[::-1])
     assert np.array_equal(d.values, [[2.0, 1.0, 0.0], [5.0, 4.0, 3.0]])
     assert np.array_equal(v.values, np.arange(6.0).reshape(2, 3))
@@ -416,11 +431,11 @@ def test_idt_with_negative_delta_reverses_columns():
     ],
 )
 def test_ensemble_chain_raises_like_row_by_row(points, params, chain, role, error):
-    ens = PathEnsemble(TimeGrid(np.array(points)), np.zeros((3, 2)))
+    grid = TimeGrid(np.array(points))
     with pytest.raises(error):
-        apply_transforms(ens, params, chain, role=role)
+        apply_transforms(PathEnsemble(grid, np.zeros((3, 2)), role=role), params, chain)
     with pytest.raises(error):
-        row_by_row(ens, params, chain, role)
+        row_by_row(PathEnsemble(grid, np.zeros((3, 2))), params, chain, role)
 
 
 def test_empty_ensemble():

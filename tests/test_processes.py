@@ -16,14 +16,11 @@ from dilastab import (
     SamplePath,
     SymmetricStableDriver,
     TimeGrid,
+    apply_transforms,
     extract_background,
-    lamperti_inverse,
-    lamperti_transform,
     ou_evolve,
     ou_from_integral,
     plan_dilative,
-    reparam_idt,
-    reparam_time_stable,
     rs_integral,
     simulate_dilative,
     simulate_driving,
@@ -91,14 +88,6 @@ def test_simulate_validates_times():
         simulate_dilative(GaussianDriver(), UNIT, TimeGrid(np.array([0.0, 1.0])), rng)
 
 
-def test_simulate_include_origin():
-    rng = np.random.default_rng(1)
-    path = simulate_dilative(GaussianDriver(), UNIT, OUT, rng, include_origin=True)
-    assert path.grid.points[0] == 0.0
-    assert path.values[0] == 0.0
-    assert len(path.grid) == len(OUT) + 1
-
-
 def test_simulate_reproducible():
     a = simulate_dilative(GaussianDriver(), UNIT, OUT, np.random.default_rng(7))
     b = simulate_dilative(GaussianDriver(), UNIT, OUT, np.random.default_rng(7))
@@ -150,10 +139,10 @@ def test_extract_background_needs_unit_knot():
 def test_lamperti_round_trip():
     rng = np.random.default_rng(4)
     x = simulate_dilative(GaussianDriver(), UNIT, OUT, rng)
-    v = lamperti_transform(x, UNIT)
-    assert v.role == "V"
+    v = apply_transforms(x, UNIT, ("lamperti",))
+    assert type(v) is SamplePath and v.role == "V"
     assert np.allclose(v.grid.points, np.log(OUT.points), rtol=1e-14)
-    back = lamperti_inverse(v, UNIT)
+    back = apply_transforms(v, UNIT, ("lamperti_inverse",))
     assert back.role == "X"
     assert np.allclose(back.values, x.values, rtol=1e-14)
     assert np.allclose(back.grid.points, x.grid.points, rtol=1e-14)
@@ -162,16 +151,7 @@ def test_lamperti_round_trip():
 def test_lamperti_rejects_nonpositive_times():
     bad = SamplePath(TimeGrid(np.array([0.0, 1.0])), np.array([0.0, 0.3]))
     with pytest.raises(NonPositiveTime):
-        lamperti_transform(bad, UNIT)
-
-
-def test_lamperti_inverse_include_origin():
-    rng = np.random.default_rng(4)
-    x = simulate_dilative(GaussianDriver(), UNIT, OUT, rng)
-    v = lamperti_transform(x, UNIT)
-    back = lamperti_inverse(v, UNIT, include_origin=True)
-    assert back.grid.points[0] == 0.0
-    assert back.values[0] == 0.0
+        apply_transforms(bad, UNIT, ("lamperti",))
 
 
 def test_ou_evolve_zero_noise():
@@ -215,7 +195,7 @@ def test_ou_from_integral_matches_transform():
     for seed in range(5):
         v = ou_from_integral(GaussianDriver(), UNIT, log_out, np.random.default_rng(seed))
         x = simulate_dilative(GaussianDriver(), UNIT, out, np.random.default_rng(seed))
-        w = lamperti_transform(x, UNIT)
+        w = apply_transforms(x, UNIT, ("lamperti",))
         assert v.role == "V"
         assert np.allclose(v.values, w.values, rtol=1e-12, atol=1e-14)
 
@@ -231,28 +211,28 @@ def test_ou_from_integral_rejects_zero_delta():
 def test_reparam_time_stable():
     grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
     v = SamplePath(grid, np.array([0.2, -0.1, 0.4]), role="V")
-    z = reparam_time_stable(v)
+    z = apply_transforms(v, UNIT, ("time_stable",))
     assert z.role == "Z"
     assert np.allclose(z.grid.points, np.exp(grid.points), rtol=1e-15)
     assert np.array_equal(z.values, v.values)
     with pytest.raises(Exception):
-        reparam_time_stable(SamplePath(grid, np.zeros(3), role="Y"))
+        apply_transforms(SamplePath(grid, np.zeros(3), role="Y"), UNIT, ("time_stable",))
 
 
 def test_reparam_idt():
     grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
     vals = np.array([0.2, -0.1, 0.4])
     v = SamplePath(grid, vals, role="V")
-    d = reparam_idt(v, 1.0)
+    d = apply_transforms(v, UNIT, ("idt",))
     assert d.role == "D"
     assert np.allclose(d.grid.points, np.exp(grid.points), rtol=1e-15)
     assert np.array_equal(d.values, vals)
     # a negative rate reverses the direction of the clock, so both arrays flip
-    neg = reparam_idt(v, -1.0)
+    neg = apply_transforms(v, DilationParams(1.0, -1.0), ("idt",))
     assert np.allclose(neg.grid.points, np.exp(-grid.points[::-1]), rtol=1e-15)
     assert np.array_equal(neg.values, vals[::-1])
     with pytest.raises(DegenerateDelta):
-        reparam_idt(v, 0.0)
+        apply_transforms(v, DilationParams(1.0, 0.0), ("idt",))
 
 
 def test_simulate_driving_anchor_and_clock():
