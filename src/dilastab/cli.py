@@ -16,6 +16,10 @@ numbers are emitted with shortest round-trip formatting, so equal inputs
 produce byte-identical outputs.  --threads is accepted and ignored, for the
 reason simulate_ensemble gives.
 
+n_paths and the grid's points are at most MAX_COUNT = 10**9 each, so that
+the (n_paths, points) float matrix stays below numpy's size limit; a size
+within it that does not fit in memory exits 2 as well.
+
 Exit codes: 0 success, 1 I/O failure, 2 inadmissible or otherwise unusable
 configuration, 3 verification below threshold.
 """
@@ -47,7 +51,9 @@ from .errors import DilastabError
 from .integrator import TimeGrid
 from .processes import TRANSFORMS, DilationParams, pull_back
 
-__all__ = ["main", "cmd_simulate", "cmd_verify", "cmd_oracle"]
+__all__ = ["MAX_COUNT", "main", "cmd_simulate", "cmd_verify", "cmd_oracle"]
+
+MAX_COUNT = 10**9
 
 _DEFAULT_CONFIG = {
     "driver": {"kind": "gaussian", "variance": 1.0, "drift": 0.0},
@@ -160,6 +166,10 @@ def _load_config(args):
         raise ValueError(f"unknown spacing {config.spacing!r}")
     if config.n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {config.n_paths}")
+    for key in ("n_paths", "points"):
+        # checked before anything is allocated: numpy's own error names no key
+        if getattr(config, key) > MAX_COUNT:
+            raise ValueError(f"{key} must be at most {MAX_COUNT}")
     return config
 
 
@@ -432,6 +442,10 @@ def main(argv=None):
     except (FloatingPointError, OverflowError) as exc:
         # numpy's error under the errstate above, or a float power's or math's
         print(f"error: this configuration leaves the float range ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: not enough memory for this configuration{detail}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -113,11 +113,14 @@ class LevyDriver(_Parameters):
     """A Levy driver: its unit-time exponent, exact increments and moments.
 
     Each driver defines _exponent(th), the Levy exponent at a float array
-    th; draw(dts, rng), its increments over a 1-d array of durations, with
-    the variates listed in sample_increments; mean_rate() = E L(1); and
-    variance_rate() = Var L(1), possibly infinite.  max_moment_order(), the
-    supremum of the finite absolute moment orders of L(1), is infinite
-    unless the driver says otherwise.
+    th; cells(dts), the tuple of per-cell arrays its law takes from an array
+    of durations (a location and a scale, a Poisson mean, a gamma shape);
+    draw(cells, rng), its increments over those cells, with the variates
+    listed in sample_increments; mean_rate() = E L(1); and variance_rate() =
+    Var L(1), possibly infinite.  cells depends on the durations alone, so
+    every path of a plan shares it; draw neither keeps nor writes it.
+    max_moment_order(), the supremum of the finite absolute moment orders of
+    L(1), is infinite unless the driver says otherwise.
     """
 
     def levy_exponent(self, theta):
@@ -145,8 +148,12 @@ class GaussianDriver(LevyDriver):
     def _exponent(self, th):
         return 1j * self.drift * th - 0.5 * self.variance * th**2
 
-    def draw(self, dts, rng):
-        return self.drift * dts + np.sqrt(self.variance * dts) * rng.standard_normal(dts.shape)
+    def cells(self, dts):
+        return self.drift * dts, np.sqrt(self.variance * dts)
+
+    def draw(self, cells, rng):
+        loc, scale = cells
+        return loc + scale * rng.standard_normal(loc.shape)
 
     def mean_rate(self):
         return self.drift
@@ -173,20 +180,26 @@ class SymmetricStableDriver(LevyDriver):
     def _exponent(self, th):
         return (-self.scale * np.abs(th) ** self.index).astype(complex)
 
-    def draw(self, dts, rng):
+    def cells(self, dts):
+        if self.index == 2.0:
+            return (np.sqrt(2.0 * self.scale * dts),)
+        return ((self.scale * dts) ** (1.0 / self.index),)
+
+    def draw(self, cells, rng):
+        (scale,) = cells
         p = self.index
         if p == 2.0:
             # 0.0 + keeps rng.normal(0.0, scale)'s +0.0 where the product is -0.0
-            return 0.0 + np.sqrt(2.0 * self.scale * dts) * rng.standard_normal(dts.shape)
+            return 0.0 + scale * rng.standard_normal(scale.shape)
         # Chambers-Mallows-Stuck in the symmetric case; CF is exp(-|theta|**p)
-        u = rng.uniform(-math.pi / 2, math.pi / 2, dts.shape)
-        w = rng.standard_exponential(dts.shape)
+        u = rng.uniform(-math.pi / 2, math.pi / 2, scale.shape)
+        w = rng.standard_exponential(scale.shape)
         if p == 1.0:
             draws = np.tan(u)
         else:
             pu = p * u
             draws = np.sin(pu) / np.cos(u) ** (1.0 / p) * (np.cos(u - pu) / w) ** ((1.0 - p) / p)
-        return (self.scale * dts) ** (1.0 / p) * draws
+        return scale * draws
 
     def mean_rate(self):
         # the centre is 0 by symmetry
@@ -225,8 +238,12 @@ class CompoundPoissonDriver(LevyDriver):
     def _exponent(self, th):
         return self.rate * (self.jumps.cf(th) - 1.0)
 
-    def draw(self, dts, rng):
-        return self.jumps.draw_sums(rng.poisson(self.rate * dts), rng)
+    def cells(self, dts):
+        return (self.rate * dts,)
+
+    def draw(self, cells, rng):
+        (lam,) = cells
+        return self.jumps.draw_sums(rng.poisson(lam), rng)
 
     def mean_rate(self):
         return self.rate * self.jumps.mean
@@ -251,8 +268,12 @@ class GammaDriver(LevyDriver):
     def _exponent(self, th):
         return -self.shape * np.log(1.0 - 1j * th / self.rate)
 
-    def draw(self, dts, rng):
-        return rng.standard_gamma(self.shape * dts) * (1.0 / self.rate)
+    def cells(self, dts):
+        return (self.shape * dts,)
+
+    def draw(self, cells, rng):
+        (shape,) = cells
+        return rng.standard_gamma(shape) * (1.0 / self.rate)
 
     def mean_rate(self):
         return self.shape / self.rate
@@ -267,14 +288,25 @@ DRIVER_KINDS = {
 }
 
 
+# (driver, durations' shape, durations' bytes, cells) of the most recent
+# call, read and replaced as one tuple: concurrent callers at worst compute
+# the cells twice
+_last = (None, None, None, None)
+
+
 def sample_increments(spec, durations, rng):
     """Draw independent increments of L over intervals of the given lengths.
 
-    Vectorised over durations; a duration of 0 yields exactly 0.0.  Each
-    driver draws one standard variate of each kind per duration (cell), all
-    k cells of a kind at once, and maps them with the float operations of
-    numpy's own location-scale samplers.  The variates drawn, and their
-    order, therefore fix the output bytes for a seed:
+    Vectorised over durations; a duration of 0 yields exactly 0.0.  The
+    driver's cells(durations) -- the per-cell constants of its law, the same
+    for every path of a plan -- are remembered for the last (driver,
+    durations) pair: a call with the same driver object and durations of the
+    same shape and bytes reuses them, read-only, and skips the check for
+    negative durations that they passed.  Each driver then draws one
+    standard variate of each kind per duration (cell), all k cells of a kind
+    at once, and maps them with the float operations of numpy's own
+    location-scale samplers.  The variates drawn, and their order, therefore
+    fix the output bytes for a seed:
 
     ===========================  =============================================
     driver                       variates, in order
@@ -288,12 +320,19 @@ def sample_increments(spec, durations, rng):
     gamma                        k standard gammas of shape shape * duration
     ===========================  =============================================
     """
+    global _last
     dts = np.asarray(durations, dtype=float)
-    if (dts < 0).any():
-        raise ValueError("durations must be >= 0")
-    if dts.ndim == 0:
-        return float(spec.draw(dts.reshape(1), rng)[0])
-    return spec.draw(dts, rng)
+    key = dts.tobytes()
+    last_spec, shape, last_key, cells = _last
+    if last_spec is not spec or shape != dts.shape or last_key != key:
+        if (dts < 0).any():
+            raise ValueError("durations must be >= 0")
+        cells = spec.cells(dts.reshape(1) if dts.ndim == 0 else dts)
+        for array in cells:
+            array.flags.writeable = False
+        _last = (spec, dts.shape, key, cells)
+    out = spec.draw(cells, rng)
+    return float(out[0]) if dts.ndim == 0 else out
 
 
 def sample_two_sided(spec, grid, rng):

@@ -101,9 +101,12 @@ def _truncation_point(spec, params, tail_tol):
 
     with q = tau'(0) = delta/(e^delta - 1).  For drivers with both a mean and
     a variance the tolerance budget is split evenly between the two in the
-    second-moment sense.  Returns None when the driver is deterministic zero.
+    second-moment sense.  Returns None when the driver is deterministic zero,
+    and nan when q leaves the float range.
     """
     q = tau_density(params.delta, 0.0)
+    if not 0 < q < math.inf:
+        return math.nan
     h, d = params.hurst, params.delta
     if isinstance(spec, SymmetricStableDriver) and spec.index < 2.0:
         p = spec.index
@@ -165,8 +168,8 @@ class SimulationPlan:
     def run(self, rng):
         increments = sample_increments(self.spec, self.durations, rng)
         if self.weights is None:
-            return np.cumsum(increments)
-        values = np.cumsum(self.weights * increments)[self._take]
+            return increments.cumsum()
+        values = (self.weights * increments).cumsum()[self._take]
         if self._at_start:
             return np.concatenate([[0.0], values])
         return values
@@ -189,22 +192,35 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
     if not 0 < tail_tol < math.inf:
         raise ValueError(f"tail_tol must be a finite number > 0, got {tail_tol!r}")
     u_out = np.asarray(log_out_times, dtype=float)
-    if verdict.status == DEGENERATE_EQUAL:
-        # X_t = L(t**delta / (e**delta - 1)) exactly; sample L at those times.
-        clock = np.exp(params.delta * u_out) / math.expm1(params.delta)
-        durations = np.diff(np.concatenate([[0.0], clock]))
-        return SimulationPlan(spec, params, durations, None, None)
-    try:
-        bound = _truncation_point(spec, params, tail_tol)
-    except (ValueError, OverflowError):
-        # the tolerance's power under- or overflowed, and its log with it
+    # inf and nan are looked for below, whatever the caller's errstate
+    with np.errstate(all="ignore"):
+        if verdict.status == DEGENERATE_EQUAL:
+            # X_t = L(t**delta / (e**delta - 1)) exactly; sample L at those times.
+            u_min, weights, out_idx = u_out[0], None, None
+            try:
+                clock = np.exp(params.delta * u_out) / math.expm1(params.delta)
+            except OverflowError:  # e**delta itself
+                clock = np.array([math.inf])
+            durations = np.diff(np.concatenate([[0.0], clock]))
+        else:
+            try:
+                bound = _truncation_point(spec, params, tail_tol)
+            except (ValueError, OverflowError):
+                # the tolerance's power under- or overflowed, and its log with it
+                raise ValueError(
+                    f"tail_tol = {tail_tol!r} leaves no finite truncation point for this driver"
+                ) from None
+            u_min = u_out[0] if bound is None else min(bound, u_out[0])
+            grid, out_idx = _refined_log_grid(u_min, u_out, refine)
+            durations = np.maximum(np.diff(tau(params.delta, grid)), 0.0)
+            weights = np.exp(params.hurst * grid[:-1])
+    finite = np.isfinite(durations).all() and (weights is None or np.isfinite(weights).all())
+    if not (finite and math.isfinite(u_min)):
         raise ValueError(
-            f"tail_tol = {tail_tol!r} leaves no finite truncation point for this driver"
-        ) from None
-    u_min = u_out[0] if bound is None else min(bound, u_out[0])
-    grid, out_idx = _refined_log_grid(u_min, u_out, refine)
-    durations = np.maximum(np.diff(tau(params.delta, grid)), 0.0)
-    weights = np.exp(params.hurst * grid[:-1])
+            f"alpha = {params.alpha!r} and delta = {params.delta!r} take the weights "
+            f"e^(u H) or the clock tau(delta, u) out of the float range for log times "
+            f"u in [{u_min:.6g}, {u_out[-1]:.6g}]"
+        )
     return SimulationPlan(spec, params, durations, weights, out_idx)
 
 
@@ -363,10 +379,10 @@ TRANSFORMS = {
 }
 
 def _transform(name):
-    try:
-        return TRANSFORMS[name]
-    except KeyError:
-        raise ValueError(f"unknown transform {name!r}") from None
+    step = TRANSFORMS.get(name) if isinstance(name, str) else None
+    if step is None:
+        raise ValueError(f"unknown transform {name!r}")
+    return step
 
 
 def apply_transforms(path, params, transforms):

@@ -460,6 +460,44 @@ def test_malformed_config_exit_2(capsys, tmp_path, content, words):
 
 
 @pytest.mark.parametrize(
+    "argv, content, key",
+    [
+        ((), '{"n_paths": 1e308}', "n_paths"),
+        ((), '{"grid": {"points": 1e308}}', "points"),
+        (("--n-paths", str(cli.MAX_COUNT + 1)), None, "n_paths"),
+        (("--points", str(10**400)), None, "points"),
+    ],
+)
+def test_oversized_counts_exit_2_before_allocating(
+    capsys, tmp_path, monkeypatch, argv, content, key
+):
+    def allocate(*args, **kwargs):
+        raise AssertionError("an oversized count reached the allocation")
+
+    monkeypatch.setattr(cli, "_ensemble_config", allocate)
+    monkeypatch.setattr(cli, "simulate_ensemble", allocate)
+    if content is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(content)
+        argv = (*argv, "--config", str(cfg))
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert out == ""
+    assert_one_error_line(code, err, f"{key} must be at most {cli.MAX_COUNT}")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 29.8 GiB for an array", ""])
+def test_out_of_memory_exit_2(capsys, monkeypatch, message):
+    # the largest size allowed passes the check; its allocation is faked
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", allocate)
+    code, out, err = run_cli(capsys, "simulate", "--n-paths", str(cli.MAX_COUNT))
+    assert out == ""
+    assert_one_error_line(code, err, "not enough memory", message)
+
+
+@pytest.mark.parametrize(
     "content, key",
     [
         ('{"master_seed": 1.5}', "master_seed"),
@@ -871,20 +909,23 @@ def test_verify_law_out_of_float_range_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, words",
     [
-        ("simulate", *SMALL, "--alpha", "1e308"),
-        ("simulate", *SMALL, "--refine", "1e308"),
-        ("verify", "--law", "dilative", "--T", "2", "--times", "1", "--thetas", "1e308")
-        + ("--n-paths", "30"),
+        (("simulate", *SMALL, "--alpha", "1e308"), ("alpha = 1e+308", "delta = 1.0")),
+        (("simulate", *SMALL, "--refine", "1e308"), ()),
+        (
+            ("verify", "--law", "dilative", "--T", "2", "--times", "1", "--thetas", "1e308")
+            + ("--n-paths", "30"),
+            (),
+        ),
     ],
     ids=["weight-overflow", "cell-count-overflow", "projection-overflow"],
 )
-def test_float_overflow_exit_2(capsys, argv):
+def test_float_overflow_exit_2(capsys, argv, words):
     # numpy would warn on stderr and write inf, or Python raise OverflowError
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
-    assert_one_error_line(code, err, "float range")
+    assert_one_error_line(code, err, "float range", *words)
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,112 @@ def test_standard_variates_map_like_numpy_samplers(spec):
     assert got.tobytes() == want.tobytes()
 
 
+def per_path_increments(spec, dts, rng):
+    """The increments as each path drew them before cells were shared: every
+    per-cell constant recomputed from the durations, with the same float
+    operations and variates as the driver's cells and draw."""
+    if isinstance(spec, GaussianDriver):
+        return spec.drift * dts + np.sqrt(spec.variance * dts) * rng.standard_normal(dts.shape)
+    if isinstance(spec, SymmetricStableDriver):
+        p = spec.index
+        if p == 2.0:
+            return 0.0 + np.sqrt(2.0 * spec.scale * dts) * rng.standard_normal(dts.shape)
+        u = rng.uniform(-math.pi / 2, math.pi / 2, dts.shape)
+        w = rng.standard_exponential(dts.shape)
+        if p == 1.0:
+            draws = np.tan(u)
+        else:
+            pu = p * u
+            draws = np.sin(pu) / np.cos(u) ** (1.0 / p) * (np.cos(u - pu) / w) ** ((1.0 - p) / p)
+        return (spec.scale * dts) ** (1.0 / p) * draws
+    if isinstance(spec, CompoundPoissonDriver):
+        counts = rng.poisson(spec.rate * dts)
+        jumps = spec.jumps
+        if isinstance(jumps, GaussianJumps):
+            scale = np.sqrt(counts * jumps.variance)
+            return counts * jumps.mean + scale * rng.standard_normal(counts.shape)
+        return jumps.magnitude * (2.0 * rng.binomial(counts, 0.5) - counts)
+    return rng.standard_gamma(spec.shape * dts) * (1.0 / spec.rate)
+
+
+@pytest.mark.parametrize("spec", ALL_DRIVERS, ids=lambda s: type(s).__name__ + repr(s))
+def test_shared_cells_draw_like_the_per_path_formulas(spec):
+    # every driver and jump kind, on the call that computes the cells and on
+    # the calls that reuse them
+    dts = np.array([0.0, 0.1, 2.5, 0.0, 1e-9, 7.0] * 50)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(3):
+        got = sample_increments(spec, dts, rng)
+        assert got.tobytes() == per_path_increments(spec, dts, ref).tobytes()
+
+
+@pytest.fixture
+def cells_made(monkeypatch):
+    """The cells each driver computes, in order, while the test runs."""
+    made = []
+    for driver in DRIVER_KINDS.values():
+
+        def counted(self, dts, cells=driver.cells):
+            made.append(cells(self, dts))
+            return made[-1]
+
+        monkeypatch.setattr(driver, "cells", counted)
+    return made
+
+
+def test_cells_are_remembered_per_driver_and_durations(cells_made):
+    dts = np.array([0.1, 0.2, 0.3])
+    a, b = GaussianDriver(1.0, 0.0), GaussianDriver(4.0, 0.5)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+
+    def check(spec, durations):
+        got = sample_increments(spec, durations, rng)
+        assert got.tobytes() == per_path_increments(spec, durations, ref).tobytes()
+
+    # the same bytes under two drivers: each driver gets its own cells
+    check(a, dts)
+    check(b, dts)
+    assert len(cells_made) == 2
+    # two equal arrays under one driver: the second reuses the cells
+    check(b, dts.copy())
+    assert len(cells_made) == 2
+    # an array mutated in place between calls is a new key
+    dts[1] = 0.7
+    check(b, dts)
+    assert len(cells_made) == 3
+    # the same bytes in another shape, or as a scalar, are new keys too
+    zeros = np.zeros(6)
+    assert sample_increments(b, zeros, rng).shape == (6,)
+    assert sample_increments(b, zeros.reshape(2, 3), rng).shape == (2, 3)
+    assert isinstance(sample_increments(b, 0.3, rng), float)
+    assert sample_increments(b, np.array([0.3]), rng).shape == (1,)
+    assert len(cells_made) == 7
+
+
+def test_negative_duration_rejected_after_a_hit(cells_made):
+    spec = GaussianDriver()
+    dts = np.array([0.1, 0.2])
+    rng = np.random.default_rng(0)
+    sample_increments(spec, dts, rng)
+    sample_increments(spec, dts, rng)
+    assert len(cells_made) == 1
+    with pytest.raises(ValueError, match="durations must be >= 0"):
+        sample_increments(spec, np.array([0.1, -0.2]), rng)
+    dts[0] = -0.1
+    with pytest.raises(ValueError, match="durations must be >= 0"):
+        sample_increments(spec, dts, rng)
+
+
+def test_remembered_cells_are_read_only(cells_made):
+    for spec in ALL_DRIVERS:
+        sample_increments(spec, np.array([0.1, 0.2]), np.random.default_rng(0))
+    assert len(cells_made) == len(ALL_DRIVERS)
+    for cells in cells_made:
+        for array in cells:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
 def test_zero_duration_is_zero():
     rng = np.random.default_rng(0)
     for spec in ALL_DRIVERS:

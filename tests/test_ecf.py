@@ -334,8 +334,12 @@ def test_ensemble_config_coercion():
     cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0), transforms=["lamperti"])
     assert isinstance(cfg.out_times, TimeGrid)
     assert cfg.transforms == ("lamperti",)
-    with pytest.raises(ValueError):
-        EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0), transforms=("spin",))
+    # a name that is not a string is unknown too, not an unhashable key
+    for name in ("spin", [1], 1, None):
+        with pytest.raises(ValueError, match=r"^unknown transform"):
+            EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0), transforms=[name])
+        with pytest.raises(ValueError, match=r"^unknown transform"):
+            apply_transforms(SamplePath(cfg.out_times, [1.0, 2.0]), UNIT, [name])
 
 
 def test_simulate_ensemble_reproducible():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,28 @@ def test_plan_rejects_bad_inputs():
         plan_dilative(GaussianDriver(), UNIT, log_out, refine=0.5)
     with pytest.raises(ValueError):
         plan_dilative(GaussianDriver(), UNIT, log_out, tail_tol=0.0)
+
+
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize(
+    "alpha, delta, t_max",
+    [
+        (1e308, 1.0, 2.0),  # the weights and the truncation point
+        (1e5, 800.0, 2.0),  # the clock
+        (400.0, 800.0, 2.0),  # the clock of the alpha = delta/2 branch
+        (2.0, 1.0, 1e300),  # the weights at a late time
+    ],
+)
+def test_plan_names_what_leaves_the_float_range(errstate, alpha, delta, t_max):
+    # a one-line error naming alpha and delta, whatever the caller's errstate,
+    # instead of numpy's FloatingPointError or warning and an inf in the plan
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as exc:
+            plan_dilative(GaussianDriver(), DilationParams(alpha, delta), np.log([0.5, t_max]))
+    message = str(exc.value)
+    assert f"alpha = {alpha!r}" in message and f"delta = {delta!r}" in message
+    assert f"{math.log(t_max):.6g}]" in message
 
 
 def test_degenerate_plan_has_no_weights():
