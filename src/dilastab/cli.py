@@ -16,9 +16,10 @@ numbers are emitted with shortest round-trip formatting, so equal inputs
 produce byte-identical outputs.  --threads is accepted and ignored, for the
 reason simulate_ensemble gives.
 
-n_paths and the grid's points are at most MAX_COUNT = 10**9 each, so that
-the (n_paths, points) float matrix stays below numpy's size limit; a size
-within it that does not fit in memory exits 2 as well.
+n_paths, the grid's points and the cells of the refined log-time grid are
+at most processes.MAX_COUNT = 10**9 each, so that no float array the run
+allocates reaches numpy's size limit; a size within it that does not fit in
+memory exits 2 as well.
 
 Exit codes: 0 success, 1 I/O failure, 2 inadmissible or otherwise unusable
 configuration, 3 verification below threshold.
@@ -49,11 +50,9 @@ from .ecf import (
 )
 from .errors import DilastabError
 from .integrator import TimeGrid
-from .processes import TRANSFORMS, DilationParams, pull_back
+from .processes import MAX_COUNT, TRANSFORMS, DilationParams, pull_back
 
 __all__ = ["MAX_COUNT", "main", "cmd_simulate", "cmd_verify", "cmd_oracle"]
-
-MAX_COUNT = 10**9
 
 _DEFAULT_CONFIG = {
     "driver": {"kind": "gaussian", "variance": 1.0, "drift": 0.0},

@@ -113,20 +113,27 @@ class LevyDriver(_Parameters):
     """A Levy driver: its unit-time exponent, exact increments and moments.
 
     Each driver defines _exponent(th), the Levy exponent at a float array
-    th; cells(dts), the tuple of per-cell arrays its law takes from an array
-    of durations (a location and a scale, a Poisson mean, a gamma shape);
-    draw(cells, rng), its increments over those cells, with the variates
-    listed in sample_increments; mean_rate() = E L(1); and variance_rate() =
-    Var L(1), possibly infinite.  cells depends on the durations alone, so
-    every path of a plan shares it; draw neither keeps nor writes it.
-    max_moment_order(), the supremum of the finite absolute moment orders of
-    L(1), is infinite unless the driver says otherwise.
+    th; _cells(dts), the tuple of per-cell arrays its law takes from an
+    array of durations (a location and a scale, a Poisson mean, a gamma
+    shape); draw(cells, rng), its increments over those cells, with the
+    variates listed in sample_increments; mean_rate() = E L(1); and
+    variance_rate() = Var L(1), possibly infinite.  The cells depend on the
+    durations alone, so a SimulationPlan computes them once for all its
+    paths; draw neither keeps nor writes them.  max_moment_order(), the
+    supremum of the finite absolute moment orders of L(1), is infinite
+    unless the driver says otherwise.
     """
 
     def levy_exponent(self, theta):
         """Log-characteristic function of L(1) at theta (scalar or array)."""
         out = self._exponent(np.asarray(theta, dtype=float))
         return complex(out) if np.ndim(theta) == 0 else out
+
+    def cells(self, dts):
+        """The per-cell constants of the law over an array of durations >= 0."""
+        if (dts < 0).any():
+            raise ValueError("durations must be >= 0")
+        return self._cells(dts)
 
     def max_moment_order(self):
         return math.inf
@@ -148,7 +155,7 @@ class GaussianDriver(LevyDriver):
     def _exponent(self, th):
         return 1j * self.drift * th - 0.5 * self.variance * th**2
 
-    def cells(self, dts):
+    def _cells(self, dts):
         return self.drift * dts, np.sqrt(self.variance * dts)
 
     def draw(self, cells, rng):
@@ -180,7 +187,7 @@ class SymmetricStableDriver(LevyDriver):
     def _exponent(self, th):
         return (-self.scale * np.abs(th) ** self.index).astype(complex)
 
-    def cells(self, dts):
+    def _cells(self, dts):
         if self.index == 2.0:
             return (np.sqrt(2.0 * self.scale * dts),)
         return ((self.scale * dts) ** (1.0 / self.index),)
@@ -238,7 +245,7 @@ class CompoundPoissonDriver(LevyDriver):
     def _exponent(self, th):
         return self.rate * (self.jumps.cf(th) - 1.0)
 
-    def cells(self, dts):
+    def _cells(self, dts):
         return (self.rate * dts,)
 
     def draw(self, cells, rng):
@@ -268,7 +275,7 @@ class GammaDriver(LevyDriver):
     def _exponent(self, th):
         return -self.shape * np.log(1.0 - 1j * th / self.rate)
 
-    def cells(self, dts):
+    def _cells(self, dts):
         return (self.shape * dts,)
 
     def draw(self, cells, rng):
@@ -288,25 +295,17 @@ DRIVER_KINDS = {
 }
 
 
-# (driver, durations' shape, durations' bytes, cells) of the most recent
-# call, read and replaced as one tuple: concurrent callers at worst compute
-# the cells twice
-_last = (None, None, None, None)
-
-
-def sample_increments(spec, durations, rng):
+def sample_increments(spec, durations, rng, cells=None):
     """Draw independent increments of L over intervals of the given lengths.
 
-    Vectorised over durations; a duration of 0 yields exactly 0.0.  The
-    driver's cells(durations) -- the per-cell constants of its law, the same
-    for every path of a plan -- are remembered for the last (driver,
-    durations) pair: a call with the same driver object and durations of the
-    same shape and bytes reuses them, read-only, and skips the check for
-    negative durations that they passed.  Each driver then draws one
-    standard variate of each kind per duration (cell), all k cells of a kind
-    at once, and maps them with the float operations of numpy's own
-    location-scale samplers.  The variates drawn, and their order, therefore
-    fix the output bytes for a seed:
+    Vectorised over durations; a duration of 0 yields exactly 0.0.  cells
+    are the driver's per-cell constants spec.cells(durations), computed here
+    when not given: a SimulationPlan computes them once and passes them to
+    every path, since they depend on the durations alone.  Each driver then
+    draws one standard variate of each kind per duration (cell), all k cells
+    of a kind at once, and maps them with the float operations of numpy's
+    own location-scale samplers.  The variates drawn, and their order,
+    therefore fix the output bytes for a seed:
 
     ===========================  =============================================
     driver                       variates, in order
@@ -320,17 +319,9 @@ def sample_increments(spec, durations, rng):
     gamma                        k standard gammas of shape shape * duration
     ===========================  =============================================
     """
-    global _last
     dts = np.asarray(durations, dtype=float)
-    key = dts.tobytes()
-    last_spec, shape, last_key, cells = _last
-    if last_spec is not spec or shape != dts.shape or last_key != key:
-        if (dts < 0).any():
-            raise ValueError("durations must be >= 0")
+    if cells is None:
         cells = spec.cells(dts.reshape(1) if dts.ndim == 0 else dts)
-        for array in cells:
-            array.flags.writeable = False
-        _last = (spec, dts.shape, key, cells)
     out = spec.draw(cells, rng)
     return float(out[0]) if dts.ndim == 0 else out
 

@@ -146,12 +146,12 @@ def simulate_ensemble(config, n_paths, master_seed):
     np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,))),
     whose PCG64 seeds derive_rng computes for 1024 consecutive paths in one
     numpy pass.  Every path draws over the plan's one set of driver cells,
-    computed by the first path's sample_increments call.  The draws are
-    Python-bound and hold the interpreter lock, so they run serially: on a
-    2-core machine (Python 3.11, numpy 2.4.6), 4000 Gaussian paths of 78
-    cells took 35 ms, about 9 us per path, and 1000 gamma paths of 620
-    cells (refine 64) 42 ms; one pool task per path on 2 threads had made
-    the gamma case about 4 times slower.
+    computed when the plan is built.  The draws are Python-bound and hold
+    the interpreter lock, so they run serially: on a 2-core machine (Python
+    3.11, numpy 2.4.6), 4000 Gaussian paths of 84 cells took 54 ms, about
+    13 us per path, and 1000 gamma paths of 710 cells (refine 64) 51 ms;
+    one pool task per path on 2 threads had made the gamma case about 4
+    times slower.
     """
     pts = config.out_times.points
     if pts[0] <= 0:

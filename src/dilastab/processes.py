@@ -56,6 +56,7 @@ from .timechange import tau, tau_density
 from .validation import DEGENERATE_EQUAL, admissibility
 
 __all__ = [
+    "MAX_COUNT",
     "DilationParams",
     "SimulationPlan",
     "plan_dilative",
@@ -69,6 +70,11 @@ __all__ = [
     "apply_transforms",
     "pull_back",
 ]
+
+
+# the most paths, output times or plan cells one run may ask for: an
+# (n_paths, points) float matrix of that size stays below numpy's size limit
+MAX_COUNT = 10**9
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,14 @@ class DilationParams:
     def ou_rate(self):
         """Rate lambda = delta/2 - alpha of the OU-type transform; equals -hurst."""
         return self.delta / 2.0 - self.alpha
+
+
+def _log_over(numerator, moment, q):
+    """log(numerator / (moment * q)), taken in pieces when moment * q underflows to 0."""
+    denominator = moment * q
+    if denominator == 0:
+        return math.log(numerator) - math.log(moment) - math.log(q)
+    return math.log(numerator / denominator)
 
 
 def _truncation_point(spec, params, tail_tol):
@@ -112,63 +126,55 @@ def _truncation_point(spec, params, tail_tol):
         p = spec.index
         # admissible parameter regimes force p*H + delta > 0
         rate = p * h + d
-        return math.log(tail_tol**p * rate / (spec.scale * q)) / rate
+        return _log_over(tail_tol**p * rate, spec.scale, q) / rate
     m1 = spec.mean_rate()
     m2 = spec.variance_rate()
     bounds = []
     if m2 > 0:
         rate = 2.0 * params.alpha
-        bounds.append(math.log(0.5 * tail_tol**2 * rate / (m2 * q)) / rate)
+        bounds.append(_log_over(0.5 * tail_tol**2 * rate, m2, q) / rate)
     if m1 != 0:
         rate = h + d
-        bounds.append(math.log(tail_tol / math.sqrt(2.0) * rate / (abs(m1) * q)) / rate)
+        bounds.append(_log_over(tail_tol / math.sqrt(2.0) * rate, abs(m1), q) / rate)
     if not bounds:
         return None
     return min(bounds)
 
 
-def _refined_log_grid(u_min, u_out, refine):
-    """Log-time grid from u_min to max(u_out): uniform refinement with the
-    output points inserted exactly.  Returns (grid, indices of u_out)."""
-    knots = list(u_out)
-    if u_min < knots[0]:
-        knots = [u_min] + knots
-    segments = []
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        n = max(1, math.ceil((hi - lo) * refine))
-        segments.append(np.linspace(lo, hi, n + 1)[:-1])
-    segments.append(np.array([knots[-1]]))
-    grid = np.concatenate(segments)
-    out_idx = np.searchsorted(grid, u_out)
-    return grid, out_idx
+def _refined_log_grid(knots, counts):
+    """Log-time grid through the knots, with counts[i] uniform cells between
+    knots i and i + 1."""
+    segments = [
+        np.linspace(lo, hi, n + 1)[:-1] for lo, hi, n in zip(knots[:-1], knots[1:], counts)
+    ]
+    return np.concatenate(segments + [knots[-1:]])
 
 
 @dataclass(eq=False)
 class SimulationPlan:
-    """Precomputed discretisation for repeated path draws.
+    """Precomputed discretisation shared by every path of an ensemble.
 
-    run(rng) returns the process values at the requested output times; every
-    call consumes the generator identically, so path n of an ensemble is
-    reproducible from its derived stream alone.
+    X at output time j sums weights[i] times the driver's increment over the
+    clock increment durations[i] for the cells i < out_index[j].  The
+    driver's per-cell constants spec.cells(durations) are computed once, when
+    the plan is built.  Every run(rng) consumes the generator identically, so
+    path n of an ensemble is reproducible from its derived stream alone.
     """
 
     spec: object
-    params: DilationParams
     durations: np.ndarray  # clock increments fed to the driver sampler
-    weights: np.ndarray | None  # e^(u H) left-endpoint weights; None -> direct L
-    out_index: np.ndarray | None  # grid positions of the output times
+    weights: np.ndarray  # e^(u H) left-endpoint weights
+    out_index: np.ndarray  # grid positions of the output times
 
     def __post_init__(self):
-        if self.out_index is not None:
-            # grid point i > 0 is the (i-1)-th partial sum; an output time at
-            # the truncation point (i = 0) is X = 0 and is prepended in run
-            self._at_start = bool(self.out_index[0] == 0)
-            self._take = self.out_index[int(self._at_start) :] - 1
+        self.cells = self.spec.cells(self.durations)
+        # grid point i > 0 is the (i-1)-th partial sum; an output time at
+        # the truncation point (i = 0) is X = 0 and is prepended in run
+        self._at_start = bool(self.out_index[0] == 0)
+        self._take = self.out_index[int(self._at_start) :] - 1
 
     def run(self, rng):
-        increments = sample_increments(self.spec, self.durations, rng)
-        if self.weights is None:
-            return increments.cumsum()
+        increments = sample_increments(self.spec, self.durations, rng, self.cells)
         values = (self.weights * increments).cumsum()[self._take]
         if self._at_start:
             return np.concatenate([[0.0], values])
@@ -180,7 +186,8 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
 
     Checks admissibility (raising InadmissibleParams with the verdict), picks
     the truncation point from the driver's tail scale, and refines uniformly
-    in log time with at least `refine` steps per unit.
+    in log time with at least `refine` steps per unit; a grid of more than
+    MAX_COUNT cells raises ValueError before it is built.
     """
     verdict = admissibility(params, spec)
     if not verdict.admissible:
@@ -195,13 +202,15 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
     # inf and nan are looked for below, whatever the caller's errstate
     with np.errstate(all="ignore"):
         if verdict.status == DEGENERATE_EQUAL:
-            # X_t = L(t**delta / (e**delta - 1)) exactly; sample L at those times.
-            u_min, weights, out_idx = u_out[0], None, None
+            # X_t = L(t**delta / (e**delta - 1)) exactly: one cell of unit
+            # weight per output time, whose partial sums are L at the clock
+            u_min = u_out[0]
             try:
                 clock = np.exp(params.delta * u_out) / math.expm1(params.delta)
             except OverflowError:  # e**delta itself
                 clock = np.array([math.inf])
             durations = np.diff(np.concatenate([[0.0], clock]))
+            weights, out_idx = np.ones(durations.size), np.arange(1, durations.size + 1)
         else:
             try:
                 bound = _truncation_point(spec, params, tail_tol)
@@ -211,17 +220,31 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
                     f"tail_tol = {tail_tol!r} leaves no finite truncation point for this driver"
                 ) from None
             u_min = u_out[0] if bound is None else min(bound, u_out[0])
-            grid, out_idx = _refined_log_grid(u_min, u_out, refine)
+            # knots: u_min and the output times, each inserted exactly
+            knots = np.concatenate([[u_min], u_out]) if u_min < u_out[0] else u_out
+            counts = np.maximum(1.0, np.ceil(np.diff(knots) * refine))
+            n_cells = counts.sum()
+            # counted before anything is allocated: numpy's own error names no input
+            if not n_cells <= MAX_COUNT:
+                raise ValueError(
+                    f"alpha = {params.alpha!r}, delta = {params.delta!r}, "
+                    f"tail_tol = {tail_tol!r} and refine = {refine!r} ask for "
+                    f"{n_cells:.6g} grid cells from the truncation point "
+                    f"u = {u_min:.6g} to u = {u_out[-1]:.6g}; the count must lie in the "
+                    f"float range and be at most {MAX_COUNT}"
+                )
+            grid = _refined_log_grid(knots, counts.astype(int))
+            out_idx = np.searchsorted(grid, u_out)
             durations = np.maximum(np.diff(tau(params.delta, grid)), 0.0)
             weights = np.exp(params.hurst * grid[:-1])
-    finite = np.isfinite(durations).all() and (weights is None or np.isfinite(weights).all())
+    finite = np.isfinite(durations).all() and np.isfinite(weights).all()
     if not (finite and math.isfinite(u_min)):
         raise ValueError(
             f"alpha = {params.alpha!r} and delta = {params.delta!r} take the weights "
             f"e^(u H) or the clock tau(delta, u) out of the float range for log times "
             f"u in [{u_min:.6g}, {u_out[-1]:.6g}]"
         )
-    return SimulationPlan(spec, params, durations, weights, out_idx)
+    return SimulationPlan(spec, durations, weights, out_idx)
 
 
 def simulate_dilative(spec, params, out_times, rng, refine=8.0, tail_tol=1e-4):

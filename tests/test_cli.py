@@ -2,13 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dilastab import cli
+from dilastab import cli, processes
 from dilastab.cli import main
 
 
@@ -926,6 +927,40 @@ def test_float_overflow_exit_2(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
     assert_one_error_line(code, err, "float range", *words)
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("--alpha", "1e-300", "--delta", "0"), "2.83678e+303"),
+        (("--refine", "1e308"), "inf"),
+        (("--refine", "1e9"), "9.63283e+09"),
+    ],
+    ids=["far-truncation-point", "infinite-count", "count-over-bound"],
+)
+def test_oversized_refined_grid_exit_2(capsys, monkeypatch, argv, count):
+    def allocate(*args, **kwargs):
+        raise AssertionError("an oversized grid reached the allocation")
+
+    monkeypatch.setattr(processes, "_refined_log_grid", allocate)
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert out == ""
+    words = ("alpha = ", "delta = ", "tail_tol = ", "refine = ", "truncation point")
+    assert_one_error_line(code, err, *words, f"{count} grid cells", f"at most {cli.MAX_COUNT}")
+
+
+def test_underflowing_truncation_denominator_simulates(capsys):
+    # variance * tau'(0) underflows to 0 in the truncation point's log
+    code, out, err = run_cli(
+        capsys,
+        "simulate",
+        *("--points", "3", "--n-paths", "2", "--delta", "50", "--alpha", "30"),
+        *("--driver", '{"kind": "gaussian", "variance": 1e-310}'),
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 6
+    assert all(math.isfinite(float(value)) for _, _, value in rows)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from dilastab import (
     DRIVER_KINDS,
     JUMP_KINDS,
     CompoundPoissonDriver,
+    DilationParams,
     GammaDriver,
     GaussianDriver,
     GaussianJumps,
@@ -19,6 +20,7 @@ from dilastab import (
     TwoPointJumps,
     driver_from_dict,
     driver_to_dict,
+    plan_dilative,
     sample_increments,
     sample_two_sided,
 )
@@ -170,13 +172,15 @@ def per_path_increments(spec, dts, rng):
 
 @pytest.mark.parametrize("spec", ALL_DRIVERS, ids=lambda s: type(s).__name__ + repr(s))
 def test_shared_cells_draw_like_the_per_path_formulas(spec):
-    # every driver and jump kind, on the call that computes the cells and on
-    # the calls that reuse them
+    # every driver and jump kind, with the cells computed by the call and
+    # with one set of cells passed to every call, as a plan passes them
     dts = np.array([0.0, 0.1, 2.5, 0.0, 1e-9, 7.0] * 50)
-    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    rng, shared, ref = (np.random.default_rng(8) for _ in range(3))
+    cells = spec.cells(dts)
     for _ in range(3):
-        got = sample_increments(spec, dts, rng)
-        assert got.tobytes() == per_path_increments(spec, dts, ref).tobytes()
+        want = per_path_increments(spec, dts, ref).tobytes()
+        assert sample_increments(spec, dts, rng).tobytes() == want
+        assert sample_increments(spec, dts, shared, cells).tobytes() == want
 
 
 @pytest.fixture
@@ -193,7 +197,7 @@ def cells_made(monkeypatch):
     return made
 
 
-def test_cells_are_remembered_per_driver_and_durations(cells_made):
+def test_cells_follow_driver_and_durations(cells_made):
     dts = np.array([0.1, 0.2, 0.3])
     a, b = GaussianDriver(1.0, 0.0), GaussianDriver(4.0, 0.5)
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
@@ -202,33 +206,31 @@ def test_cells_are_remembered_per_driver_and_durations(cells_made):
         got = sample_increments(spec, durations, rng)
         assert got.tobytes() == per_path_increments(spec, durations, ref).tobytes()
 
-    # the same bytes under two drivers: each driver gets its own cells
+    # the same bytes under two drivers, an equal array, and an array mutated
+    # in place between calls: a call without cells computes its own
     check(a, dts)
     check(b, dts)
-    assert len(cells_made) == 2
-    # two equal arrays under one driver: the second reuses the cells
     check(b, dts.copy())
-    assert len(cells_made) == 2
-    # an array mutated in place between calls is a new key
     dts[1] = 0.7
     check(b, dts)
-    assert len(cells_made) == 3
-    # the same bytes in another shape, or as a scalar, are new keys too
+    assert len(cells_made) == 4
+    # other shapes and a scalar
     zeros = np.zeros(6)
     assert sample_increments(b, zeros, rng).shape == (6,)
     assert sample_increments(b, zeros.reshape(2, 3), rng).shape == (2, 3)
     assert isinstance(sample_increments(b, 0.3, rng), float)
     assert sample_increments(b, np.array([0.3]), rng).shape == (1,)
-    assert len(cells_made) == 7
+    assert len(cells_made) == 8
 
 
-def test_negative_duration_rejected_after_a_hit(cells_made):
+def test_negative_duration_rejected_after_a_hit():
+    # earlier calls over the same driver and valid durations, with and
+    # without cells, leave the check in place for the next call
     spec = GaussianDriver()
     dts = np.array([0.1, 0.2])
     rng = np.random.default_rng(0)
     sample_increments(spec, dts, rng)
-    sample_increments(spec, dts, rng)
-    assert len(cells_made) == 1
+    sample_increments(spec, dts, rng, spec.cells(dts))
     with pytest.raises(ValueError, match="durations must be >= 0"):
         sample_increments(spec, np.array([0.1, -0.2]), rng)
     dts[0] = -0.1
@@ -236,14 +238,15 @@ def test_negative_duration_rejected_after_a_hit(cells_made):
         sample_increments(spec, dts, rng)
 
 
-def test_remembered_cells_are_read_only(cells_made):
+def test_plan_computes_cells_once(cells_made):
+    # every driver's plan computes its cells when it is built; its runs only draw
+    rng = np.random.default_rng(6)
     for spec in ALL_DRIVERS:
-        sample_increments(spec, np.array([0.1, 0.2]), np.random.default_rng(0))
+        plan = plan_dilative(spec, DilationParams(1.0, 1.0), np.log([0.5, 1.0, 2.0]))
+        assert plan.cells is cells_made[-1]
+        for _ in range(100):
+            plan.run(rng)
     assert len(cells_made) == len(ALL_DRIVERS)
-    for cells in cells_made:
-        for array in cells:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
 
 
 def test_zero_duration_is_zero():

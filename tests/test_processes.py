@@ -15,6 +15,7 @@ from dilastab import (
     InadmissibleParams,
     NonPositiveTime,
     SamplePath,
+    SimulationPlan,
     SymmetricStableDriver,
     TimeGrid,
     apply_transforms,
@@ -23,11 +24,13 @@ from dilastab import (
     ou_from_integral,
     plan_dilative,
     rs_integral,
+    sample_increments,
     simulate_dilative,
     simulate_driving,
     tau,
 )
-from dilastab.processes import pull_back
+from dilastab.processes import _truncation_point, pull_back
+from dilastab.timechange import tau_density
 
 UNIT = DilationParams(1.0, 1.0)
 OUT = TimeGrid(np.array([0.5, 1.0, 2.0, 4.0]))
@@ -77,14 +80,40 @@ def test_plan_names_what_leaves_the_float_range(errstate, alpha, delta, t_max):
     assert f"{math.log(t_max):.6g}]" in message
 
 
-def test_degenerate_plan_has_no_weights():
+def test_degenerate_plan_has_one_cell_per_output():
     params = DilationParams(0.5, 1.0)
-    plan = plan_dilative(GaussianDriver(), params, np.log(OUT.points))
-    assert plan.weights is None
+    spec = GaussianDriver()
+    plan = plan_dilative(spec, params, np.log(OUT.points))
+    # one cell of unit weight per output time, each output the sum up to it
+    assert plan.durations.shape == plan.weights.shape == (len(OUT),)
+    assert plan.weights.tolist() == [1.0] * len(OUT)
+    assert plan.out_index.tolist() == list(range(1, len(OUT) + 1))
     # the increments are read straight off the clock at the output knots
-    rng = np.random.default_rng(0)
+    np.testing.assert_allclose(plan.durations.cumsum(), OUT.points / (math.e - 1.0), rtol=1e-14)
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
     vals = plan.run(rng)
     assert vals.shape == (len(OUT),)
+    assert vals.tobytes() == sample_increments(spec, plan.durations, ref).cumsum().tobytes()
+
+
+def test_plan_rejects_negative_durations():
+    with pytest.raises(ValueError, match="durations must be >= 0"):
+        SimulationPlan(GaussianDriver(), np.array([0.1, -0.2]), np.ones(2), np.arange(1, 3))
+
+
+def test_truncation_point_takes_an_underflowing_log_in_pieces():
+    q = tau_density(50.0, 0.0)
+    spec = GaussianDriver(variance=1e-310)
+    assert spec.variance * q == 0.0
+    # log(0.5 tol^2 * 2 alpha / (m2 q)) / (2 alpha), with the log of the
+    # product taken as the sum of its factors' logs
+    want = (math.log(0.5 * 1e-4**2 * 60.0) - math.log(1e-310) - math.log(q)) / 60.0
+    assert _truncation_point(spec, DilationParams(30.0, 50.0), 1e-4) == want
+    assert round(want, 2) == 12.41
+    # where the product is a normal float, the log of the quotient as before
+    q = tau_density(1.0, 0.0)
+    want = math.log(0.5 * 1e-4**2 * 2.0 / (1.0 * q)) / 2.0
+    assert _truncation_point(GaussianDriver(), UNIT, 1e-4) == want
 
 
 def test_degenerate_variance_matches_clock():
