@@ -30,14 +30,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from .drivers import driver_from_dict
+from .drivers import GaussianDriver, driver_from_dict
 from .ecf import (
     LAWS,
     EnsembleConfig,
@@ -54,17 +55,6 @@ from .processes import MAX_COUNT, TRANSFORMS, DilationParams, pull_back
 
 __all__ = ["MAX_COUNT", "main", "cmd_simulate", "cmd_verify", "cmd_oracle"]
 
-_DEFAULT_CONFIG = {
-    "driver": {"kind": "gaussian", "variance": 1.0, "drift": 0.0},
-    "alpha": 1.0,
-    "delta": 1.0,
-    "grid": {"t_min": 0.5, "t_max": 2.0, "points": 5, "spacing": "geometric"},
-    "n_paths": 1000,
-    "refine": 8.0,
-    "tail_tol": 1e-4,
-    "transforms": [],
-}
-
 _SPACINGS = {"linear": TimeGrid.linear, "geometric": TimeGrid.geometric}
 
 _LAW_KINDS = {law.kind: law for law in LAWS}
@@ -74,19 +64,85 @@ def _fmt(x):
     return repr(float(x))
 
 
-@dataclass
-class RunConfig:
-    driver: object
-    params: DilationParams
-    t_min: float
-    t_max: float
-    points: int
-    spacing: str
-    n_paths: int
-    master_seed: int
-    refine: float
-    tail_tol: float
-    transforms: tuple
+@dataclass(frozen=True)
+class Input:
+    """One command-line input: its flag and, if the config file may give it, its key.
+
+    key is the JSON key, "grid.points" for points under "grid".  kind is
+    float, int, str, bool (a switch), dict (the driver: an object, or its
+    JSON text), tuple (comma-separated finite numbers) or list (of names;
+    the flag repeats).  bound maps words of _BOUNDS to their limits.  help
+    is one text, or one per subcommand.
+    """
+
+    flag: str
+    kind: type = str
+    default: object = None
+    key: str | None = None
+    bound: dict = field(default_factory=dict)
+    help: str | dict | None = None
+    commands: tuple = ("simulate", "verify", "oracle")
+    required: bool = False
+    env: str | None = None
+
+    @property
+    def dest(self):
+        """The flag's argparse dest, and the run config's attribute."""
+        return self.flag[2:].replace("-", "_")
+
+
+_BOUNDS = {
+    "finite": lambda value, limit: math.isfinite(value),
+    "at least": operator.ge,
+    "at most": operator.le,
+    "one of": lambda value, names: value in names,
+}
+_FINITE = {"finite": None}
+_VERIFY = ("verify",)
+
+# Every input of every subcommand, in the order of the help.  The grid times
+# are checked here because the grid builders would make numpy warn on stderr
+# first; the counts before anything is allocated, because numpy's own error
+# names no key; the seed here, where an error can name its source.
+_INPUTS = (
+    Input("--config", help="JSON configuration file"),
+    Input("--driver", dict, GaussianDriver(), "driver", help="driver description as a JSON object"),
+    Input("--alpha", float, 1.0, "alpha"),
+    Input("--delta", float, 1.0, "delta"),
+    Input("--t-min", float, 0.5, "grid.t_min", _FINITE),
+    Input("--t-max", float, 2.0, "grid.t_max", _FINITE),
+    Input("--points", int, 5, "grid.points", {"at most": MAX_COUNT}),
+    Input("--spacing", str, "geometric", "grid.spacing", {"one of": tuple(_SPACINGS)}),
+    Input("--n-paths", int, 1000, "n_paths", {"at least": 1, "at most": MAX_COUNT}),
+    Input("--seed", int, 0, "master_seed", {"at least": 0}, env="DILASTAB_SEED",
+          help="master seed (else DILASTAB_SEED, else 0)"),
+    Input("--refine", float, 8.0, "refine"),
+    Input("--tail-tol", float, 1e-4, "tail_tol"),
+    Input("--transform", list, (), "transforms", {"one of": tuple(TRANSFORMS)},
+          help="transform chain entry; repeat for a chain"),
+    Input("--threads", int, 1, help="accepted and ignored"),
+    Input("--output", help="output file (default stdout)"),
+    Input("--include-origin", bool, False, commands=("simulate",),
+          help="prepend the t=0, value 0 row to every path"),
+    Input("--law", bound={"one of": tuple(_LAW_KINDS)}, commands=_VERIFY, required=True),
+    Input("--T", float, bound=_FINITE, commands=_VERIFY,
+          help="dilation factor / time shift for the law"),
+    Input("--n", float, bound=_FINITE, commands=_VERIFY,
+          help="multiplier for time_stable / idt laws"),
+    Input("--law-alpha", float, bound=_FINITE, commands=_VERIFY,
+          help="alpha assumed by the checker (defaults to the simulation alpha)"),
+    Input("--law-delta", float, bound=_FINITE, commands=_VERIFY,
+          help="delta assumed by the checker; alone it shifts only the law "
+          "multiplier (defaults to the simulation delta)"),
+    Input("--times", tuple, commands=("verify", "oracle"),
+          help={"verify": "comma-separated base test times", "oracle": "comma-separated times"}),
+    Input("--thetas", tuple, commands=("verify", "oracle"),
+          help={"verify": "comma-separated base test thetas", "oracle": "comma-separated thetas"}),
+    Input("--pair", list, (), commands=_VERIFY,
+          help="two-dimensional test point as t1,t2,theta1,theta2; repeatable"),
+    Input("--threshold", float, 0.99, bound=_FINITE, commands=_VERIFY),
+    Input("--r-steps", int, 16, commands=_VERIFY),
+)
 
 
 def _json_object(what, value):
@@ -110,70 +166,73 @@ def _number(kind, key, value):
         raise ValueError(f"{key} must be a number ({kind.__name__}), got {value!r:.60}") from None
 
 
+def _read(kind, name, value):
+    """value as an input of this kind, or a ValueError naming name."""
+    if kind is dict:
+        if isinstance(value, str):
+            try:
+                value = json.loads(value)
+            except json.JSONDecodeError:
+                raise ValueError(f"{name} must be a JSON object, got {value!r:.60}") from None
+        return driver_from_dict(value)
+    if kind is list:
+        if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+            raise ValueError(f"{name} must be a list of names, got {value!r:.60}")
+        return tuple(value)
+    if kind is tuple:  # comma-separated numbers, each finite
+        try:
+            value = tuple(float(part) for part in value.split(",") if part.strip())
+        except ValueError:
+            raise ValueError(f"{name} must be comma-separated numbers, got {value!r:.60}") from None
+        for number in value:
+            if not math.isfinite(number):
+                raise ValueError(f"{name} must be finite, got {number!r}")
+        return value
+    return value if kind is bool else _number(kind, name, value)
+
+
 def _load_config(args):
-    data = dict(_DEFAULT_CONFIG)
-    if getattr(args, "config", None):
+    """args, each input of args.command replaced by its checked value; params added.
+
+    A value comes from the flag, else the config file, else the row's env,
+    and is read and bounded the same way whatever its source: an error
+    names the key or flag, and the source if that is another.  Else the
+    value is the row's default, as it stands.
+    """
+    config = {}
+    if args.config:
         with open(args.config) as fh:
-            data.update(_json_object("the config file", json.load(fh)))
-    # the four grid keys are looked up like the top-level ones
-    grid = _json_object("grid", data["grid"])
-    data.update({key: grid.get(key, value) for key, value in _DEFAULT_CONFIG["grid"].items()})
-
-    driver_data = data["driver"]
-    if getattr(args, "driver", None):
-        driver_data = json.loads(args.driver)
-    driver = driver_from_dict(driver_data)
-
-    def pick(key, kind):
-        """kind(the flag's value, else the config's)."""
-        value = getattr(args, key, None)
-        return _number(kind, key, data[key] if value is None else value)
-
-    # checked here, where an error can name the seed's source; derive_rng's cannot
-    seed, seed_key = getattr(args, "seed", None), "--seed"
-    if seed is None:
-        seed, seed_key = data.get("master_seed"), "master_seed"
-    if seed is None:
-        seed, seed_key = os.environ.get("DILASTAB_SEED", "0"), "DILASTAB_SEED"
-    master_seed = _number(int, seed_key, seed)
-    if master_seed < 0:
-        raise ValueError(f"{seed_key} must be a non-negative integer, got {master_seed}")
-
-    transforms = getattr(args, "transform", None) or data["transforms"]
-    if not isinstance(transforms, list) or not all(isinstance(name, str) for name in transforms):
-        raise ValueError(f"transforms must be a list of names, got {transforms!r:.60}")
-
-    config = RunConfig(
-        driver=driver,
-        params=DilationParams(pick("alpha", float), pick("delta", float)),
-        t_min=pick("t_min", float),
-        t_max=pick("t_max", float),
-        points=pick("points", int),
-        spacing=pick("spacing", str),
-        n_paths=pick("n_paths", int),
-        master_seed=master_seed,
-        refine=pick("refine", float),
-        tail_tol=pick("tail_tol", float),
-        transforms=tuple(transforms),
-    )
-    for key in ("t_min", "t_max"):
-        # checked here: the grid builders would make numpy warn on stderr first
-        value = getattr(config, key)
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-    if config.spacing not in _SPACINGS:
-        raise ValueError(f"unknown spacing {config.spacing!r}")
-    if config.n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {config.n_paths}")
-    for key in ("n_paths", "points"):
-        # checked before anything is allocated: numpy's own error names no key
-        if getattr(config, key) > MAX_COUNT:
-            raise ValueError(f"{key} must be at most {MAX_COUNT}")
-    return config
+            config = dict(_json_object("the config file", json.load(fh)))
+        grid = _json_object("grid", config.pop("grid", {}))
+        config.update((f"grid.{key}", value) for key, value in grid.items())
+    for row in (row for row in _INPUTS if args.command in row.commands):
+        value, source = getattr(args, row.dest), row.flag
+        if value is None and row.key in config:
+            value, source = config[row.key], row.key
+        elif value is None and row.env and row.env in os.environ:
+            value, source = os.environ[row.env], row.env
+        elif value is None:
+            setattr(args, row.dest, row.default)
+            continue
+        name = row.key or row.flag
+        try:
+            value = _read(row.kind, name, value)
+            for word, limit in row.bound.items():
+                for item in value if row.kind is list else (value,):
+                    if not _BOUNDS[word](item, limit):
+                        shown = "" if limit is None else f" {limit}"
+                        raise ValueError(f"{name} must be {word}{shown}, got {item!r:.60}")
+        except ValueError as exc:
+            if source == name:
+                raise
+            raise ValueError(f"{exc} (from {source})") from None
+        setattr(args, row.dest, value)
+    args.params = DilationParams(args.alpha, args.delta)
+    return args
 
 
 def _ensemble_config(run, extra_times=()):
-    if "lamperti" in run.transforms and run.spacing != "geometric":
+    if "lamperti" in run.transform and run.spacing != "geometric":
         raise ValueError("a transform chain containing 'lamperti' needs geometric spacing")
     grid = _SPACINGS[run.spacing](run.t_min, run.t_max, run.points)
     pts = grid.points
@@ -190,7 +249,7 @@ def _ensemble_config(run, extra_times=()):
         out_times=grid,
         refine=run.refine,
         tail_tol=run.tail_tol,
-        transforms=run.transforms,
+        transforms=run.transform,
     )
 
 
@@ -202,47 +261,29 @@ def _write_text(path, text):
         sys.stdout.write(text)
 
 
-def cmd_simulate(args):
-    run = _load_config(args)
-    if args.include_origin and run.transforms:
+def cmd_simulate(run):
+    if run.include_origin and run.transform:
         raise ValueError("--include-origin applies only to untransformed output")
-    ens = simulate_ensemble(_ensemble_config(run), run.n_paths, run.master_seed)
+    ens = simulate_ensemble(_ensemble_config(run), run.n_paths, run.seed)
     lines = ["path_id,t,value"]
     times = [_fmt(t) for t in ens.grid.points]
     for n in range(ens.n_paths):
-        if args.include_origin:
+        if run.include_origin:
             lines.append(f"{n},{_fmt(0.0)},{_fmt(0.0)}")
         # one row at a time: Python floats format faster than numpy scalars,
         # and converting the whole matrix at once would hold it all as objects
         lines += [f"{n},{t},{v!r}" for t, v in zip(times, ens.values[n].tolist())]
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(run.output, "\n".join(lines) + "\n")
     return 0
 
 
-def _parse_floats(flag, text):
-    """The comma-separated numbers given to flag, each checked by _finite."""
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r:.60}") from None
-    return _finite(flag, values)
-
-
-def _finite(flag, values):
-    """values, once each is finite or None; else the one-line error naming the flag."""
-    for value in values:
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value!r}")
-    return values
-
-
-def _build_law(args, run):
+def _build_law(run):
     # --law-alpha / --law-delta override only what the checker assumes, not
     # the simulation; that is how a deliberately mis-specified law is probed.
-    delta = run.params.delta if args.law_delta is None else float(args.law_delta)
-    if args.law_alpha is not None:
-        alpha = float(args.law_alpha)
-    elif args.law_delta is not None:
+    delta = run.params.delta if run.law_delta is None else run.law_delta
+    if run.law_alpha is not None:
+        alpha = run.law_alpha
+    elif run.law_delta is not None:
         # a wrong delta alone moves only the law's multiplier; the theta
         # scaling keeps the simulated process's weight exponent, otherwise a
         # centred Gaussian run would satisfy the shifted law as well and the
@@ -251,35 +292,30 @@ def _build_law(args, run):
     else:
         alpha = run.params.alpha
     # each law takes the fields it names: alpha, delta, --T or --n
-    law = _LAW_KINDS[args.law]
-    values = {"alpha": alpha, "delta": delta, "T": args.T, "n": args.n}
+    law = _LAW_KINDS[run.law]
+    values = {"alpha": alpha, "delta": delta, "T": run.T, "n": run.n}
     for f in fields(law):
         if values[f.name] is None:
-            raise ValueError(f"--law {args.law} needs --{f.name}")
+            raise ValueError(f"--law {run.law} needs --{f.name}")
     return law(**{f.name: float(values[f.name]) for f in fields(law)})
 
 
-def cmd_verify(args):
-    run = _load_config(args)
+def cmd_verify(run):
     if run.n_paths < 25:
         raise ValueError(
             f"verify needs n_paths >= 25: the |cf| floor 5/sqrt(n_paths) is "
             f"{5.0 / math.sqrt(run.n_paths):.4g} > 1 at n_paths = {run.n_paths}, "
             "so no log-CF could be estimated"
         )
-    for flag in ("T", "n", "law_alpha", "law_delta", "threshold"):
-        _finite("--" + flag.replace("_", "-"), [getattr(args, flag)])
-    law = _build_law(args, run)
-    if not run.transforms:
-        run = replace(run, transforms=law.chain)
+    law = _build_law(run)
+    if not run.transform:
+        run.transform = law.chain
 
-    if args.times is None or args.thetas is None:
+    if run.times is None or run.thetas is None:
         raise ValueError("verify needs --times and --thetas")
-    points = marginal_points(
-        _parse_floats("--times", args.times), _parse_floats("--thetas", args.thetas)
-    )
-    for pair in args.pair or []:
-        vals = _parse_floats("--pair", pair)
+    points = marginal_points(run.times, run.thetas)
+    for pair in run.pair:
+        vals = _read(tuple, "--pair", pair)
         if len(vals) != 4:
             raise ValueError("--pair needs t1,t2,theta1,theta2")
         points.append(TestPoint((vals[0], vals[1]), (vals[2], vals[3])))
@@ -288,7 +324,7 @@ def cmd_verify(args):
     try:
         reached = [law.scaled_point(p) for p in points] + [law.base_point(p) for p in points]
         needed = sorted({t for point in reached for t in point.times})
-        pulled = [pull_back(run.transforms, run.params.delta, s) for s in needed]
+        pulled = [pull_back(run.transform, run.params.delta, s) for s in needed]
         derived = [law.multiplier, *pulled, *(th for point in reached for th in point.thetas)]
         in_range = all(math.isfinite(x) for x in derived)
     except OverflowError:
@@ -303,40 +339,37 @@ def cmd_verify(args):
     ens = simulate_ensemble(
         _ensemble_config(run, extra_times=pulled),
         run.n_paths,
-        run.master_seed,
+        run.seed,
     )
     oracle = None
-    if not run.transforms:
+    if not run.transform:
         try:
             oracle_log_cf(run.driver, run.params, 1.0, 1.0)
             oracle = partial(oracle_joint_log_cf, run.driver, run.params)
         except DilastabError:
             pass
-    report = check_scaling(ens, law, points, r_steps=args.r_steps, oracle=oracle)
-    _write_text(args.output, json.dumps(report.to_dict(), indent=2) + "\n")
-    if report.pass_fraction < args.threshold:
+    report = check_scaling(ens, law, points, r_steps=run.r_steps, oracle=oracle)
+    _write_text(run.output, json.dumps(report.to_dict(), indent=2) + "\n")
+    if report.pass_fraction < run.threshold:
         unestimable = f" ({report.unestimable} unestimable)" if report.unestimable else ""
         print(
             f"verification failed: pass fraction {report.pass_fraction:g} "
-            f"below threshold {args.threshold:g}{unestimable}",
+            f"below threshold {run.threshold:g}{unestimable}",
             file=sys.stderr,
         )
         return 3
     return 0
 
 
-def cmd_oracle(args):
-    run = _load_config(args)
-    if args.times is None or args.thetas is None:
+def cmd_oracle(run):
+    if run.times is None or run.thetas is None:
         raise ValueError("oracle needs --times and --thetas")
-    times = _parse_floats("--times", args.times)
-    thetas = _parse_floats("--thetas", args.thetas)
     lines = ["t,theta,re,im"]
-    for t in times:
-        for theta in thetas:
+    for t in run.times:
+        for theta in run.thetas:
             value = oracle_log_cf(run.driver, run.params, t, theta)
             lines.append(f"{_fmt(t)},{_fmt(theta)},{_fmt(value.real)},{_fmt(value.imag)}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(run.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -350,80 +383,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--driver", help="driver description as a JSON object")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--t-min", dest="t_min", type=float)
-    parser.add_argument("--t-max", dest="t_max", type=float)
-    parser.add_argument("--points", type=int)
-    parser.add_argument("--spacing", choices=list(_SPACINGS))
-    parser.add_argument("--n-paths", dest="n_paths", type=int)
-    parser.add_argument("--seed", type=int, help="master seed (else DILASTAB_SEED, else 0)")
-    parser.add_argument("--refine", type=float)
-    parser.add_argument("--tail-tol", dest="tail_tol", type=float)
-    parser.add_argument(
-        "--transform",
-        action="append",
-        choices=list(TRANSFORMS),
-        help="transform chain entry; repeat for a chain",
-    )
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    parser.add_argument("--output", help="output file (default stdout)")
-
-
 def build_parser():
+    """Every flag of _INPUTS, its value left as text for _load_config to check."""
     parser = _Parser(
         prog="dilastab",
         description="simulate dilatively stable processes and verify their scaling laws",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="write an ensemble as CSV")
-    _add_common(sim)
-    sim.add_argument(
-        "--include-origin",
-        action="store_true",
-        help="prepend the t=0, value 0 row to every path",
-    )
-    sim.set_defaults(func=cmd_simulate)
-
-    ver = sub.add_parser("verify", help="check one scaling law and write a JSON report")
-    _add_common(ver)
-    ver.add_argument("--law", required=True, choices=list(_LAW_KINDS))
-    ver.add_argument("--T", type=float, help="dilation factor / time shift for the law")
-    ver.add_argument("--n", type=float, help="multiplier for time_stable / idt laws")
-    ver.add_argument(
-        "--law-alpha",
-        dest="law_alpha",
-        type=float,
-        help="alpha assumed by the checker (defaults to the simulation alpha)",
-    )
-    ver.add_argument(
-        "--law-delta",
-        dest="law_delta",
-        type=float,
-        help="delta assumed by the checker; alone it shifts only the law "
-        "multiplier (defaults to the simulation delta)",
-    )
-    ver.add_argument("--times", help="comma-separated base test times")
-    ver.add_argument("--thetas", help="comma-separated base test thetas")
-    ver.add_argument(
-        "--pair",
-        action="append",
-        help="two-dimensional test point as t1,t2,theta1,theta2; repeatable",
-    )
-    ver.add_argument("--threshold", type=float, default=0.99)
-    ver.add_argument("--r-steps", dest="r_steps", type=int, default=16)
-    ver.set_defaults(func=cmd_verify)
-
-    orc = sub.add_parser("oracle", help="write the closed-form log-CF as CSV")
-    _add_common(orc)
-    orc.add_argument("--times", help="comma-separated times")
-    orc.add_argument("--thetas", help="comma-separated thetas")
-    orc.set_defaults(func=cmd_oracle)
-
+    for command, text, func in (
+        ("simulate", "write an ensemble as CSV", cmd_simulate),
+        ("verify", "check one scaling law and write a JSON report", cmd_verify),
+        ("oracle", "write the closed-form log-CF as CSV", cmd_oracle),
+    ):
+        cmd = sub.add_parser(command, help=text)
+        for row in (row for row in _INPUTS if command in row.commands):
+            text = row.help.get(command) if isinstance(row.help, dict) else row.help
+            action = {bool: "store_true", list: "append"}.get(row.kind, "store")
+            choices = row.bound.get("one of")
+            shown = {"metavar": "{" + ",".join(choices) + "}"} if choices else {}
+            cmd.add_argument(row.flag, action=action, help=text, required=row.required, **shown)
+        cmd.set_defaults(func=func)
     return parser
 
 
@@ -433,7 +412,7 @@ def main(argv=None):
     try:
         # numpy raises where it would warn on stderr and go on with inf or nan
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            return args.func(_load_config(args))
     except (DilastabError, ValueError, KeyError) as exc:
         # InadmissibleParams is a DilastabError, json.JSONDecodeError a ValueError
         print(f"error: {exc}", file=sys.stderr)
