@@ -9,8 +9,10 @@ Three subcommands:
              the threshold.
   oracle     write the closed-form log-CF as CSV (columns t,theta,re,im).
 
-Configuration comes from an optional JSON file (--config) with individual
-flags taking precedence.  The master seed resolves as: --seed flag, then the
+Every input is one row of _INPUTS, which builds the flags and checks the
+values.  Configuration comes from an optional JSON file (--config) with
+individual flags taking precedence, and a value is checked the same way
+whatever its source.  The master seed resolves as: --seed flag, then the
 config file, then the DILASTAB_SEED environment variable, then 0.  All
 numbers are emitted with shortest round-trip formatting, so equal inputs
 produce byte-identical outputs.  --threads is accepted and ignored, for the
@@ -18,8 +20,9 @@ reason simulate_ensemble gives.
 
 n_paths, the grid's points and the cells of the refined log-time grid are
 at most processes.MAX_COUNT = 10**9 each, so that no float array the run
-allocates reaches numpy's size limit; a size within it that does not fit in
-memory exits 2 as well.
+allocates reaches numpy's size limit; arrays within it that would exceed
+physical memory are refused before they are allocated, by
+processes.check_memory, and a size that still does not fit exits 2 as well.
 
 Exit codes: 0 success, 1 I/O failure, 2 inadmissible or otherwise unusable
 configuration, 3 verification below threshold.
@@ -49,9 +52,10 @@ from .ecf import (
     oracle_log_cf,
     simulate_ensemble,
 )
-from .errors import DilastabError
+from .errors import DilastabError, InadmissibleParams
 from .integrator import TimeGrid
-from .processes import MAX_COUNT, TRANSFORMS, DilationParams, pull_back
+from .processes import MAX_COUNT, TRANSFORMS, DilationParams, check_memory, pull_back
+from .validation import admissibility
 
 __all__ = ["MAX_COUNT", "main", "cmd_simulate", "cmd_verify", "cmd_oracle"]
 
@@ -94,6 +98,7 @@ class Input:
 _BOUNDS = {
     "finite": lambda value, limit: math.isfinite(value),
     "at least": operator.ge,
+    "above": operator.gt,
     "at most": operator.le,
     "one of": lambda value, names: value in names,
 }
@@ -111,13 +116,13 @@ _INPUTS = (
     Input("--delta", float, 1.0, "delta"),
     Input("--t-min", float, 0.5, "grid.t_min", _FINITE),
     Input("--t-max", float, 2.0, "grid.t_max", _FINITE),
-    Input("--points", int, 5, "grid.points", {"at most": MAX_COUNT}),
+    Input("--points", int, 5, "grid.points", {"at least": 1, "at most": MAX_COUNT}),
     Input("--spacing", str, "geometric", "grid.spacing", {"one of": tuple(_SPACINGS)}),
     Input("--n-paths", int, 1000, "n_paths", {"at least": 1, "at most": MAX_COUNT}),
     Input("--seed", int, 0, "master_seed", {"at least": 0}, env="DILASTAB_SEED",
           help="master seed (else DILASTAB_SEED, else 0)"),
-    Input("--refine", float, 8.0, "refine"),
-    Input("--tail-tol", float, 1e-4, "tail_tol"),
+    Input("--refine", float, 8.0, "refine", {**_FINITE, "at least": 1}),
+    Input("--tail-tol", float, 1e-4, "tail_tol", {**_FINITE, "above": 0}),
     Input("--transform", list, (), "transforms", {"one of": tuple(TRANSFORMS)},
           help="transform chain entry; repeat for a chain"),
     Input("--threads", int, 1, help="accepted and ignored"),
@@ -141,7 +146,7 @@ _INPUTS = (
     Input("--pair", list, (), commands=_VERIFY,
           help="two-dimensional test point as t1,t2,theta1,theta2; repeatable"),
     Input("--threshold", float, 0.99, bound=_FINITE, commands=_VERIFY),
-    Input("--r-steps", int, 16, commands=_VERIFY),
+    Input("--r-steps", int, 16, bound={"at least": 1}, commands=_VERIFY),
 )
 
 
@@ -152,18 +157,29 @@ def _json_object(what, value):
 
 
 def _number(kind, key, value):
-    """kind(value), with a malformed value reported under its config key.
+    """kind(value), with a malformed value reported under its config key or flag.
 
     JSON true is no number, and an int key takes only integral numbers
     (1000.0 but not 2.7): int() would turn true into 1 and truncate 2.7 to 2.
+    Text spelling a number reads as that number, so a flag's "1000.0" or
+    "1e3" is the int 1000, as the config's 1000.0 is.
     """
+    error = ValueError(f"{key} must be a number ({kind.__name__}), got {value!r:.60}")
+    if kind is int and isinstance(value, str):
+        try:
+            return int(value)  # exact, also beyond the float range
+        except ValueError:
+            try:
+                value = float(value)
+            except ValueError:
+                raise error from None
     truncated = kind is int and isinstance(value, float) and not value.is_integer()
     if kind is not str and (isinstance(value, bool) or truncated):
-        raise ValueError(f"{key} must be a number ({kind.__name__}), got {value!r:.60}")
+        raise error
     try:
         return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number ({kind.__name__}), got {value!r:.60}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise error from None
 
 
 def _read(kind, name, value):
@@ -204,6 +220,12 @@ def _load_config(args):
         with open(args.config) as fh:
             config = dict(_json_object("the config file", json.load(fh)))
         grid = _json_object("grid", config.pop("grid", {}))
+        # a misspelt key would otherwise leave its default in place silently
+        keys = {row.key for row in _INPUTS if row.key}
+        unknown = [key for key in config if key not in keys or "." in key]
+        unknown += [f"grid.{key}" for key in grid if f"grid.{key}" not in keys]
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r:.60}")
         config.update((f"grid.{key}", value) for key, value in grid.items())
     for row in (row for row in _INPUTS if args.command in row.commands):
         value, source = getattr(args, row.dest), row.flag
@@ -234,6 +256,8 @@ def _load_config(args):
 def _ensemble_config(run, extra_times=()):
     if "lamperti" in run.transform and run.spacing != "geometric":
         raise ValueError("a transform chain containing 'lamperti' needs geometric spacing")
+    # the builders' temporaries: three arrays of the grid's length
+    check_memory(3 * run.points, f"points = {run.points} output times")
     grid = _SPACINGS[run.spacing](run.t_min, run.t_max, run.points)
     pts = grid.points
     if extra_times:
@@ -364,6 +388,12 @@ def cmd_verify(run):
 def cmd_oracle(run):
     if run.times is None or run.thetas is None:
         raise ValueError("oracle needs --times and --thetas")
+    # the grid and (alpha, delta) are checked as simulate checks them,
+    # although the closed form needs neither the grid nor a plan
+    _ensemble_config(run)
+    verdict = admissibility(run.params, run.driver)
+    if not verdict.admissible:
+        raise InadmissibleParams(verdict)
     lines = ["t,theta,re,im"]
     for t in run.times:
         for theta in run.thetas:

@@ -371,6 +371,13 @@ def _from_dict(what, kinds, data):
     law = kinds.get(kind) if isinstance(kind, str) else None
     if law is None:
         raise ValueError(f"unknown {what} kind {kind!r:.60}")
+    names = [f.name for f in fields(law)]
+    for name in data:
+        # a misspelt field would otherwise leave its default in place silently
+        if name != "kind" and name not in names:
+            raise ValueError(
+                f"{kind} {what} has no field {name!r:.60} (its fields: {', '.join(names)})"
+            )
     values = {}
     for f in fields(law):
         if f.name not in data:
@@ -389,5 +396,8 @@ def _from_dict(what, kinds, data):
 
 
 def driver_from_dict(data):
-    """Build a driver from its dict description; absent fields take their defaults."""
+    """Build a driver from its dict description; absent fields take their defaults.
+
+    A field that the driver or its jump law does not have raises ValueError.
+    """
     return _from_dict("driver", DRIVER_KINDS, data)

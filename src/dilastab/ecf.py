@@ -47,7 +47,7 @@ from .errors import (
 from .integrator import PATH_ROLES, TimeGrid
 
 # apply_transforms is looked up here by simulate_ensemble (and by bench/spans.py)
-from .processes import DilationParams, _transform, apply_transforms, plan_dilative
+from .processes import DilationParams, _transform, apply_transforms, check_memory, plan_dilative
 from .timechange import tau_density
 
 __all__ = [
@@ -151,11 +151,14 @@ def simulate_ensemble(config, n_paths, master_seed):
     3.11, numpy 2.4.6), 4000 Gaussian paths of 84 cells took 54 ms, about
     13 us per path, and 1000 gamma paths of 710 cells (refine 64) 51 ms;
     one pool task per path on 2 threads had made the gamma case about 4
-    times slower.
+    times slower.  An ensemble whose values would exceed physical memory
+    raises MemoryError before anything is built.
     """
     pts = config.out_times.points
     if pts[0] <= 0:
         raise NonPositiveTime("output times must be strictly positive")
+    # the values and their transformed copy, refused before the plan is built
+    check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
     plan = plan_dilative(
         config.driver,
         config.params,

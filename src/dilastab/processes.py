@@ -39,6 +39,7 @@ The transform family, TRANSFORMS, applied by apply_transforms:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,7 @@ from .validation import DEGENERATE_EQUAL, admissibility
 
 __all__ = [
     "MAX_COUNT",
+    "check_memory",
     "DilationParams",
     "SimulationPlan",
     "plan_dilative",
@@ -75,6 +77,32 @@ __all__ = [
 # the most paths, output times or plan cells one run may ask for: an
 # (n_paths, points) float matrix of that size stays below numpy's size limit
 MAX_COUNT = 10**9
+
+# float64 arrays of a plan's length alive at once while it is built and runs
+# one path: 6 to 9 for the four drivers, measured with tracemalloc
+_FLOATS_PER_CELL = 9
+
+
+def _physical_memory():
+    """Bytes of physical memory, the most that one run's arrays may take."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError):  # no sysconf, or not these names
+        return math.inf
+
+
+def check_memory(floats, inputs):
+    """Raise MemoryError, naming inputs, when `floats` float64s exceed physical memory.
+
+    Called before the arrays are allocated: numpy's allocations succeed far
+    beyond what fits, and the process is killed once their pages are touched.
+    """
+    memory = _physical_memory()
+    if 8 * floats > memory:
+        raise MemoryError(
+            f"{inputs} need {8 * floats / 2**30:.3g} GiB of arrays, more than the "
+            f"{memory / 2**30:.3g} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -187,7 +215,8 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
     Checks admissibility (raising InadmissibleParams with the verdict), picks
     the truncation point from the driver's tail scale, and refines uniformly
     in log time with at least `refine` steps per unit; a grid of more than
-    MAX_COUNT cells raises ValueError before it is built.
+    MAX_COUNT cells raises ValueError, and one whose arrays exceed physical
+    memory MemoryError, before it is built.
     """
     verdict = admissibility(params, spec)
     if not verdict.admissible:
@@ -233,6 +262,11 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
                     f"u = {u_min:.6g} to u = {u_out[-1]:.6g}; the count must lie in the "
                     f"float range and be at most {MAX_COUNT}"
                 )
+            check_memory(
+                _FLOATS_PER_CELL * n_cells,
+                f"alpha = {params.alpha!r}, delta = {params.delta!r}, tail_tol = {tail_tol!r} "
+                f"and refine = {refine!r}, which ask for {n_cells:.6g} grid cells,",
+            )
             grid = _refined_log_grid(knots, counts.astype(int))
             out_idx = np.searchsorted(grid, u_out)
             durations = np.maximum(np.diff(tau(params.delta, grid)), 0.0)

@@ -8,7 +8,9 @@ import pytest
 # statistical helpers make individual examples slow on a loaded machine;
 # the per-example deadline adds noise without catching anything here
 hypothesis.settings.register_profile("dilastab", deadline=None)
-hypothesis.settings.load_profile("dilastab")
+# CI selects this one with HYPOTHESIS_PROFILE=ci: four times the default examples
+hypothesis.settings.register_profile("ci", max_examples=400, deadline=None)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dilastab"))
 
 
 @pytest.fixture

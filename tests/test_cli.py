@@ -4,12 +4,13 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dilastab import cli, processes
+from dilastab import cli, ecf, processes
 from dilastab.cli import main
 
 
@@ -451,6 +452,9 @@ def test_unusable_tail_tol_exit_2(capsys, value):
         ("[1, 2]", ("config file", "JSON object")),
         ('{"n_paths": null}', ("n_paths",)),
         ('{"transforms": "lamperti"}', ("transforms", "list")),
+        ('{"npaths": 5, "grid": {"pionts": 3}}', ("unknown config key 'npaths'",)),
+        ('{"grid": {"pionts": 3}}', ("unknown config key 'grid.pionts'",)),
+        ('{"grid.points": 3}', ("unknown config key 'grid.points'",)),
     ],
 )
 def test_malformed_config_exit_2(capsys, tmp_path, content, words):
@@ -677,6 +681,11 @@ def test_verify_report_bytes_are_pinned(capsys):
             '{"kind": "compound_poisson", "jumps": {"kind": "gaussian", "mean": "-inf"}}',
             ("mean must be finite", "-inf"),
         ),
+        ('{"kind": "gaussian", "varaince": 4}', ("gaussian driver has no field 'varaince'",)),
+        (
+            '{"kind": "compound_poisson", "jumps": {"kind": "two_point", "magnitud": 2}}',
+            ("two_point jump law has no field 'magnitud'", "magnitude"),
+        ),
     ],
 )
 def test_bad_driver_fields_exit_2(capsys, driver, words):
@@ -837,6 +846,105 @@ def test_nonfinite_oracle_numbers_exit_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, "oracle", *argv)
     assert out == ""
     assert_one_error_line(code, err, f"{flag} must be finite")
+
+
+@pytest.mark.parametrize(
+    "command", [("simulate",), VERIFY_IDT, ("oracle", "--times", "1", "--thetas", "1")]
+)
+@pytest.mark.parametrize(
+    "key, value, words",
+    [
+        ("grid.points", 0, "grid.points must be at least 1, got 0"),
+        ("grid.points", -3, "grid.points must be at least 1, got -3"),
+        ("grid.spacing", "hexagonal", "grid.spacing must be one of"),
+        ("n_paths", 0, "n_paths must be at least 1, got 0"),
+        ("refine", 0, "refine must be at least 1, got 0.0"),
+        ("tail_tol", 0, "tail_tol must be above 0, got 0.0"),
+        ("master_seed", -1, "master_seed must be at least 0, got -1"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_every_command_bounds_each_field_alike(
+    capsys, tmp_path, command, key, value, words, source
+):
+    # oracle takes the same fields as simulate and checks them the same way,
+    # although it builds no plan
+    (row,) = [row for row in cli._INPUTS if row.key == key]
+    argv = [*command, "--n-paths", "30"] if key != "n_paths" else list(command)
+    if source == "flag":
+        argv.append(f"{row.flag}={value}")
+    else:
+        section, _, leaf = key.rpartition(".")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({section: {leaf: value}} if section else {leaf: value}))
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    suffix = f" (from {row.flag})" if source == "flag" else ""
+    assert_one_error_line(code, err, words)
+    assert err.rstrip().endswith(suffix)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--alpha", "0.2", "--delta", "1"),
+        ("--alpha", "nan"),
+        ("--t-min", "3", "--t-max", "1"),
+        ("--transform", "lamperti", "--spacing", "linear"),
+    ],
+    ids=["inadmissible", "nonfinite-alpha", "decreasing-grid", "lamperti-on-linear"],
+)
+def test_oracle_checks_grid_and_parameters_like_simulate(capsys, argv):
+    _, _, by_simulate = run_cli(capsys, "simulate", "--n-paths", "2", *argv)
+    code, out, err = run_cli(capsys, "oracle", "--times", "1", "--thetas", "1", *argv)
+    assert out == ""
+    assert_one_error_line(code, err)
+    assert err == by_simulate
+
+
+@pytest.mark.parametrize(
+    "argv, memory, target, name, words",
+    [
+        (
+            ("--refine", "1e8", "--n-paths", "1", "--points", "2"),
+            8 * 2**30,
+            processes,
+            "_refined_log_grid",
+            ("refine = 100000000.0", "9.63283e+08 grid cells", "64.6 GiB", "the 8 GiB"),
+        ),
+        (
+            ("--n-paths", "40000", "--points", "5"),
+            2**20,
+            ecf,
+            "plan_dilative",
+            ("n_paths = 40000 paths of 5 output times", "0.00298 GiB", "0.000977 GiB"),
+        ),
+        (
+            ("--points", "100000", "--n-paths", "1"),
+            2**20,
+            cli._SPACINGS,
+            "geometric",
+            ("points = 100000 output times", "0.00224 GiB"),
+        ),
+    ],
+    ids=["refined-grid", "ensemble", "output-grid"],
+)
+def test_arrays_over_physical_memory_exit_2_before_allocating(
+    capsys, monkeypatch, argv, memory, target, name, words
+):
+    def allocate(*args, **kwargs):
+        raise AssertionError("arrays over the memory figure reached the allocation")
+
+    # the memory figure is set here, so the result does not depend on the machine
+    monkeypatch.setattr(processes, "_physical_memory", lambda: memory)
+    if isinstance(target, dict):
+        monkeypatch.setitem(target, name, allocate)
+    else:
+        monkeypatch.setattr(target, name, allocate)
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert out == ""
+    assert_one_error_line(code, err, "not enough memory for this configuration", *words)
 
 
 def test_verify_row_keeps_no_oracle_that_overflows(capsys):
@@ -1040,7 +1148,47 @@ COMMAND_FLAGS = {
 }
 # valid values of n_paths stay at most 40, so every drawn run is cheap
 N_PATHS = either(("30", "40"), ("1", "0", "-5", "1e308", "nan", "abc"))
-CONFIGS = either(
+# JSON values for a config key or flag of each kind, valid and not; the valid
+# counts stay at most 10, so every drawn run is cheap
+TABLE_VALUES = {
+    float: (0.5, 1, 2, "2", "1.5", 0, -1, 1e308, 10**400, math.nan, math.inf, True, None, "x", [1]),
+    int: (3, 4, 3.0, "3", "3.0", "1e1", 2.5, "2.5", 0, -2, 1e308, 10**400, math.inf, True, "x"),
+    str: ("linear", "geometric", "hexagonal", 3, None),
+    dict: (
+        {"kind": "gamma"},
+        {"kind": "gaussian", "variance": 2},
+        {"kind": "gaussian", "varaince": 2},
+        {"kind": "cauchy"},
+        '{"kind": "gamma"}',
+        "gaussian",
+        None,
+    ),
+    list: ([], ["lamperti"], ["lamperti", "idt"], ["idt"], ["spin"], [1]),
+}
+TABLE_KEYS = [row for row in cli._INPUTS if row.key]
+ROWS = {row.flag: row for row in cli._INPUTS}
+
+
+def nested(flat):
+    """The config file's JSON object for keys like "grid.points"."""
+    out = {}
+    for key, value in flat.items():
+        section, _, leaf = key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[leaf] = value
+    return out
+
+
+@st.composite
+def table_configs(draw):
+    """A config of table keys and drawn values, and at times one key nothing declares."""
+    rows = draw(st.lists(st.sampled_from(TABLE_KEYS), max_size=3, unique_by=lambda row: row.key))
+    flat = {row.key: draw(st.sampled_from(TABLE_VALUES[row.kind])) for row in rows}
+    if draw(st.integers(0, 3)) == 0:
+        flat[draw(st.sampled_from(("npaths", "grid.pionts", "seed")))] = 1
+    return json.dumps(nested(flat))
+
+
+FIXED_CONFIGS = either(
     (
         None,
         "{}",
@@ -1059,6 +1207,9 @@ CONFIGS = either(
 )
 
 
+CONFIGS = st.one_of(FIXED_CONFIGS, table_configs())
+
+
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
@@ -1075,7 +1226,8 @@ def command_lines(draw):
     return argv, config
 
 
-@settings(max_examples=150)
+# the ci profile of conftest.py raises both property tests' example counts
+@settings(max_examples=max(150, settings.default.max_examples))
 @given(case=command_lines())
 @example(case=(["simulate", "--n-paths", "abc"], None))
 @example(case=([*VERIFY_ONE_POINT, "--law", "translative", "--T", "800"], None))
@@ -1099,3 +1251,54 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path_factory, case):
     assert not any("Traceback" in line for line in lines)
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+def run_with_config(tmp_path_factory, argv, config):
+    """(exit code, stdout, stderr lines) of main(argv) with config as the config file."""
+    path = tmp_path_factory.getbasetemp() / "parity.json"
+    path.write_text(json.dumps(nested(config)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--config", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+def as_flags(row, value):
+    """The flags that give row the JSON value: text as it is, anything else as JSON."""
+    items = value if row.kind is list else [value]
+    return [f"{row.flag}={item if isinstance(item, str) else json.dumps(item)}" for item in items]
+
+
+@settings(max_examples=max(80, settings.default.max_examples))
+@given(
+    case=st.sampled_from(TABLE_KEYS).flatmap(
+        lambda row: st.tuples(st.just(row), st.sampled_from(TABLE_VALUES[row.kind]))
+    )
+)
+@example(case=(ROWS["--points"], 3.0))
+@example(case=(ROWS["--n-paths"], "1e1"))
+@example(case=(ROWS["--seed"], 10**400))  # a seed beyond the float range
+def test_flag_and_config_values_are_read_alike(tmp_path_factory, case):
+    # a value set by its flag and by the config file runs the same way: the
+    # same exit code, and on success the same bytes
+    row, value = case
+    base = {key: 3 for key in ("n_paths", "grid.points") if key != row.key}
+    by_flag = run_with_config(tmp_path_factory, ["simulate", *as_flags(row, value)], base)
+    by_config = run_with_config(tmp_path_factory, ["simulate"], {**base, row.key: value})
+    assert by_flag[0] == by_config[0] in (0, 2), (row.flag, value, by_flag, by_config)
+    if by_flag[0] == 0:
+        assert by_flag[1] == by_config[1]
+    else:
+        for _, _, lines in (by_flag, by_config):
+            assert len(lines) == 1 and lines[0].startswith("error:"), (row.flag, value, lines)
+
+
+def test_readme_lists_every_input():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for row in cli._INPUTS:
+        assert f"`{row.flag}`" in readme, row.flag
+        if row.key:
+            assert f"`{row.key}`" in readme, row.key

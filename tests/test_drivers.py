@@ -377,6 +377,13 @@ def test_driver_dict_rejects_unknown():
         driver_from_dict({"kind": "compound_poisson", "jumps": {"kind": "levy"}})
     with pytest.raises(ValueError, match="unknown driver kind"):
         driver_from_dict({"kind": ["gaussian"]})
+    # a field that the driver or its jump law does not declare, e.g. a typo
+    with pytest.raises(ValueError, match="gaussian driver has no field 'varaince'"):
+        driver_from_dict({"kind": "gaussian", "varaince": 4.0})
+    with pytest.raises(ValueError, match="gamma driver has no field 'jumps'"):
+        driver_from_dict({"kind": "gamma", "jumps": {"kind": "gaussian"}})
+    with pytest.raises(ValueError, match="gaussian jump law has no field 'std'"):
+        driver_from_dict({"kind": "compound_poisson", "jumps": {"kind": "gaussian", "std": 2}})
 
 
 def test_invalid_parameters_rejected():
