@@ -874,9 +874,8 @@ def test_every_command_bounds_each_field_alike(
     if source == "flag":
         argv.append(f"{row.flag}={value}")
     else:
-        section, _, leaf = key.rpartition(".")
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({section: {leaf: value}} if section else {leaf: value}))
+        cfg.write_text(json.dumps(nested({key: value})))
         argv += ["--config", str(cfg)]
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
