@@ -44,7 +44,7 @@ from .errors import (
     NonPositiveTime,
     OracleOutOfDomain,
 )
-from .integrator import PATH_ROLES, TimeGrid
+from .integrator import SamplePath, TimeGrid
 
 # apply_transforms is looked up here by simulate_ensemble (and by bench/spans.py)
 from .processes import DilationParams, _transform, apply_transforms, check_memory, plan_dilative
@@ -52,7 +52,6 @@ from .timechange import tau_density
 
 __all__ = [
     "EnsembleConfig",
-    "PathEnsemble",
     "EcfEstimate",
     "TestPoint",
     "ScalingLaw",
@@ -96,27 +95,6 @@ class EnsembleConfig:
         object.__setattr__(self, "transforms", tuple(self.transforms))
         for name in self.transforms:
             _transform(name)
-
-
-@dataclass(eq=False)
-class PathEnsemble:
-    """N path realisations on a common grid, one row per path, all of one role."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    role: str = "X"
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != len(self.grid):
-            raise ValueError("values must be (n_paths, len(grid))")
-        if self.role not in PATH_ROLES:
-            raise ValueError(f"unknown path role {self.role!r}")
-        self.values = vals
-
-    @property
-    def n_paths(self):
-        return self.values.shape[0]
 
 
 @cache
@@ -169,7 +147,7 @@ def simulate_ensemble(config, n_paths, master_seed):
     values = np.empty((int(n_paths), pts.size))
     for n in range(int(n_paths)):
         values[n] = plan.run(derive_rng(master_seed, n))
-    x = PathEnsemble(config.out_times, values)
+    x = SamplePath(config.out_times, values)
     return apply_transforms(x, config.params, config.transforms)
 
 
@@ -527,7 +505,7 @@ def _z_score(diff, se):
 def check_scaling(ens, law, points, r_steps=16, oracle=None):
     """Run one scaling law over a list of test points.
 
-    ens is a PathEnsemble, or a (scaled_side, base_side) pair of ensembles
+    ens is an ensemble SamplePath, or a (scaled_side, base_side) pair of ensembles
     when the two sides should be estimated from independent samples.  For a
     single ensemble both sides share paths, which makes the z-scores
     conservative.  oracle, when given, is called as oracle(times, thetas) on

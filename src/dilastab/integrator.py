@@ -86,7 +86,8 @@ class TimeGrid:
 
 @dataclass(eq=False)
 class SamplePath:
-    """Values of one realisation on a grid, tagged with the process it is."""
+    """Values of one path (1-d) or of an ensemble (an (n_paths, len(grid)) matrix,
+    one row per path) along the grid, tagged with the process every row is."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -94,16 +95,22 @@ class SamplePath:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.grid),):
-            raise ValueError("values must be 1-d and aligned with the grid")
+        if vals.ndim not in (1, 2) or vals.shape[-1] != len(self.grid):
+            raise ValueError("values must be 1-d or (n_paths, len(grid)), aligned with the grid")
         if self.role not in PATH_ROLES:
             raise ValueError(f"unknown path role {self.role!r}")
-        if self.role == "X" and self.grid.points[0] == 0.0 and vals[0] != 0.0:
+        if self.role == "X" and self.grid.points[0] == 0.0 and np.any(vals[..., 0] != 0.0):
             raise ValueError("an additive process must start at 0 when the grid contains 0")
         self.values = vals
 
+    @property
+    def n_paths(self):
+        """How many paths: 1 for a 1-d path, else the number of rows."""
+        return 1 if self.values.ndim == 1 else self.values.shape[0]
+
     def value_at(self, t):
-        return float(self.values[self.grid.index_of(t)])
+        """The value at grid time t: a number for one path, one per row for an ensemble."""
+        return self.values[..., self.grid.index_of(t)]
 
 
 def _weight_values(weight, pts):
@@ -121,23 +128,21 @@ def rs_integral(weight, path, a, b):
     """Left-endpoint Riemann-Stieltjes integral of `weight` against `path`.
 
     a and b must be grid points; the reversed orientation (a > b) is the
-    negation of the forward one.
+    negation of the forward one.  Taken along the last axis: a number for
+    one path, one per row for an ensemble.
     """
     ia = path.grid.index_of(a)
     ib = path.grid.index_of(b)
-    if ia == ib:
-        return 0.0
     sign = 1.0
     if ia > ib:
         ia, ib = ib, ia
         sign = -1.0
-    pts = path.grid.points[ia:ib]
-    w = _weight_values(weight, pts)
-    return sign * float(np.dot(w, np.diff(path.values[ia : ib + 1])))
+    w = _weight_values(weight, path.grid.points[ia:ib])
+    return sign * (w * np.diff(path.values[..., ia : ib + 1])).sum(axis=-1)
 
 
 def ibp_integral(weight, weight_prime, path, a, b):
-    """Integration-by-parts form of the same integral.
+    """Integration-by-parts form of the same integral, along the last axis.
 
     weight_prime must be the derivative of weight; the correction term
     int weight'(t) * path(t) dt is computed with the trapezoid rule on the
@@ -146,12 +151,10 @@ def ibp_integral(weight, weight_prime, path, a, b):
     """
     ia = path.grid.index_of(a)
     ib = path.grid.index_of(b)
-    if ia == ib:
-        return 0.0
     if ia > ib:
         return -ibp_integral(weight, weight_prime, path, b, a)
     pts = path.grid.points[ia : ib + 1]
-    vals = path.values[ia : ib + 1]
-    boundary = float(weight(pts[-1])) * vals[-1] - float(weight(pts[0])) * vals[0]
-    correction = float(np.trapezoid(_weight_values(weight_prime, pts) * vals, pts))
+    vals = path.values[..., ia : ib + 1]
+    boundary = float(weight(pts[-1])) * vals[..., -1] - float(weight(pts[0])) * vals[..., 0]
+    correction = np.trapezoid(_weight_values(weight_prime, pts) * vals, pts, axis=-1)
     return boundary - correction

@@ -293,6 +293,13 @@ def simulate_dilative(spec, params, out_times, rng, refine=8.0, tail_tol=1e-4):
     return SamplePath(out_times, plan.run(rng), role="X")
 
 
+def _partial_sums(increments, anchor):
+    """Partial sums along the last axis, from the empty sum at index 0, less the one at anchor."""
+    sums = np.cumsum(increments, axis=-1)
+    sums = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
+    return sums - sums[..., anchor : anchor + 1]
+
+
 def simulate_driving(spec, delta, log_times, rng):
     """Sample the background process Y = L(tau(delta, .)) on a log-time grid.
 
@@ -302,16 +309,15 @@ def simulate_driving(spec, delta, log_times, rng):
     u = log_times.points
     durations = np.maximum(np.diff(tau(delta, u)), 0.0)
     increments = sample_increments(spec, durations, rng)
-    cums = np.concatenate([[0.0], np.cumsum(increments)])
     try:
         anchor = log_times.index_of(0.0)
     except OffGrid:
         anchor = 0
-    return SamplePath(log_times, cums - cums[anchor], role="Y")
+    return SamplePath(log_times, _partial_sums(increments, anchor), role="Y")
 
 
 def extract_background(x, params):
-    """Recover the background process from an X path on a positive grid.
+    """Recover the background process from an X path or ensemble on a positive grid.
 
     Y at log time u is the left-endpoint integral of t**(-H) against X from
     t = 1 to t = e^u (negated below 1), so the grid must contain the point
@@ -326,23 +332,21 @@ def extract_background(x, params):
         i1 = x.grid.index_of(1.0)
     except OffGrid as exc:
         raise GridMissingUnit("background extraction needs t = 1 on the grid") from exc
-    u = np.log(pts)
     dy = pts[:-1] ** (-params.hurst) * np.diff(x.values)
-    cums = np.concatenate([[0.0], np.cumsum(dy)])
-    return SamplePath(TimeGrid(u), cums - cums[i1], role="Y")
+    return SamplePath(TimeGrid(np.log(pts)), _partial_sums(dy, i1), role="Y")
 
 
 def ou_evolve(v0, y, ou_rate, a, b):
-    """Wide-sense Ornstein-Uhlenbeck evolution driven by a Y path.
+    """Wide-sense Ornstein-Uhlenbeck evolution driven by a Y path or ensemble.
 
-    Returns V on the grid points of y in [a, b], where
+    Returns V on the grid points of y in [a, b], row by row, where
 
         V_t = e^(rate * t) * (v0 + integral_0^t e^(-rate * s) dY_s)
 
     with the left-endpoint integral on y's grid; the grid must therefore
     contain 0 (the anchor of v0) as well as a and b.  The flow identity
     V_t = e^(rate*(t-s)) V_s + e^(rate*t) * integral_s^t e^(-rate*u) dY_u
-    holds exactly at grid level.
+    holds exactly at grid level.  v0 is one number, or one per row.
     """
     ia = y.grid.index_of(a)
     ib = y.grid.index_of(b)
@@ -351,10 +355,10 @@ def ou_evolve(v0, y, ou_rate, a, b):
     i0 = y.grid.index_of(0.0)
     u = y.grid.points
     w = np.exp(-ou_rate * u[:-1])
-    cums = np.concatenate([[0.0], np.cumsum(w * np.diff(y.values))])
-    integral = cums - cums[i0]
+    integral = _partial_sums(w * np.diff(y.values), i0)
     seg = u[ia : ib + 1]
-    values = np.exp(ou_rate * seg) * (float(v0) + integral[ia : ib + 1])
+    v0 = np.asarray(v0, dtype=float)[..., None]
+    values = np.exp(ou_rate * seg) * (v0 + integral[..., ia : ib + 1])
     return SamplePath(TimeGrid(seg.copy()), values, role="V")
 
 
@@ -443,13 +447,11 @@ def _transform(name):
 
 
 def apply_transforms(path, params, transforms):
-    """Apply a transform chain to a SamplePath or a PathEnsemble.
+    """Apply a transform chain to a SamplePath: one path or an ensemble's rows.
 
-    path.values carries the grid along its last axis: one path, or a
-    (n_paths, len(grid)) matrix with one row per path, all of role path.role.
     Each transform is a time map and a weight shared by every path, so an
     ensemble is mapped as one matrix and a single path is the one-row case.
-    Returns a path of the same type with the new grid, values and role.
+    Returns a SamplePath with the new grid, values and role.
     """
     grid, values, role = path.grid, path.values, path.role
     for name in transforms:
@@ -467,7 +469,7 @@ def apply_transforms(path, params, transforms):
         else:
             values = step.weight(pts, new, params.hurst) * values
         grid, role = TimeGrid(new), step.role
-    return type(path)(grid, values, role)
+    return SamplePath(grid, values, role)
 
 
 def pull_back(transforms, delta, s):

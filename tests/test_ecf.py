@@ -25,7 +25,6 @@ from dilastab import (
     NonPositiveTime,
     OffGrid,
     OracleOutOfDomain,
-    PathEnsemble,
     SamplePath,
     SymmetricStableDriver,
     TestPoint,
@@ -52,7 +51,7 @@ UNIT = DilationParams(1.0, 1.0)
 def normal_ensemble(mean, std, n, seed):
     rng = np.random.default_rng(seed)
     grid = TimeGrid(np.array([1.0]))
-    return PathEnsemble(grid, rng.normal(mean, std, (n, 1)))
+    return SamplePath(grid, rng.normal(mean, std, (n, 1)))
 
 
 def estimate_cf(ens, times, thetas):
@@ -146,10 +145,10 @@ def cf_ensembles():
     grid = TimeGrid(np.array([0.5, 1.0]))
     huge = 1e22 * (1.0 + 1e-16 * rng.integers(-3, 4, (500, 2)))
     return {
-        "gaussian": PathEnsemble(grid, rng.normal(0.3, 1.0, (2000, 2))),
-        "gamma": PathEnsemble(grid, rng.gamma(2.0, 0.5, (2000, 2))),
-        "near 1e22": PathEnsemble(grid, huge),
-        "at 1e22": PathEnsemble(grid, np.full((500, 2), 1e22)),
+        "gaussian": SamplePath(grid, rng.normal(0.3, 1.0, (2000, 2))),
+        "gamma": SamplePath(grid, rng.gamma(2.0, 0.5, (2000, 2))),
+        "near 1e22": SamplePath(grid, huge),
+        "at 1e22": SamplePath(grid, np.full((500, 2), 1e22)),
     }
 
 
@@ -407,16 +406,16 @@ def test_ensemble_chain_equals_row_by_row(params, chain):
 
 def test_ensemble_carries_one_role():
     grid = TimeGrid(np.array([0.5, 1.0]))
-    assert [f.name for f in dataclasses.fields(PathEnsemble)] == ["grid", "values", "role"]
-    assert PathEnsemble(grid, np.zeros((2, 2))).role == "X"
+    assert [f.name for f in dataclasses.fields(SamplePath)] == ["grid", "values", "role"]
+    assert SamplePath(grid, np.zeros((2, 2))).role == "X"
     with pytest.raises(ValueError, match="role"):
-        PathEnsemble(grid, np.zeros((2, 2)), role="Q")
+        SamplePath(grid, np.zeros((2, 2)), role="Q")
 
 
 def test_idt_with_negative_delta_reverses_columns():
     params = DilationParams(1.0, -0.5)
     grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
-    v = PathEnsemble(grid, np.arange(6.0).reshape(2, 3), role="V")
+    v = SamplePath(grid, np.arange(6.0).reshape(2, 3), role="V")
     d = apply_transforms(v, params, ("idt",))
     assert np.array_equal(d.grid.points, np.exp(-0.5 * grid.points)[::-1])
     assert np.array_equal(d.values, [[2.0, 1.0, 0.0], [5.0, 4.0, 3.0]])
@@ -437,9 +436,9 @@ def test_idt_with_negative_delta_reverses_columns():
 def test_ensemble_chain_raises_like_row_by_row(points, params, chain, role, error):
     grid = TimeGrid(np.array(points))
     with pytest.raises(error):
-        apply_transforms(PathEnsemble(grid, np.zeros((3, 2)), role=role), params, chain)
+        apply_transforms(SamplePath(grid, np.zeros((3, 2)), role=role), params, chain)
     with pytest.raises(error):
-        row_by_row(PathEnsemble(grid, np.zeros((3, 2))), params, chain, role)
+        row_by_row(SamplePath(grid, np.zeros((3, 2))), params, chain, role)
 
 
 def test_empty_ensemble():

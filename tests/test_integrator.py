@@ -68,6 +68,24 @@ def test_path_validation():
         path.value_at(3.0)
 
 
+def test_ensemble_validation():
+    # an ensemble is the same container with one row per path, checked the
+    # same way along its last axis
+    grid = DYADIC_GRID
+    assert SamplePath(grid, np.zeros(4)).n_paths == 1
+    ens = SamplePath(grid, np.array([[0.0, 1.0, 2.0, 3.0], [0.0, -1.0, 5.0, 7.0]]))
+    assert ens.n_paths == 2
+    assert np.array_equal(ens.value_at(2.0), [2.0, 5.0])
+    assert SamplePath(grid, np.zeros((0, 4))).n_paths == 0
+    for shape in ((3, 3), (4, 3), (2, 3, 4), ()):
+        with pytest.raises(ValueError, match="aligned with the grid"):
+            SamplePath(grid, np.zeros(shape))
+    with pytest.raises(ValueError, match="must start at 0"):
+        SamplePath(grid, np.array([[0.0, 1.0, 2.0, 3.0], [0.5, 1.0, 2.0, 3.0]]))
+    # only an X path must start at 0
+    assert SamplePath(grid, np.ones((2, 4)), role="Y").role == "Y"
+
+
 def test_left_sum_on_dyadic_example():
     # weight t against increments (1, -2, 4) from tags (0, 1, 2):
     # 0*1 + 1*(-2) + 2*4 = 6

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dilastab import (
     DegenerateDelta,
     DilationParams,
+    EnsembleConfig,
     GaussianDriver,
     TRANSFORMS,
     GridMissingUnit,
@@ -20,6 +21,7 @@ from dilastab import (
     TimeGrid,
     apply_transforms,
     extract_background,
+    ibp_integral,
     ou_evolve,
     ou_from_integral,
     plan_dilative,
@@ -27,6 +29,7 @@ from dilastab import (
     sample_increments,
     simulate_dilative,
     simulate_driving,
+    simulate_ensemble,
     tau,
 )
 from dilastab.processes import _truncation_point, pull_back
@@ -346,3 +349,45 @@ def test_pull_back_inverts_a_chain_and_rejects_what_it_cannot():
         pull_back(("idt",), 0.0, 1.0)
     with pytest.raises(ValueError):
         pull_back(("spin",), 1.0, 1.0)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_pathwise_functions_take_an_ensemble_row_by_row():
+    # every pathwise function works along the last axis: on a 4-row
+    # ensemble it gives each row's single-path result bit for bit, on a grid
+    # long enough for numpy's pairwise sums to split each row
+    params = DilationParams(0.8, 0.6)
+    grid = TimeGrid.geometric(math.exp(-2.0), math.exp(2.0), 201)
+    x = simulate_ensemble(EnsembleConfig(GaussianDriver(), params, grid), 4, master_seed=5)
+    rows = [SamplePath(grid, row) for row in x.values]
+    assert x.n_paths == 4 and x.values.shape == (4, 201)
+    pts = grid.points
+    for t in (pts[0], 1.0, pts[-1]):
+        assert _same_bits(x.value_at(t), [row.value_at(t) for row in rows])
+    weight, weight_prime = (lambda t: t**-0.3), (lambda t: -0.3 * t**-1.3)
+    for a, b in ((pts[0], pts[-1]), (pts[150], pts[7]), (1.0, 1.0)):
+        want = [rs_integral(weight, row, a, b) for row in rows]
+        assert _same_bits(rs_integral(weight, x, a, b), want)
+        want = [ibp_integral(weight, weight_prime, row, a, b) for row in rows]
+        assert _same_bits(ibp_integral(weight, weight_prime, x, a, b), want)
+    y = extract_background(x, params)
+    ys = [extract_background(row, params) for row in rows]
+    assert y.role == "Y" and np.array_equal(y.grid.points, ys[0].grid.points)
+    assert _same_bits(y.values, [row.values for row in ys])
+    u = y.grid.points
+    v0s = np.array([0.3, -1.2, 0.0, 2.5])
+    for v0 in (0.83, v0s):
+        v = ou_evolve(v0, y, params.ou_rate, u[20], u[180])
+        each = np.broadcast_to(v0, 4)
+        vs = [ou_evolve(r0, row, params.ou_rate, u[20], u[180]) for r0, row in zip(each, ys)]
+        assert v.role == "V" and np.array_equal(v.grid.points, vs[0].grid.points)
+        assert _same_bits(v.values, [row.values for row in vs])
+    chain = ("lamperti", "idt")
+    d = apply_transforms(x, params, chain)
+    ds = [apply_transforms(row, params, chain) for row in rows]
+    assert d.role == "D" and np.array_equal(d.grid.points, ds[0].grid.points)
+    assert _same_bits(d.values, [row.values for row in ds])
