@@ -3,7 +3,7 @@
 Three subcommands:
 
   simulate   write an ensemble as CSV (columns path_id,t,value, sorted by
-             path then time).
+             path then time), formatted in blocks of whole paths.
   verify     simulate an ensemble, run one scaling-law check, write the
              report as JSON, and exit 3 when the pass fraction falls below
              the threshold.
@@ -36,6 +36,7 @@ import math
 import operator
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -259,14 +260,10 @@ def _ensemble_config(run, extra_times=()):
     # the builders' temporaries: three arrays of the grid's length
     check_memory(3 * run.points, f"points = {run.points} output times")
     grid = _SPACINGS[run.spacing](run.t_min, run.t_max, run.points)
-    pts = grid.points
-    if extra_times:
-        merged = np.sort(np.concatenate([pts, np.asarray(extra_times, dtype=float)]))
-        keep = np.ones(merged.size, dtype=bool)
-        gaps = np.diff(merged)
-        tol = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(merged[1:]))
-        keep[1:] = gaps > tol
-        grid = TimeGrid(merged[keep])
+    # a time the grid already holds, under TimeGrid's own matching rule, is not added twice
+    extra = [t for t in extra_times if not grid.contains(t)]
+    if extra:
+        grid = TimeGrid(np.union1d(grid.points, extra))
     return EnsembleConfig(
         driver=run.driver,
         params=run.params,
@@ -277,27 +274,38 @@ def _ensemble_config(run, extra_times=()):
     )
 
 
-def _write_text(path, text):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# values per block of CSV text: about 1024 paths of 8 times
+_CSV_BLOCK = 8192
+
+
+def _open_output(path):
+    """The output as a context: the file at path, else stdout, which stays open."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
+
+
+def _write_text(out, text):
+    """Every output of every command goes through here (the benchmark counts it)."""
+    out.write(text)
 
 
 def cmd_simulate(run):
     if run.include_origin and run.transform:
         raise ValueError("--include-origin applies only to untransformed output")
     ens = simulate_ensemble(_ensemble_config(run), run.n_paths, run.seed)
-    lines = ["path_id,t,value"]
     times = [_fmt(t) for t in ens.grid.points]
-    for n in range(ens.n_paths):
-        if run.include_origin:
-            lines.append(f"{n},{_fmt(0.0)},{_fmt(0.0)}")
-        # one row at a time: Python floats format faster than numpy scalars,
-        # and converting the whole matrix at once would hold it all as objects
-        lines += [f"{n},{t},{v!r}" for t, v in zip(times, ens.values[n].tolist())]
-    _write_text(run.output, "\n".join(lines) + "\n")
+    # whole paths per block, so that the text held at once stays near
+    # _CSV_BLOCK values however many paths there are
+    block = max(1, _CSV_BLOCK // len(times))
+    with _open_output(run.output) as out:
+        _write_text(out, "path_id,t,value\n")
+        for start in range(0, ens.n_paths, block):
+            lines = []
+            for n in range(start, min(start + block, ens.n_paths)):
+                if run.include_origin:
+                    lines.append(f"{n},{_fmt(0.0)},{_fmt(0.0)}")
+                # one row at a time: Python floats format faster than numpy scalars
+                lines += [f"{n},{t},{v!r}" for t, v in zip(times, ens.values[n].tolist())]
+            _write_text(out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -365,15 +373,20 @@ def cmd_verify(run):
         run.n_paths,
         run.seed,
     )
-    oracle = None
-    if not run.transform:
-        try:
-            oracle_log_cf(run.driver, run.params, 1.0, 1.0)
-            oracle = partial(oracle_joint_log_cf, run.driver, run.params)
-        except DilastabError:
-            pass
-    report = check_scaling(ens, law, points, r_steps=run.r_steps, oracle=oracle)
-    _write_text(run.output, json.dumps(report.to_dict(), indent=2) + "\n")
+    # check_scaling drops a row's oracle where it has none (OracleOutOfDomain)
+    oracle = None if run.transform else partial(oracle_joint_log_cf, run.driver, run.params)
+    try:
+        report = check_scaling(ens, law, points, r_steps=run.r_steps, oracle=oracle)
+    except FloatingPointError as exc:
+        # sum_j theta_j X(t_j) overflowed; with finite samples the thetas are the cause
+        if not np.isfinite(ens.values).all():
+            raise
+        raise ValueError(
+            "--thetas (or a --pair's thetas) times the simulated values leave the "
+            f"float range ({exc})"
+        ) from None
+    with _open_output(run.output) as out:
+        _write_text(out, json.dumps(report.to_dict(), indent=2) + "\n")
     if report.pass_fraction < run.threshold:
         unestimable = f" ({report.unestimable} unestimable)" if report.unestimable else ""
         print(
@@ -399,7 +412,8 @@ def cmd_oracle(run):
         for theta in run.thetas:
             value = oracle_log_cf(run.driver, run.params, t, theta)
             lines.append(f"{_fmt(t)},{_fmt(theta)},{_fmt(value.real)},{_fmt(value.imag)}")
-    _write_text(run.output, "\n".join(lines) + "\n")
+    with _open_output(run.output) as out:
+        _write_text(out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -65,15 +65,19 @@ class TimeGrid:
         return self.points.size
 
     def index_of(self, t):
-        """Index of the grid point equal to t, tolerating a few ulp of drift."""
+        """Index of the grid point equal to t, tolerating a few ulp of drift.
+
+        A point equal to t wins; otherwise the nearer of t's two neighbours
+        matches if it lies within _MATCH_RTOL * max(1, |p|, |t|) of t.
+        """
         pts = self.points
         t = float(t)
-        i = int(np.searchsorted(pts, t))
-        for j in (i - 1, i):
-            if 0 <= j < pts.size:
-                p = pts[j]
-                if p == t or abs(p - t) <= _MATCH_RTOL * max(1.0, abs(p), abs(t)):
-                    return j
+        i = int(np.searchsorted(pts, t))  # pts[i - 1] < t <= pts[i]
+        if i < pts.size and pts[i] == t:
+            return i
+        j = min((j for j in (i - 1, i) if 0 <= j < pts.size), key=lambda j: abs(pts[j] - t))
+        if abs(pts[j] - t) <= _MATCH_RTOL * max(1.0, abs(pts[j]), abs(t)):
+            return j
         raise OffGrid(f"time {t!r} is not a grid point")
 
     def contains(self, t):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -114,6 +115,36 @@ def test_simulate_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("path_id,t,value\n")
+
+
+def test_simulate_writes_blocks_of_rows_alike_to_a_file_and_stdout(capsys, tmp_path, monkeypatch):
+    # 3000 paths of 8 times span three blocks of rows; the bytes do not
+    # depend on where they go, nor on how they are split
+    writes = []
+    write = cli._write_text
+    monkeypatch.setattr(cli, "_write_text", lambda out, text: writes.append(write(out, text)))
+    argv = ("simulate", "--n-paths", "3000", "--points", "8", "--seed", "5")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(writes) >= 4  # the header and at least three blocks
+    target = tmp_path / "paths.csv"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_text() == out
+    assert out.count("\n") == 1 + 3000 * 8
+
+
+def test_simulate_csv_memory_stays_near_the_matrix(tmp_path):
+    # the CSV is formatted a block of rows at a time: the peak of Python
+    # allocations stays within a few times the 8 B of each value, where the
+    # whole text built at once took about 193 B per value
+    target = tmp_path / "paths.csv"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--n-paths", "20000", "--points", "10", "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / (20000 * 10) < 48
 
 
 def test_oracle_golden_values(capsys):
@@ -946,6 +977,59 @@ def test_arrays_over_physical_memory_exit_2_before_allocating(
     assert_one_error_line(code, err, "not enough memory for this configuration", *words)
 
 
+@pytest.mark.parametrize(
+    "driver, has_oracle, digest",
+    [
+        (
+            '{"kind": "gaussian", "variance": 2.0, "drift": 0.3}',
+            True,
+            "a0e793d0a3b5a8848c3718a8ab3246d91bff8d5985fee64864cd108b1d0fe7be",
+        ),
+        (
+            '{"kind": "gamma", "shape": 1.0, "rate": 1.0}',
+            False,
+            "6d86fa9c9d789d728b48336d1daa40f545084afcc54f5d24d2359d00eee7d4f4",
+        ),
+    ],
+    ids=["closed-form", "gamma"],
+)
+def test_verify_attaches_the_oracle_wherever_it_has_a_value(capsys, driver, has_oracle, digest):
+    # sha256 recorded while verify still probed the oracle at (t, theta) =
+    # (1, 1) before attaching it; each row now keeps or drops it on its own
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        *("--law", "dilative", "--T", "2", "--times", "0.5,1", "--thetas", "0.5,1"),
+        *("--pair", "0.5,1,1,-0.5", "--n-paths", "300", "--seed", "4", "--threshold", "0"),
+        *("--driver", driver),
+    )
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 5 and all(("oracle" in row) == has_oracle for row in rows)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_time_near_a_grid_point_is_added_not_merged(capsys):
+    # 1.00000000000001 lies 45 ulp above the grid point 1: farther than the
+    # grid's matching tolerance, so it is simulated as a point of its own,
+    # and the user's grid points stay as they are
+    seen = []
+    simulate = cli.simulate_ensemble
+
+    def simulated(config, *args):
+        seen.append(config.out_times.points)
+        return simulate(config, *args)
+
+    argv = ("verify", "--law", "dilative", "--T", "1", "--times", "1.00000000000001")
+    argv += ("--thetas", "1", "--t-min", "1", "--t-max", "2", "--points", "2")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "simulate_ensemble", simulated)
+        code, out, err = run_cli(capsys, *argv, "--spacing", "linear", "--n-paths", "100")
+    assert code == 0 and err == ""
+    assert seen[0].tolist() == [1.0, 1.00000000000001, 2.0]
+    assert json.loads(out)["rows"][0]["times"] == [1.00000000000001]
+
+
 def test_verify_row_keeps_no_oracle_that_overflows(capsys):
     code, out, err = run_cli(
         capsys,
@@ -1024,13 +1108,19 @@ def test_verify_law_out_of_float_range_exit_2(capsys, argv):
         (
             ("verify", "--law", "dilative", "--T", "2", "--times", "1", "--thetas", "1e308")
             + ("--n-paths", "30"),
-            (),
+            ("--thetas", "--pair", "overflow"),
+        ),
+        (
+            ("verify", "--law", "dilative", "--T", "2", "--times", "1", "--thetas", "1")
+            + ("--pair", "1,2,1e308,1e308", "--n-paths", "30"),
+            ("--thetas", "--pair", "overflow"),
         ),
     ],
-    ids=["weight-overflow", "cell-count-overflow", "projection-overflow"],
+    ids=["weight-overflow", "cell-count-overflow", "projection-overflow", "pair-overflow"],
 )
 def test_float_overflow_exit_2(capsys, argv, words):
-    # numpy would warn on stderr and write inf, or Python raise OverflowError
+    # numpy would warn on stderr and write inf, or Python raise OverflowError;
+    # the law's derived thetas are finite, while theta * X(t) is not
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
     assert_one_error_line(code, err, "float range", *words)

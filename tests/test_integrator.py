@@ -47,6 +47,21 @@ def test_index_of_exact_and_tolerant():
         grid.index_of(3.0)
 
 
+def test_index_of_prefers_an_exact_match_then_the_nearer_neighbour():
+    # both points lie within the matching tolerance of 5e-16
+    grid = TimeGrid(np.array([1e-16, 5e-16, 1.0]))
+    assert grid.index_of(5e-16) == 1
+    assert grid.index_of(1e-16) == 0
+    assert grid.index_of(4e-16) == 1
+    assert grid.index_of(2e-16) == 0
+    ulp = np.spacing(1.0)
+    near = TimeGrid(np.array([1.0, 1.0 + 4 * ulp]))
+    assert near.index_of(1.0 + ulp) == 0
+    assert near.index_of(1.0 + 3 * ulp) == 1
+    assert near.index_of(1.0 + 5 * ulp) == 1
+    assert near.index_of(1.0 - ulp) == 0
+
+
 def test_contains():
     assert DYADIC_GRID.contains(1.0)
     assert not DYADIC_GRID.contains(3.0)
