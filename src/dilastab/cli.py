@@ -18,10 +18,10 @@ numbers are emitted with shortest round-trip formatting, so equal inputs
 produce byte-identical outputs.  --threads is accepted and ignored, for the
 reason simulate_ensemble gives.
 
-n_paths, the grid's points and the cells of the refined log-time grid are
-at most processes.MAX_COUNT = 10**9 each, so that no float array the run
-allocates reaches numpy's size limit; arrays within it that would exceed
-physical memory are refused before they are allocated, by
+n_paths, the grid's points, r_steps and the cells of the refined log-time
+grid are at most processes.MAX_COUNT = 10**9 each, so that no float array
+the run allocates reaches numpy's size limit; arrays within it that would
+exceed physical memory are refused before they are allocated, by
 processes.check_memory, and a size that still does not fit exits 2 as well.
 
 Exit codes: 0 success, 1 I/O failure, 2 inadmissible or otherwise unusable
@@ -147,7 +147,7 @@ _INPUTS = (
     Input("--pair", list, (), commands=_VERIFY,
           help="two-dimensional test point as t1,t2,theta1,theta2; repeatable"),
     Input("--threshold", float, 0.99, bound=_FINITE, commands=_VERIFY),
-    Input("--r-steps", int, 16, bound={"at least": 1}, commands=_VERIFY),
+    Input("--r-steps", int, 16, bound={"at least": 1, "at most": MAX_COUNT}, commands=_VERIFY),
 )
 
 

@@ -3,14 +3,21 @@
 An ensemble holds N independent path realisations on a common grid.  The
 finite dimensional empirical CF at (times, thetas) averages the per-path
 terms exp(i * W), W = sum_j theta_j * X(t_j), over paths; its standard error
-is sqrt((1 - |cf|^2) / N).  The terms of a whole ray are one complex array,
-filled with cos(W) and sin(W) rather than computed as np.exp(1j * W): the
-same bytes at about half the cost.  Log-CFs are estimated along the ray
-r * theta, r in (0, 1], with the phase unwrapped continuously from r = 0
+is sqrt((1 - |cf|^2) / N).  Log-CFs are estimated along the ray r * theta,
+r = k/R for k = 1..R, with the phase unwrapped continuously from r = 0
 where the log-CF is 0 -- the principal-branch angle alone would be wrong
 whenever the accumulated phase passes pi.  A ray is aborted (LowMagnitude)
 when |cf| falls below max(0.1, 5/sqrt(N)), the region where log-CF estimates
 stop being meaningful at the available sample size.
+
+The per-path terms of a ray are one (R, N) complex array.  Its first row
+(r = 1/R) and last row (r = 1) are filled with cos(W r) and sin(W r): the
+bytes np.exp(1j * W r) gives, at about half its cost.  Each row between is
+the row before it times the first, since e^(i k W/R) = (e^(i W/R))^k: one
+complex product per path instead of a cos and a sin.  A ray thus costs 2N
+cos/sin pairs and (R - 2)N products, and the log-CF at r = 1, the one
+check_scaling reads, keeps the bytes of the exponential; the rows between
+only steer the unwrapping and the floor check.
 
 check_scaling turns a scaling law into z-scores: for each test point it
 compares the estimated log-CF at the law's scaled arguments against the
@@ -172,12 +179,13 @@ def _projection(ens, times, thetas):
 
 
 def _cf_terms(rs, w):
-    """The per-path CF terms: row j is exp(1j * rs[j] * w), one complex array.
+    """The exact per-path CF terms: row j is exp(1j * rs[j] * w), one complex array.
 
     cos fills the real parts and sin the imaginary parts, which equals
     np.exp(1j * np.outer(rs, w)) bit for bit wherever rs[j] * w is finite
     (NaN elsewhere) at half its cost: exp also forms the complex product
-    1j * x and exponentiates its zero real part.
+    1j * x and exponentiates its zero real part.  _ray_terms calls it for a
+    ray's first and last rows only.
     """
     x = np.outer(rs, w)
     # sin(-0.0) is -0.0, where exp(1j * -0.0) has a +0.0 imaginary part
@@ -188,20 +196,46 @@ def _cf_terms(rs, w):
     return terms
 
 
+def _ray_terms(rs, w):
+    """The per-path CF terms of the ray rs = (1..R)/R: row k is exp(1j * rs[k] * w).
+
+    The first and last rows are _cf_terms' exact ones.  Each row between is
+    the row before it times the first, as e^(i k w/R) = (e^(i w/R))^k, and
+    NaN where w is.  Row k carries the roundings of k - 1 complex products,
+    about k ulps, where np.exp(1j * rs[k] * w) carries the rounding of
+    rs[k] * w: the two differ widely only where |w| is so large (1e22)
+    that an ulp of rs[k] * w is a turn or more.
+    """
+    terms = np.empty((rs.size, w.size), dtype=complex)
+    ends = np.unique([0, rs.size - 1])
+    terms[ends] = _cf_terms(rs[ends], w)
+    for k in range(1, rs.size - 1):
+        np.multiply(terms[k - 1], terms[0], out=terms[k])
+    return terms
+
+
 def estimate_log_cf(ens, times, theta_direction, r_steps=16):
-    """Estimate the log-CF along the ray r * theta_direction, r in (0, 1].
+    """Estimate the log-CF along the ray r * theta_direction, r = k/r_steps, k = 1..r_steps.
 
     Returns one EcfEstimate per ray position, phases unwrapped continuously
-    from 0 at r = 0.  Aborts with LowMagnitude at the first ray position
-    whose CF magnitude falls below max(0.1, 5/sqrt(N)).
+    from 0 at r = 0.  The positions r = 1/r_steps and r = 1 are exact (the
+    bytes of np.exp(1j * W r)); the CF terms between are powers of the first
+    position's (see _ray_terms).  Aborts with LowMagnitude at the first ray
+    position whose CF magnitude falls below max(0.1, 5/sqrt(N)).  r_steps
+    must be a whole number of at least 1; a ray whose terms would exceed
+    physical memory raises MemoryError before they are allocated.
     """
+    if isinstance(r_steps, bool) or not float(r_steps).is_integer():
+        raise ValueError(f"r_steps must be a whole number, got {r_steps!r}")
     if r_steps < 1:
-        raise ValueError("r_steps must be >= 1")
+        raise ValueError(f"r_steps must be >= 1, got {r_steps!r}")
+    r_steps = int(r_steps)
     w = _projection(ens, times, theta_direction)
     n = w.size
+    check_memory(2 * r_steps * n, f"r_steps = {r_steps} ray positions of n_paths = {n} paths")
     floor = max(0.1, 5.0 / math.sqrt(n))
     rs = np.arange(1, r_steps + 1) / r_steps
-    cfs = _cf_terms(rs, w).mean(axis=1)
+    cfs = _ray_terms(rs, w).mean(axis=1)
     mags = np.abs(cfs)
     low = np.nonzero(mags < floor)[0]
     if low.size:

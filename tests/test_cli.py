@@ -521,6 +521,35 @@ def test_oversized_counts_exit_2_before_allocating(
     assert_one_error_line(code, err, f"{key} must be at most {cli.MAX_COUNT}")
 
 
+SMALL_VERIFY = ("verify", "--law", "dilative", "--T", "2", "--times", "1", "--thetas", "1", "--n-paths", "30")
+
+
+@pytest.mark.parametrize("r_steps", ["1e300", str(cli.MAX_COUNT + 1)])
+def test_oversized_r_steps_exit_2_before_simulating(capsys, monkeypatch, r_steps):
+    # 1e300 once reached np.arange, whose error named no input
+    def allocate(*args, **kwargs):
+        raise AssertionError("an oversized r_steps reached the simulation")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", allocate)
+    code, out, err = run_cli(capsys, *SMALL_VERIFY, "--r-steps", r_steps)
+    assert out == ""
+    assert_one_error_line(code, err, f"--r-steps must be at most {cli.MAX_COUNT}")
+
+
+def test_a_ray_over_physical_memory_exits_2_before_allocating(capsys, monkeypatch):
+    # 10**8 ray positions of 30 paths once asked numpy for 22.4 GiB, and its
+    # error named no input
+    def allocate(*args, **kwargs):
+        raise AssertionError("a ray over the memory figure reached the allocation")
+
+    monkeypatch.setattr(processes, "_physical_memory", lambda: 2**30)
+    monkeypatch.setattr(ecf, "_ray_terms", allocate)
+    code, out, err = run_cli(capsys, *SMALL_VERIFY, "--r-steps", "100000000")
+    assert out == ""
+    words = ("not enough memory", "r_steps = 100000000", "n_paths = 30 paths", "44.7 GiB", "the 1 GiB")
+    assert_one_error_line(code, err, *words)
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 29.8 GiB for an array", ""])
 def test_out_of_memory_exit_2(capsys, monkeypatch, message):
     # the largest size allowed passes the check; its allocation is faked

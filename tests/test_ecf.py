@@ -43,7 +43,7 @@ from dilastab import (
     simulate_ensemble,
 )
 from dilastab._seeds import BLOCK
-from dilastab.ecf import _cf_terms
+from dilastab.ecf import _cf_terms, _ray_terms
 
 UNIT = DilationParams(1.0, 1.0)
 
@@ -140,6 +140,17 @@ def assert_same_bits(got, want):
         assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
 
 
+def power_terms(w, r_steps):
+    """A ray's per-path terms as powers: the exponential at r = 1/r_steps and
+    r = 1, and each row between the row before it times the first."""
+    rs = np.arange(1, r_steps + 1) / r_steps
+    first, last = np.exp(1j * np.outer(rs[[0, -1]], w))
+    rows = [first]
+    for _ in range(r_steps - 2):
+        rows.append(rows[-1] * first)
+    return np.array(rows + [last] if r_steps > 1 else rows)
+
+
 def cf_ensembles():
     rng = np.random.default_rng(8)
     grid = TimeGrid(np.array([0.5, 1.0]))
@@ -167,11 +178,109 @@ def test_ecf_bytes_equal_the_complex_exponential(name, times, thetas):
         assert (exc.value.r, exc.value.magnitude, exc.value.floor) == (want.r, want.magnitude, want.floor)
     else:
         ray = estimate_log_cf(ens, times, thetas, r_steps=16)
-        assert_same_bits([est.cf_mean for est in ray], want[0])
-        assert_same_bits([est.logcf for est in ray], want[1])
+        cfs = np.array([est.cf_mean for est in ray])
+        # the ends are the exponential's bytes, the positions between the
+        # powers of the first position's terms
+        assert_same_bits(cfs[[0, -1]], want[0][[0, -1]])
+        assert_same_bits(cfs[1:-1], power_terms(w, 16).mean(axis=1)[1:-1])
+        if name in ("gaussian", "gamma"):
+            k = np.arange(2, 16)
+            assert (abs(cfs[1:-1] - want[0][1:-1]) <= 32 * k * np.finfo(float).eps).all()
+        top = ray[-1].logcf
+        if name == "at 1e22" and any(thetas):
+            # every path's W is 5e21 (or 2.5e21), so one ray step turns the
+            # phase by about 3e20 rad, and an ulp of rs * W is a million:
+            # no branch follows from the data, and the unwrapped phase at
+            # r = 1 is fixed only up to a multiple of 2 pi
+            assert_same_bits(top.real, want[1][-1].real)
+            turns = (top.imag - want[1][-1].imag) / (2 * math.pi)
+            assert abs(turns - round(turns)) < 1e-9
+        else:
+            assert_same_bits(top, want[1][-1])
         assert_same_bits(estimate_cf(ens, times, thetas).cf_mean, np.exp(1j * w).mean())
     # the mean at r = 1 even where the ray aborts before reaching it
     assert_same_bits(_cf_terms((1.0,), w).mean(axis=1), [np.exp(1j * w).mean()])
+
+
+EDGE_W = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e22, -1e22, np.nan])
+
+
+@given(
+    r_steps=st.integers(1, 64),
+    w=st.lists(st.one_of(EDGE_W, st.floats(-1e3, 1e3)), min_size=1, max_size=40),
+)
+def test_ray_terms_are_exact_at_the_ends_and_powers_between(r_steps, w):
+    w = np.array(w)
+    rs = np.arange(1, r_steps + 1) / r_steps
+    got = _ray_terms(rs, w)
+    assert got.shape == (r_steps, w.size)
+    finite = ~np.isnan(w)
+    # the exponential's bytes at both ends, its powers between
+    assert_same_bits(got[:, finite], power_terms(w[finite], r_steps))
+    # a NaN projection spoils its own path's terms and no other's
+    assert np.isnan(got[:, ~finite]).all()
+
+
+def test_ray_terms_evaluate_cos_and_sin_at_the_ends_only(monkeypatch):
+    import dilastab.ecf as ecf_module
+
+    evaluated = []
+
+    def counted(rs, w):
+        evaluated.append(len(rs) * len(w))
+        return _cf_terms(rs, w)
+
+    monkeypatch.setattr(ecf_module, "_cf_terms", counted)
+    ens = normal_ensemble(0.0, 1.0, 300, 12)
+    for r_steps, count in [(1, 300), (2, 600), (16, 600)]:
+        evaluated.clear()
+        estimate_log_cf(ens, (1.0,), (0.5,), r_steps=r_steps)
+        assert evaluated == [count]
+
+
+def all_cos_sin_terms(rs, w):
+    """The kernel that filled every row of a ray with cos and sin."""
+    x = np.outer(rs, w)
+    x += 0.0
+    terms = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=terms.real)
+    np.sin(x, out=terms.imag)
+    return terms
+
+
+def test_check_scaling_on_a_wrapping_ray_matches_all_cos_sin_rows(monkeypatch):
+    import dilastab.ecf as ecf_module
+
+    # the phase at t = 4, theta = 0.7 is about 42 rad, so that ray wraps six
+    # times, each of its 16 steps turning it by less than pi
+    driver = GaussianDriver(variance=0.01, drift=20.0)
+    cfg = EnsembleConfig(driver, UNIT, (0.5, 1.0, 2.0, 4.0))
+    ens = simulate_ensemble(cfg, 500, master_seed=13)
+    law = DilativeLaw(1.0, 1.0, 2.0)
+    points = marginal_points((0.5, 1.0, 2.0), (0.5, 0.7)) + [increment_pair(0.5, 1.0, 1.0)]
+    got = check_scaling(ens, law, points).rows
+    monkeypatch.setattr(ecf_module, "_ray_terms", all_cos_sin_terms)
+    want = check_scaling(ens, law, points).rows
+    assert max(row.lhs.imag for row in got) > 40
+    assert all(row.passed for row in got)
+    for a, b in zip(got, want):
+        for x, y in [(a.lhs, b.lhs), (a.rhs, b.rhs), (a.z_real, b.z_real), (a.z_imag, b.z_imag)]:
+            assert x == pytest.approx(y, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("r_steps", [16, 16.0, np.int64(16), np.float64(16.0)])
+def test_log_cf_takes_an_integral_r_steps(r_steps):
+    ens = normal_ensemble(0.0, 1.0, 300, 14)
+    want = estimate_log_cf(ens, (1.0,), (0.5,), r_steps=16)
+    assert estimate_log_cf(ens, (1.0,), (0.5,), r_steps=r_steps) == want
+
+
+@pytest.mark.parametrize("r_steps", [2.5, 16.000001, True, False, math.nan, math.inf])
+def test_log_cf_rejects_a_non_integral_r_steps(r_steps):
+    # r_steps = 2.5 once made a ray ending at r = 1.2, reported as the estimate at theta
+    ens = normal_ensemble(0.0, 1.0, 300, 14)
+    with pytest.raises(ValueError, match="r_steps"):
+        estimate_log_cf(ens, (1.0,), (0.5,), r_steps=r_steps)
 
 
 def test_cf_terms_equal_the_complex_exponential_elementwise():
