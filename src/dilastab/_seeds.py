@@ -6,9 +6,10 @@ That SeedSequence hashes its entropy words (the master seed's uint32 words,
 zero-padded to the pool size, then n) into a pool of 4 uint32 words with
 O'Neill's seed_seq hash and NumPy's constants, and PCG64 seeds itself from
 the pool's generate_state(4, uint64).  The spawn key is the last word, so the
-pool before it depends on the master seed alone and is cached; the 4
-hash-and-mix steps that take n in, and the 8 output words, are elementwise
-uint32 arithmetic over a block of BLOCK consecutive keys.
+pool before it is numpy's own SeedSequence(master_seed).pool.  This module
+ports only the steps after it: the 4 hash-and-mix steps that take n in, and
+the 8 output words, as elementwise uint32 arithmetic over a block of BLOCK
+consecutive keys.
 
 Kept in its own module so that `import dilastab` does not load numpy.random.
 """
@@ -36,8 +37,7 @@ MASK32 = 0xFFFFFFFF
 
 
 def _mix(x, y):
-    # Python ints below 2**32 and uint32 arrays alike: each product is reduced
-    # before the subtraction, which then wraps (arrays) or is masked (ints)
+    # a Python int x and a uint32 array y: each product is reduced, and the difference wraps
     out = ((MIX_MULT_L * x & MASK32) - (MIX_MULT_R * y & MASK32)) & MASK32
     return out ^ (out >> XSHIFT)
 
@@ -49,37 +49,16 @@ def _hash(value, hc, mult):
     return value ^ (value >> XSHIFT), nxt
 
 
-@lru_cache(maxsize=16)
-def _master_pool(master_seed):
-    """The pool after every entropy word but the spawn key, and the hash constant reached."""
-    words = []
-    while True:
-        words.append(master_seed & MASK32)
-        master_seed >>= 32
-        if not master_seed:
-            break
-    words += [0] * (POOL_SIZE - len(words))
-    hc = INIT_A
-    pool = []
-    for word in words[:POOL_SIZE]:
-        value, hc = _hash(word, hc, MULT_A)
-        pool.append(value)
-    for src in range(POOL_SIZE):
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                value, hc = _hash(pool[src], hc, MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[POOL_SIZE:]:
-        for dst in range(POOL_SIZE):
-            value, hc = _hash(word, hc, MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    return tuple(pool), hc
-
-
-def _block_seeds(master_seed, start):
-    """PCG64's 4 uint64 seed words for the spawn keys start .. start + BLOCK - 1, one row each."""
-    pool, hc = _master_pool(master_seed)
-    keys = np.arange(start, start + BLOCK, dtype=np.uint32)
+# a block is 32 KiB: a few serve interleaved seeds, many would raise the peak memory
+@lru_cache(maxsize=4)
+def _block_seeds(master_seed, block):
+    """PCG64's 4 uint64 seed words for the spawn keys of block: one row per key."""
+    pool = SeedSequence(master_seed).pool.tolist()
+    # the pool took one hash step per padded word, 12 to mix them and 4 per
+    # word beyond the pool's 4; the constant is INIT_A * MULT_A**steps
+    extra = max(0, -(-int(master_seed).bit_length() // 32) - POOL_SIZE)
+    hc = INIT_A * pow(MULT_A, 16 + 4 * extra, MASK32 + 1) & MASK32
+    keys = np.arange(block * BLOCK, (block + 1) * BLOCK, dtype=np.uint32)
     mixed = []
     for word in pool:
         value, hc = _hash(keys, hc, MULT_A)
@@ -136,14 +115,10 @@ class _PathSeed(ISpawnableSeedSequence):
 
 
 _INTS = (int, np.integer)
-# (master_seed, first key, seeds) of the most recent block, read and replaced
-# as one tuple: concurrent callers at worst compute a block twice
-_last = (None, 0, None)
 
 
 def path_rng(master_seed, n):
     """np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,)))."""
-    global _last
     if not (
         isinstance(master_seed, _INTS)
         and isinstance(n, _INTS)
@@ -151,11 +126,7 @@ def path_rng(master_seed, n):
         and 0 <= n <= MASK32
     ):
         return np.random.default_rng(SeedSequence(master_seed, spawn_key=(n,)))
-    seed, start, seeds = _last
-    offset = int(n) - start  # int(): a numpy unsigned n - start would wrap with a warning
-    if seed != master_seed or not 0 <= offset < BLOCK:
-        seed, offset = int(master_seed), int(n) % BLOCK
-        start = int(n) - offset
-        seeds = _block_seeds(seed, start)
-        _last = (seed, start, seeds)
+    # int(): a numpy int8 n would overflow in n % BLOCK
+    block, offset = divmod(int(n), BLOCK)
+    seeds = _block_seeds(master_seed, block)
     return Generator(PCG64(_PathSeed(master_seed, n, seeds[offset])))

@@ -8,23 +8,19 @@ r = k/R for k = 1..R, with the phase unwrapped continuously from r = 0
 where the log-CF is 0 -- the principal-branch angle alone would be wrong
 whenever the accumulated phase passes pi.  A ray is aborted (LowMagnitude)
 when |cf| falls below max(0.1, 5/sqrt(N)), the region where log-CF estimates
-stop being meaningful at the available sample size.
+stop being meaningful at the available sample size, and (PhaseAmbiguous)
+when doubling its steps moves the unwrapped phase at r = 1 by whole turns.
 
-The per-path terms of a ray are one (R, N) complex array.  Its first row
-(r = 1/R) and last row (r = 1) are filled with cos(W r) and sin(W r): the
-bytes np.exp(1j * W r) gives, at about half its cost.  Each row between is
-the row before it times the first, since e^(i k W/R) = (e^(i W/R))^k: one
-complex product per path instead of a cos and a sin.  A ray thus costs 2N
-cos/sin pairs and (R - 2)N products, and the log-CF at r = 1, the one
-check_scaling reads, keeps the bytes of the exponential; the rows between
-only steer the unwrapping and the floor check.
+The per-path terms of a ray are one (R, N) complex array (_ray_terms): the
+rows at r = 1/R and r = 1 are exact, and those between are powers of the
+first, which only steer the unwrapping and the floor check.
 
 check_scaling turns a scaling law into z-scores: for each test point it
 compares the estimated log-CF at the law's scaled arguments against the
 law's multiplier times the estimated log-CF at the base arguments, each
 component normalised by the pooled standard error.  A point passes when both
-components have |z| <= 3; a point with an aborted ray is unestimable and
-fails.
+components have |z| <= 3; a point with an aborted ray (LowMagnitude or
+PhaseAmbiguous) is unestimable and fails.
 
 Closed-form oracles exist for the Gaussian and symmetric stable drivers:
 with q = delta/(e^delta - 1) and H = alpha - delta/2,
@@ -50,6 +46,7 @@ from .errors import (
     LowMagnitude,
     NonPositiveTime,
     OracleOutOfDomain,
+    PhaseAmbiguous,
 )
 from .integrator import SamplePath, TimeGrid
 
@@ -127,17 +124,12 @@ def simulate_ensemble(config, n_paths, master_seed):
 
     Path n is drawn from derive_rng(master_seed, n) into row n of one
     matrix, and the transform chain then maps the whole matrix at once.
-    Path n's stream is exactly
-    np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,))),
-    whose PCG64 seeds derive_rng computes for 1024 consecutive paths in one
-    numpy pass.  Every path draws over the plan's one set of driver cells,
-    computed when the plan is built.  The draws are Python-bound and hold
-    the interpreter lock, so they run serially: on a 2-core machine (Python
-    3.11, numpy 2.4.6), 4000 Gaussian paths of 84 cells took 54 ms, about
-    13 us per path, and 1000 gamma paths of 710 cells (refine 64) 51 ms;
-    one pool task per path on 2 threads had made the gamma case about 4
-    times slower.  An ensemble whose values would exceed physical memory
-    raises MemoryError before anything is built.
+    Every path draws over the plan's one set of driver cells, computed when
+    the plan is built.  The draws are Python-bound and hold the interpreter
+    lock, so they run serially: on a 2-core machine one pool task per path
+    on 2 threads had made 1000 gamma paths of 710 cells about 4 times
+    slower.  An ensemble whose values would exceed physical memory raises
+    MemoryError before anything is built.
     """
     pts = config.out_times.points
     if pts[0] <= 0:
@@ -221,9 +213,12 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=16):
     from 0 at r = 0.  The positions r = 1/r_steps and r = 1 are exact (the
     bytes of np.exp(1j * W r)); the CF terms between are powers of the first
     position's (see _ray_terms).  Aborts with LowMagnitude at the first ray
-    position whose CF magnitude falls below max(0.1, 5/sqrt(N)).  r_steps
-    must be a whole number of at least 1; a ray whose terms would exceed
-    physical memory raises MemoryError before they are allocated.
+    position whose CF magnitude falls below max(0.1, 5/sqrt(N)).  When a
+    step of the unwrapped phase exceeds pi/2, the phase at r = 1 is
+    unwrapped again over 2 * r_steps positions, and PhaseAmbiguous is raised
+    if the two differ by a turn or more.  r_steps must be a whole number of
+    at least 1; a ray whose terms would exceed physical memory raises
+    MemoryError before they are allocated.
     """
     if isinstance(r_steps, bool) or not float(r_steps).is_integer():
         raise ValueError(f"r_steps must be a whole number, got {r_steps!r}")
@@ -241,7 +236,15 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=16):
     if low.size:
         i = int(low[0])
         raise LowMagnitude(float(rs[i]), float(mags[i]), floor)
-    phases = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))[1:]
+    phases = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))
+    if np.any(np.abs(np.diff(phases)) > math.pi / 2):
+        check_memory(4 * r_steps * n, f"{2 * r_steps} ray positions of n_paths = {n} paths")
+        fine = _ray_terms(np.arange(1, 2 * r_steps + 1) / (2 * r_steps), w).mean(axis=1)
+        # both rays end in the same r = 1 CF, so the phases differ by whole turns
+        turns = round((np.unwrap(np.angle(fine))[-1] - phases[-1]) / (2 * math.pi))
+        if turns:
+            raise PhaseAmbiguous(r_steps, turns)
+    phases = phases[1:]
     ses = np.sqrt(np.maximum(0.0, 1.0 - mags**2) / n)
     out = []
     direction = np.asarray(theta_direction, dtype=float)
@@ -471,8 +474,9 @@ LAWS = (DilativeLaw, TranslativeLaw, TimeStableLaw, IdtLaw)
 class ScalingRow:
     """Comparison at one test point: lhs vs multiplier * rhs, with z-scores.
 
-    When either side's log-CF cannot be estimated (LowMagnitude), lhs, rhs
-    and the z-scores are None, unestimable says why, and the row fails.
+    When either side's log-CF cannot be estimated (LowMagnitude or
+    PhaseAmbiguous), lhs, rhs and the z-scores are None, unestimable says
+    why, and the row fails.
     """
 
     times: tuple
@@ -536,6 +540,10 @@ def _z_score(diff, se):
     return diff / se
 
 
+# why a ray has no log-CF estimate; its rows are unestimable
+_UNESTIMABLE = (LowMagnitude, PhaseAmbiguous)
+
+
 def check_scaling(ens, law, points, r_steps=16, oracle=None):
     """Run one scaling law over a list of test points.
 
@@ -549,8 +557,8 @@ def check_scaling(ens, law, points, r_steps=16, oracle=None):
     Each distinct ray is estimated once per call: a law whose scaled points
     are other points' base points (IdtLaw with n = 2 on times 0.5, 1, 2)
     reuses those estimates.  Rays are keyed by the ensemble's identity too,
-    so the two sides of a pair never share one.  A ray whose |cf| falls
-    below the floor makes its rows unestimable; the other rows still run.
+    so the two sides of a pair never share one.  A ray without an estimate
+    (_UNESTIMABLE) makes its rows unestimable; the other rows still run.
     """
     if isinstance(ens, tuple):
         scaled_ens, base_ens = ens
@@ -559,13 +567,13 @@ def check_scaling(ens, law, points, r_steps=16, oracle=None):
     psi = {}
 
     def estimate_psi(side, times, thetas):
-        """Unwrapped log-CF estimate at the full ray endpoint, or its LowMagnitude."""
+        """Unwrapped log-CF estimate at the full ray endpoint, or why it has none."""
         # repr tells -0.0 from 0.0, whose estimates can differ in a zero's sign
         key = (id(side), repr(times), repr(thetas))
         if key not in psi:
             try:
                 psi[key] = estimate_log_cf(side, times, thetas, r_steps=r_steps)[-1]
-            except LowMagnitude as exc:
+            except _UNESTIMABLE as exc:
                 psi[key] = exc
         return psi[key]
 
@@ -576,7 +584,7 @@ def check_scaling(ens, law, points, r_steps=16, oracle=None):
         lhs = estimate_psi(scaled_ens, sp.times, sp.thetas)
         base = estimate_psi(base_ens, bp.times, bp.thetas)
         sides = {"scaled side": lhs, "base side": base}
-        low = "; ".join(f"{side}: {e}" for side, e in sides.items() if isinstance(e, LowMagnitude))
+        low = "; ".join(f"{side}: {e}" for side, e in sides.items() if isinstance(e, _UNESTIMABLE))
         if low:
             row = ScalingRow(point.times, point.thetas, None, None, None, None, unestimable=low)
         else:

@@ -60,3 +60,14 @@ class LowMagnitude(DilastabError):
             f"|cf| = {magnitude:.4g} is below the floor {floor:.4g} "
             f"at ray position r = {r:.4g}; the unwrapped log-CF is unreliable there"
         )
+
+
+class PhaseAmbiguous(DilastabError):
+    """A ray's unwrapped phase at r = 1 moves by whole turns when its steps are halved."""
+
+    def __init__(self, r_steps, turns):
+        self.r_steps, self.turns = r_steps, turns
+        super().__init__(
+            f"the unwrapped phase at r = 1 moves by {turns} turns when the ray's r_steps = "
+            f"{r_steps} positions are doubled; raise --r-steps (r_steps)"
+        )

@@ -178,6 +178,16 @@ def _refined_log_grid(knots, counts):
     return np.concatenate(segments + [knots[-1:]])
 
 
+def _grid_cells(u, delta, hurst):
+    """The cells of the log-time grid u: clock increments and left-endpoint weights.
+
+    The driver moves over tau(delta, u[i + 1]) - tau(delta, u[i]) in cell i
+    (0 where rounding makes it negative), weighed by e^(H u[i]).
+    """
+    durations = np.maximum(np.diff(tau(delta, u)), 0.0)
+    return durations, np.exp(hurst * u[:-1])
+
+
 @dataclass(eq=False)
 class SimulationPlan:
     """Precomputed discretisation shared by every path of an ensemble.
@@ -269,8 +279,7 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
             )
             grid = _refined_log_grid(knots, counts.astype(int))
             out_idx = np.searchsorted(grid, u_out)
-            durations = np.maximum(np.diff(tau(params.delta, grid)), 0.0)
-            weights = np.exp(params.hurst * grid[:-1])
+            durations, weights = _grid_cells(grid, params.delta, params.hurst)
     finite = np.isfinite(durations).all() and np.isfinite(weights).all()
     if not (finite and math.isfinite(u_min)):
         raise ValueError(
@@ -306,8 +315,7 @@ def simulate_driving(spec, delta, log_times, rng):
     Anchored at Y = 0 at log time 0 when the grid contains it, else at the
     first grid point.
     """
-    u = log_times.points
-    durations = np.maximum(np.diff(tau(delta, u)), 0.0)
+    durations, _ = _grid_cells(log_times.points, delta, 0.0)
     increments = sample_increments(spec, durations, rng)
     try:
         anchor = log_times.index_of(0.0)
@@ -319,11 +327,10 @@ def simulate_driving(spec, delta, log_times, rng):
 def extract_background(x, params):
     """Recover the background process from an X path or ensemble on a positive grid.
 
-    Y at log time u is the left-endpoint integral of t**(-H) against X from
-    t = 1 to t = e^u (negated below 1), so the grid must contain the point
-    t = 1; raises GridMissingUnit otherwise.  On the grid of a simulated path
-    the weights cancel the simulation weights and the driver increments are
-    recovered up to rounding.
+    Y at log time u sums the increments of X from t = 1 to t = e^u (negated
+    below 1), each divided by its cell's weight from _grid_cells, so the grid
+    must contain t = 1 (GridMissingUnit otherwise).  On a simulated path's
+    grid this recovers the driver increments up to rounding.
     """
     pts = x.grid.points
     if pts[0] <= 0:
@@ -332,8 +339,11 @@ def extract_background(x, params):
         i1 = x.grid.index_of(1.0)
     except OffGrid as exc:
         raise GridMissingUnit("background extraction needs t = 1 on the grid") from exc
-    dy = pts[:-1] ** (-params.hurst) * np.diff(x.values)
-    return SamplePath(TimeGrid(np.log(pts)), _partial_sums(dy, i1), role="Y")
+    u = np.log(pts)
+    with np.errstate(over="ignore", invalid="ignore"):  # the unused clock may overflow
+        _, weights = _grid_cells(u, params.delta, params.hurst)
+    dy = np.diff(x.values) / weights
+    return SamplePath(TimeGrid(u), _partial_sums(dy, i1), role="Y")
 
 
 def ou_evolve(v0, y, ou_rate, a, b):
@@ -374,8 +384,8 @@ def ou_from_integral(spec, params, out_log_times, rng, refine=8.0, tail_tol=1e-4
         raise DegenerateDelta("the moving-average form needs delta != 0")
     u_out = out_log_times.points
     plan = plan_dilative(spec, params, u_out, refine=refine, tail_tol=tail_tol)
-    x_values = plan.run(rng)
-    values = np.exp(-params.hurst * u_out) * x_values
+    weight = TRANSFORMS["lamperti"].weight(np.exp(u_out), u_out, params.hurst)  # e^(-H u)
+    values = weight * plan.run(rng)
     return SamplePath(out_log_times, values, role="V")
 
 

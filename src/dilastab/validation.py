@@ -114,7 +114,7 @@ def admissibility(params, spec):
             reason=f"delta < 0 needs alpha > -delta/2; got alpha = {alpha:g}, "
             f"-delta/2 = {-delta / 2:g}",
         )
-    required = -delta / (alpha + delta / 2)
+    required = required_moment_order(params)
     available = spec.max_moment_order()
     if available <= required:
         return AdmissibilityVerdict(

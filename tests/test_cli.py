@@ -813,6 +813,42 @@ def test_unestimable_rows_are_reported_not_fatal(capsys):
     assert report["pass_fraction"] <= 1 - len(bad) / 4
 
 
+def test_ambiguous_phase_rows_are_reported_unestimable(capsys):
+    # drift 20 turns the phase at t = 4 by about 3.8 rad per step of 16, so
+    # unwrapping lands 16 turns off; the row is unestimable, not a huge z
+    argv = (
+        "verify",
+        "--law",
+        "dilative",
+        "--T",
+        "2",
+        "--driver",
+        '{"kind":"gaussian","variance":0.01,"drift":20.0}',
+        "--times",
+        "2",
+        "--thetas",
+        "1",
+        "--t-max",
+        "4",
+        "--n-paths",
+        "1000",
+        "--seed",
+        "101",
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "1 unestimable" in err
+    report = json.loads(out)
+    assert report["unestimable"] == 1
+    (row,) = report["rows"]
+    assert row["lhs"] is None and row["z"] is None
+    assert "--r-steps" in row["unestimable"] and "r_steps = 16" in row["unestimable"]
+    # 64 steps follow the phase onto the oracle's branch (about +62)
+    code, out, err = run_cli(capsys, *argv, "--r-steps", "64")
+    (row,) = json.loads(out)["rows"]
+    assert row["lhs"] == [-0.022790019277790535, 60.44004734366801]
+
+
 @pytest.mark.parametrize(
     "law, extra, times",
     [

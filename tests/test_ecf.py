@@ -25,6 +25,7 @@ from dilastab import (
     NonPositiveTime,
     OffGrid,
     OracleOutOfDomain,
+    PhaseAmbiguous,
     SamplePath,
     SymmetricStableDriver,
     TestPoint,
@@ -42,7 +43,7 @@ from dilastab import (
     simulate_dilative,
     simulate_ensemble,
 )
-from dilastab._seeds import BLOCK
+from dilastab._seeds import BLOCK, _block_seeds
 from dilastab.ecf import _cf_terms, _ray_terms
 
 UNIT = DilationParams(1.0, 1.0)
@@ -118,6 +119,22 @@ def test_log_cf_aborts_on_low_magnitude():
     assert err.r == 0.25
     assert err.floor == pytest.approx(max(0.1, 5 / math.sqrt(1000)))
     assert err.magnitude < err.floor
+
+
+def test_log_cf_rejects_a_phase_that_turns_past_pi_per_step():
+    # mean 60 turns the phase by 3.75 rad per step of 16: the unwrapped phase
+    # lands a whole number of turns off, which doubling the steps exposes
+    ens = normal_ensemble(60.0, 0.1, 1000, 5)
+    with pytest.raises(PhaseAmbiguous, match="--r-steps") as exc:
+        estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
+    assert exc.value.r_steps == 16 and exc.value.turns != 0
+    top = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=64)[-1]
+    assert abs(top.logcf.imag - 60.0) < 0.1
+    # mean 30 turns it by 1.875 rad per step, above pi/2 but below pi: the
+    # doubled ray agrees, and the estimate is the one of 16 steps
+    ens = normal_ensemble(30.0, 0.1, 1000, 5)
+    ray = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
+    assert abs(ray[-1].logcf.imag - 30.0) < 0.1
 
 
 def exp_log_cf(w, r_steps):
@@ -697,9 +714,34 @@ def test_derive_rng_is_the_spawned_seed_sequence(seed):
         assert np.array_equal(got.integers(0, 2**63, 8), want.integers(0, 2**63, 8))
 
 
+@given(st.integers(0, 2**256), st.integers(0, 2**32 - 1))
+def test_derive_rng_is_the_spawned_seed_sequence_for_any_seed(seed, n):
+    # master seeds of 1 to 8 uint32 words: the pool numpy computes, and the
+    # hash constant's closed form for the words beyond the pool's 4
+    got, want = derive_rng(seed, n), reference_rng(seed, n)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.random(4), want.random(4))
+
+
+def test_derive_rng_across_blocks_and_seeds_evicting_the_cache():
+    # two seeds alternate over the last and first key of many blocks, more
+    # blocks than the cache holds, then the first keys are drawn again after
+    # their blocks were evicted
+    blocks = range(1, _block_seeds.cache_info().maxsize + 4)
+    keys = [n for k in blocks for n in (k * BLOCK - 1, k * BLOCK)]
+    keys += keys[:4]
+    for i, n in enumerate(keys):
+        for seed in ((7, 2**40 + 3) if i % 2 else (2**40 + 3, 7)):
+            got, want = derive_rng(seed, n), reference_rng(seed, n)
+            assert got.bit_generator.state == want.bit_generator.state, (seed, n)
+    info = _block_seeds.cache_info()
+    assert info.currsize == info.maxsize
+
+
 def test_derive_rng_numpy_integers_match_python_ints():
     want = derive_rng(7, 5).random(6)
-    for seed, n in [(np.int64(7), 5), (np.uint64(7), np.uint64(5)), (7, np.uint32(5))]:
+    pairs = [(np.int64(7), 5), (np.uint64(7), np.uint64(5)), (7, np.uint32(5)), (np.uint8(7), np.int8(5))]
+    for seed, n in pairs:
         assert np.array_equal(derive_rng(seed, n).random(6), want)
 
 

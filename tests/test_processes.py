@@ -181,6 +181,14 @@ def test_round_trip_recovers_background():
     assert np.allclose(rebuilt, x.values, rtol=0, atol=1e-12)
 
 
+def test_extract_background_needs_only_the_weights():
+    # the clock tau(5, 150) overflows, but the weights e^(H u) do not
+    grid = TimeGrid(np.exp(np.array([0.0, 100.0, 150.0])))
+    x = SamplePath(grid, np.array([0.0, 1.0, 2.0]))
+    y = extract_background(x, DilationParams(3.0, 5.0))
+    assert np.array_equal(y.values, [0.0, 1.0, 1.0])
+
+
 def test_extract_background_needs_unit_knot():
     grid = TimeGrid(np.array([0.5, 2.0]))
     x = SamplePath(grid, np.array([0.1, 0.4]))
