@@ -47,10 +47,11 @@ def print_report(name, report):
         times = ",".join(f"{t:g}" for t in row.times)
         thetas = ",".join(f"{th:g}" for th in row.thetas)
         mark = "ok" if row.passed else "FAIL"
-        print(
-            f"  t=({times}) theta=({thetas})"
-            f"  z=({row.z_real:+.2f}, {row.z_imag:+.2f})  {mark}"
-        )
+        if row.unestimable is None:
+            z = f"z=({row.z_real:+.2f}, {row.z_imag:+.2f})"
+        else:
+            z = f"unestimable ({row.unestimable})"
+        print(f"  t=({times}) theta=({thetas})  {z}  {mark}")
 
 
 def main():

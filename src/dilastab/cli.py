@@ -56,7 +56,7 @@ from .ecf import (
 from .errors import DilastabError, InadmissibleParams
 from .integrator import TimeGrid
 from .processes import MAX_COUNT, TRANSFORMS, DilationParams, check_memory, pull_back
-from .validation import admissibility
+from .validation import admissibility, read_number
 
 __all__ = ["MAX_COUNT", "main", "cmd_simulate", "cmd_verify", "cmd_oracle"]
 
@@ -157,32 +157,6 @@ def _json_object(what, value):
     return value
 
 
-def _number(kind, key, value):
-    """kind(value), with a malformed value reported under its config key or flag.
-
-    JSON true is no number, and an int key takes only integral numbers
-    (1000.0 but not 2.7): int() would turn true into 1 and truncate 2.7 to 2.
-    Text spelling a number reads as that number, so a flag's "1000.0" or
-    "1e3" is the int 1000, as the config's 1000.0 is.
-    """
-    error = ValueError(f"{key} must be a number ({kind.__name__}), got {value!r:.60}")
-    if kind is int and isinstance(value, str):
-        try:
-            return int(value)  # exact, also beyond the float range
-        except ValueError:
-            try:
-                value = float(value)
-            except ValueError:
-                raise error from None
-    truncated = kind is int and isinstance(value, float) and not value.is_integer()
-    if kind is not str and (isinstance(value, bool) or truncated):
-        raise error
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise error from None
-
-
 def _read(kind, name, value):
     """value as an input of this kind, or a ValueError naming name."""
     if kind is dict:
@@ -205,7 +179,9 @@ def _read(kind, name, value):
             if not math.isfinite(number):
                 raise ValueError(f"{name} must be finite, got {number!r}")
         return value
-    return value if kind is bool else _number(kind, name, value)
+    if kind is bool:
+        return value
+    return str(value) if kind is str else read_number(kind, name, value)
 
 
 def _load_config(args):

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import GridMissingOrigin, OffGrid
-from .integrator import SamplePath
+from .integrator import SamplePath, _partial_sums
+from .validation import read_number
 
 __all__ = [
     "LevyDriver",
@@ -122,7 +123,12 @@ class LevyDriver(_Parameters):
     paths; draw neither keeps nor writes them.  max_moment_order(), the
     supremum of the finite absolute moment orders of L(1), is infinite
     unless the driver says otherwise.
+
+    stable_part is (p, c) when the exponent is i * mean_rate() * theta -
+    c * |theta|**p, whose integrals have closed-form laws, and else None.
     """
+
+    stable_part = None
 
     def levy_exponent(self, theta):
         """Log-characteristic function of L(1) at theta (scalar or array)."""
@@ -161,6 +167,10 @@ class GaussianDriver(LevyDriver):
     def draw(self, cells, rng):
         loc, scale = cells
         return loc + scale * rng.standard_normal(loc.shape)
+
+    @property
+    def stable_part(self):
+        return 2.0, 0.5 * self.variance
 
     def mean_rate(self):
         return self.drift
@@ -207,6 +217,10 @@ class SymmetricStableDriver(LevyDriver):
             pu = p * u
             draws = np.sin(pu) / np.cos(u) ** (1.0 / p) * (np.cos(u - pu) / w) ** ((1.0 - p) / p)
         return scale * draws
+
+    @property
+    def stable_part(self):
+        return self.index, self.scale
 
     def mean_rate(self):
         # the centre is 0 by symmetry
@@ -329,28 +343,17 @@ def sample_increments(spec, durations, rng, cells=None):
 def sample_two_sided(spec, grid, rng):
     """Sample the two-sided extension of L on a grid containing 0.
 
-    The positive half accumulates increments left to right from L(0) = 0;
-    the negative half is an independent copy laid out right to left, so that
-    L(t) - L(s) for s < t <= 0 has the plain increment law of duration t - s.
-    A one-sided driver (e.g. the gamma subordinator) therefore stays monotone
-    across the whole line.
+    One stream draws the increments of every grid cell, left to right, and
+    their partial sums are anchored at L(0) = 0: L(t) - L(s) has the plain
+    increment law of duration t - s on either side of 0, and a one-sided
+    driver (e.g. the gamma subordinator) stays monotone across the line.
     """
     try:
         i0 = grid.index_of(0.0)
     except OffGrid as exc:
         raise GridMissingOrigin("two-sided sampling needs 0 on the grid") from exc
-    pos_rng, neg_rng = rng.spawn(2)
-    pts = grid.points
-    values = np.zeros(pts.size)
-    if i0 + 1 < pts.size:
-        pos_inc = sample_increments(spec, np.diff(pts[i0:]), pos_rng)
-        values[i0 + 1 :] = np.cumsum(pos_inc)
-    if i0 > 0:
-        # durations of the intervals walking left from 0
-        neg_durs = np.diff(pts[: i0 + 1])[::-1]
-        neg_inc = sample_increments(spec, neg_durs, neg_rng)
-        values[:i0] = -np.cumsum(neg_inc)[::-1]
-    return SamplePath(grid, values, role="L")
+    increments = sample_increments(spec, np.diff(grid.points), rng)
+    return SamplePath(grid, _partial_sums(increments, i0), role="L")
 
 
 def driver_to_dict(spec):
@@ -379,19 +382,11 @@ def _from_dict(what, kinds, data):
                 f"{kind} {what} has no field {name!r:.60} (its fields: {', '.join(names)})"
             )
     values = {}
-    for f in fields(law):
-        if f.name not in data:
-            continue
-        value = data[f.name]
+    for f in (f for f in fields(law) if f.name in data):
         if "kinds" in f.metadata:
-            values[f.name] = _from_dict("jump law", f.metadata["kinds"], value)
+            values[f.name] = _from_dict("jump law", f.metadata["kinds"], data[f.name])
         else:
-            try:
-                values[f.name] = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"{kind} {what} field {f.name} must be a number, got {value!r:.60}"
-                ) from None
+            values[f.name] = read_number(float, f"{kind} {what} field {f.name}", data[f.name])
     return law(**values)
 
 

@@ -22,14 +22,14 @@ component normalised by the pooled standard error.  A point passes when both
 components have |z| <= 3; a point with an aborted ray (LowMagnitude or
 PhaseAmbiguous) is unestimable and fails.
 
-Closed-form oracles exist for the Gaussian and symmetric stable drivers:
-with q = delta/(e^delta - 1) and H = alpha - delta/2,
+Closed-form oracles exist for the drivers with a stable_part (p, c), whose
+exponent is i*m*theta - c*|theta|^p with m = mean_rate(): with
+q = delta/(e^delta - 1) and H = alpha - delta/2,
 
-    gaussian:  Psi_t(theta) = i*drift*theta * q * t^(H+delta)/(H+delta)
-                              - variance*theta^2/2 * q * t^(2 alpha)/(2 alpha)
-    stable:    Psi_t(theta) = -scale*|theta|^p * q * t^(pH+delta)/(pH+delta)
+    Psi_t(theta) = i*m*theta * q * t^(H+delta)/(H+delta)
+                   - c*|theta|^p * q * t^(pH+delta)/(pH+delta),
 
-valid for pH + delta > 0 (equivalently 2*alpha > 0 for the Gaussian part).
+valid where its rates (DilationParams.rate, 2 alpha at p = 2) are > 0.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from functools import cache
 
 import numpy as np
 
-from .drivers import GaussianDriver, SymmetricStableDriver
 from .errors import (
     DegenerateDelta,
+    DilastabError,
     LowMagnitude,
     NonPositiveTime,
     OracleOutOfDomain,
@@ -53,6 +53,7 @@ from .integrator import SamplePath, TimeGrid
 # apply_transforms is looked up here by simulate_ensemble (and by bench/spans.py)
 from .processes import DilationParams, _transform, apply_transforms, check_memory, plan_dilative
 from .timechange import tau_density
+from .validation import read_number
 
 __all__ = [
     "EnsembleConfig",
@@ -218,15 +219,18 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=16):
     unwrapped again over 2 * r_steps positions, and PhaseAmbiguous is raised
     if the two differ by a turn or more.  r_steps must be a whole number of
     at least 1; a ray whose terms would exceed physical memory raises
-    MemoryError before they are allocated.
+    MemoryError before they are allocated, and non-finite sums
+    sum_j theta_j X(t_j) raise DilastabError before any cos or sin.
     """
-    if isinstance(r_steps, bool) or not float(r_steps).is_integer():
-        raise ValueError(f"r_steps must be a whole number, got {r_steps!r}")
+    r_steps = read_number(int, "r_steps", r_steps)
     if r_steps < 1:
         raise ValueError(f"r_steps must be >= 1, got {r_steps!r}")
-    r_steps = int(r_steps)
     w = _projection(ens, times, theta_direction)
     n = w.size
+    bad = np.count_nonzero(~np.isfinite(w))
+    if bad:
+        point = f"times {list(map(float, times))}, thetas {list(map(float, theta_direction))}"
+        raise DilastabError(f"{bad} of {n} paths have a non-finite sum theta_j X(t_j) at {point}")
     check_memory(2 * r_steps * n, f"r_steps = {r_steps} ray positions of n_paths = {n} paths")
     floor = max(0.1, 5.0 / math.sqrt(n))
     rs = np.arange(1, r_steps + 1) / r_steps
@@ -265,9 +269,9 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=16):
 def oracle_log_cf(spec, params, t, theta):
     """Closed-form log-CF of the additive process at one (t, theta).
 
-    Supported for the Gaussian and symmetric stable drivers; requires t > 0,
-    a positive scaling rate p*H + delta and a finite value (OracleOutOfDomain
-    otherwise, also when a term overflows).
+    Supported for the drivers with a stable_part; requires t > 0, positive
+    rates p*H + delta and a finite value (OracleOutOfDomain otherwise, also
+    when a term overflows).
     """
     t = float(t)
     theta = float(theta)
@@ -284,26 +288,19 @@ def oracle_log_cf(spec, params, t, theta):
 
 
 def _closed_form_log_cf(spec, params, t, theta):
+    if spec.stable_part is None:
+        raise OracleOutOfDomain(f"no closed-form log-CF for driver {type(spec).__name__}")
     q = tau_density(params.delta, 0.0)
-    h, d = params.hurst, params.delta
-    if isinstance(spec, GaussianDriver):
-        rate2 = 2.0 * params.alpha  # = 2H + delta
-        if rate2 <= 0:
-            raise OracleOutOfDomain(f"needs 2*alpha > 0, got {rate2:g}")
-        out = -0.5 * spec.variance * theta**2 * q * t**rate2 / rate2
-        if spec.drift != 0.0:
-            rate1 = h + d
-            if rate1 <= 0:
-                raise OracleOutOfDomain(f"drift term needs alpha + delta/2 > 0, got {rate1:g}")
-            return complex(out, spec.drift * theta * q * t**rate1 / rate1)
-        return complex(out, 0.0)
-    if isinstance(spec, SymmetricStableDriver):
-        p = spec.index
-        rate = p * h + d
+
+    def term(p, coefficient):
+        rate = params.rate(p)
         if rate <= 0:
-            raise OracleOutOfDomain(f"needs index*H + delta > 0, got {rate:g}")
-        return complex(-spec.scale * abs(theta) ** p * q * t**rate / rate, 0.0)
-    raise OracleOutOfDomain(f"no closed-form log-CF for driver {type(spec).__name__}")
+            raise OracleOutOfDomain(f"needs {p:g}*H + delta > 0, got {rate:g}")
+        return coefficient * q * t**rate / rate
+
+    p, c = spec.stable_part
+    m = spec.mean_rate()
+    return complex(term(p, -c * abs(theta) ** p), 0.0 if m == 0.0 else term(1.0, m * theta))
 
 
 def oracle_joint_log_cf(spec, params, times, thetas):
@@ -396,8 +393,7 @@ class DilativeLaw(ScalingLaw):
         return TestPoint(tuple(self.T * t for t in point.times), point.thetas)
 
     def base_point(self, point):
-        h = self.alpha - self.delta / 2.0
-        factor = self.T**h
+        factor = self.T ** DilationParams(self.alpha, self.delta).hurst
         return TestPoint(point.times, tuple(factor * th for th in point.thetas))
 
     @property

@@ -38,13 +38,14 @@ The transform family, TRANSFORMS, applied by apply_transforms:
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import SymmetricStableDriver, sample_increments
+from .drivers import driver_to_dict, sample_increments
 from .errors import (
     DegenerateDelta,
     GridMissingUnit,
@@ -52,7 +53,7 @@ from .errors import (
     NonPositiveTime,
     OffGrid,
 )
-from .integrator import SamplePath, TimeGrid
+from .integrator import SamplePath, TimeGrid, _partial_sums
 from .timechange import tau, tau_density
 from .validation import DEGENERATE_EQUAL, admissibility
 
@@ -117,6 +118,13 @@ class DilationParams:
         """Weight exponent H = alpha - delta/2 of the log-time integral."""
         return self.alpha - self.delta / 2.0
 
+    def rate(self, p):
+        """p*H + delta: integral_{-inf}^u e^(p s H) dtau(s) = q e^(rate u) / rate.
+
+        It is 2 alpha, exactly, at p = 2, and the drift's H + delta at p = 1.
+        """
+        return 2.0 * self.alpha if p == 2.0 else p * self.hurst + self.delta
+
     @property
     def ou_rate(self):
         """Rate lambda = delta/2 - alpha of the OU-type transform; equals -hurst."""
@@ -134,35 +142,30 @@ def _log_over(numerator, moment, q):
 def _truncation_point(spec, params, tail_tol):
     """Log-time u_min below which the neglected tail scale is < tail_tol.
 
-    The tail integral_{-inf}^{u} e^(s H) dL(tau(s)) has, per unit driver law,
-    stable scale parameter (scale * q * e^((pH+delta) u)/(pH+delta))**(1/p)
-    for the symmetric stable driver and, otherwise, mean and variance
-
-        mean:     mean_rate * q * e^((H+delta) u) / (H + delta)
-        variance: variance_rate * q * e^(2 alpha u) / (2 alpha)
-
-    with q = tau'(0) = delta/(e^delta - 1).  For drivers with both a mean and
-    a variance the tolerance budget is split evenly between the two in the
-    second-moment sense.  Returns None when the driver is deterministic zero,
-    and nan when q leaves the float range.
+    With q = tau'(0) = delta/(e^delta - 1) and r(p) = params.rate(p), the
+    tail integral_{-inf}^u e^(s H) dL(tau(s)) has stable scale
+    (c q e^(r(p) u) / r(p))**(1/p) when the driver's stable_part is (p, c)
+    with p < 2, and otherwise mean mean_rate q e^(r(1) u) / r(1) and
+    variance variance_rate q e^(r(2) u) / r(2), between which the tolerance
+    is split evenly in the second-moment sense.  Returns None when the
+    driver is deterministic zero, and nan when q leaves the float range.
     """
     q = tau_density(params.delta, 0.0)
     if not 0 < q < math.inf:
         return math.nan
-    h, d = params.hurst, params.delta
-    if isinstance(spec, SymmetricStableDriver) and spec.index < 2.0:
-        p = spec.index
+    if spec.stable_part is not None and spec.stable_part[0] < 2.0:
+        p, c = spec.stable_part
         # admissible parameter regimes force p*H + delta > 0
-        rate = p * h + d
-        return _log_over(tail_tol**p * rate, spec.scale, q) / rate
+        rate = params.rate(p)
+        return _log_over(tail_tol**p * rate, c, q) / rate
     m1 = spec.mean_rate()
     m2 = spec.variance_rate()
     bounds = []
     if m2 > 0:
-        rate = 2.0 * params.alpha
+        rate = params.rate(2.0)
         bounds.append(_log_over(0.5 * tail_tol**2 * rate, m2, q) / rate)
     if m1 != 0:
-        rate = h + d
+        rate = params.rate(1.0)
         bounds.append(_log_over(tail_tol / math.sqrt(2.0) * rate, abs(m1), q) / rate)
     if not bounds:
         return None
@@ -280,6 +283,7 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
             grid = _refined_log_grid(knots, counts.astype(int))
             out_idx = np.searchsorted(grid, u_out)
             durations, weights = _grid_cells(grid, params.delta, params.hurst)
+        plan = SimulationPlan(spec, durations, weights, out_idx)
     finite = np.isfinite(durations).all() and np.isfinite(weights).all()
     if not (finite and math.isfinite(u_min)):
         raise ValueError(
@@ -287,7 +291,12 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
             f"e^(u H) or the clock tau(delta, u) out of the float range for log times "
             f"u in [{u_min:.6g}, {u_out[-1]:.6g}]"
         )
-    return SimulationPlan(spec, durations, weights, out_idx)
+    if not all(np.isfinite(cell).all() for cell in plan.cells):
+        raise ValueError(
+            f"the driver {json.dumps(driver_to_dict(spec))} takes its per-cell law constants "
+            f"out of the float range on clock increments up to {durations.max():.6g}"
+        )
+    return plan
 
 
 def simulate_dilative(spec, params, out_times, rng, refine=8.0, tail_tol=1e-4):
@@ -300,13 +309,6 @@ def simulate_dilative(spec, params, out_times, rng, refine=8.0, tail_tol=1e-4):
         raise NonPositiveTime("output times must be strictly positive")
     plan = plan_dilative(spec, params, np.log(pts), refine=refine, tail_tol=tail_tol)
     return SamplePath(out_times, plan.run(rng), role="X")
-
-
-def _partial_sums(increments, anchor):
-    """Partial sums along the last axis, from the empty sum at index 0, less the one at anchor."""
-    sums = np.cumsum(increments, axis=-1)
-    sums = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
-    return sums - sums[..., anchor : anchor + 1]
 
 
 def simulate_driving(spec, delta, log_times, rng):

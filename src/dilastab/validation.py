@@ -1,4 +1,4 @@
-"""Admissibility of scaling parameters and convergence diagnostics.
+"""Admissibility of scaling parameters, convergence diagnostics, the one number reader.
 
 The random-integral construction of an additive dilatively stable process
 converges under sufficient conditions that split by the sign of delta:
@@ -127,6 +127,30 @@ def admissibility(params, spec):
     return AdmissibilityVerdict(
         CONDITION_B, gamma=0.5 * (required + upper), required_gamma=required
     )
+
+
+def read_number(kind, name, value):
+    """kind(value) for kind float or int, or a ValueError naming name.
+
+    true is no number, and an int takes only integral numbers (1000.0, not
+    2.7).  Text reads as the number it spells: "1e3" is the int 1000.
+    """
+    error = ValueError(f"{name} must be a number ({kind.__name__}), got {value!r:.60}")
+    if kind is int and isinstance(value, str):
+        try:
+            return int(value)  # exact, also beyond the float range
+        except ValueError:
+            try:
+                value = float(value)
+            except ValueError:
+                raise error from None
+    truncated = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or truncated:
+        raise error
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error from None
 
 
 def cascade_partial_sums(samples, a, b, beta, levels):

@@ -730,6 +730,12 @@ def test_verify_report_bytes_are_pinned(capsys):
     [
         ('{"kind": "gaussian", "variance": null}', ("variance", "must be a number", "None")),
         ('{"kind": "compound_poisson", "rate": [1]}', ("rate", "must be a number", "[1]")),
+        # true once read as 1.0
+        ('{"kind": "gaussian", "variance": true}', ("field variance must be a number", "True")),
+        (
+            '{"kind": "compound_poisson", "jumps": {"kind": "gaussian", "mean": false}}',
+            ("field mean must be a number", "False"),
+        ),
         (
             '{"kind": "compound_poisson", "jumps": {"kind": "two_point", "magnitude": "x"}}',
             ("magnitude", "must be a number"),
@@ -1456,3 +1462,15 @@ def test_readme_lists_every_input():
         assert f"`{row.flag}`" in readme, row.flag
         if row.key:
             assert f"`{row.key}`" in readme, row.key
+
+
+def test_overflowing_driver_constants_name_the_driver(capsys):
+    # (scale * dt)**(1/index) overflows in the driver's cells; the line names
+    # the driver and its fields, not numpy's power
+    driver = '{"kind":"symmetric_stable","index":0.3,"scale":1e300}'
+    code, out, err = run_cli(
+        capsys, "simulate", "--driver", driver, "--n-paths", "3", "--points", "2"
+    )
+    assert out == ""
+    assert_one_error_line(code, err, '"kind": "symmetric_stable"', '"scale": 1e+300', "float range")
+    assert "power" not in err

@@ -419,3 +419,42 @@ def test_invalid_parameters_rejected():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 law(**{field: value})
+
+
+@pytest.mark.parametrize("spec", ALL_DRIVERS, ids=repr)
+def test_stable_part_states_the_exponent(spec):
+    # stable_part = (p, c) exactly when the exponent is i m theta - c |theta|^p
+    want = {
+        GaussianDriver: lambda s: (2.0, 0.5 * s.variance),
+        SymmetricStableDriver: lambda s: (s.index, s.scale),
+    }.get(type(spec), lambda s: None)(spec)
+    assert spec.stable_part == want
+    if want is not None:
+        p, c = want
+        th = np.array([-2.5, -0.3, 0.0, 0.7, 4.0])
+        law = 1j * spec.mean_rate() * th - c * np.abs(th) ** p
+        np.testing.assert_allclose(spec.levy_exponent(th), law, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"kind": "gaussian", "variance": True}, "variance"),
+        ({"kind": "symmetric_stable", "index": False}, "index"),
+        ({"kind": "compound_poisson", "jumps": {"kind": "two_point", "magnitude": True}}, "magnitude"),
+    ],
+)
+def test_boolean_fields_are_no_numbers(data, field):
+    # float(True) would read as 1.0
+    with pytest.raises(ValueError, match=f"field {field} must be a number"):
+        driver_from_dict(data)
+
+
+def test_two_sided_is_one_stream_of_anchored_sums():
+    # the increments over every cell, drawn left to right from one stream,
+    # summed from L(0) = 0 in both directions
+    grid = TimeGrid(np.array([-2.0, -0.5, 0.0, 1.0, 3.0]))
+    path = sample_two_sided(GammaDriver(1.0, 1.0), grid, np.random.default_rng(3))
+    inc = sample_increments(GammaDriver(1.0, 1.0), np.diff(grid.points), np.random.default_rng(3))
+    np.testing.assert_allclose(np.diff(path.values), inc, rtol=1e-15)
+    assert path.values[2] == 0.0

@@ -5,6 +5,7 @@ import math
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from dilastab import (
     CompoundPoissonDriver,
     DegenerateDelta,
+    DilastabError,
     DilationParams,
     DilativeLaw,
     EnsembleConfig,
@@ -775,3 +777,61 @@ def test_derived_generators_do_not_share_state():
 def test_import_leaves_numpy_random_unloaded(package_env):
     code = "import sys, dilastab; sys.exit('numpy.random' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=package_env).returncode == 0
+
+
+# oracle_log_cf(spec, params, 3.0, -1.3) away from alpha = delta = 1, where
+# 2H + delta == 2 alpha exactly and a changed rate would not show, recorded
+# bit for bit before the closed forms were read from stable_part: the
+# Gaussian with drift (real, imaginary), stable 1.5, stable 0.8 and stable 2
+# (real parts).  Stable 2 was recorded with the rate 2H + delta and takes the
+# exact 2 alpha, which moves some of these values by one ulp.
+ORACLE_PINS = {
+    (0.35, -0.4): (-2.2121218104460514, -3.719709180865722, -4.049685830492734, -50.8265162673974, -2.5281392119383446),
+    (0.25, -0.2): (-2.26074322053698, -3.3825747398734993, -4.314725692975364, -24.14813597886786, -2.5837065377565493),
+    (0.7, 0.0): (-1.9669642649377186, -1.2021300274144164, -2.6844436824299227, -5.297828676568993, -2.2479591599288216),
+    (0.5, 1.0): (-1.0327176663396198, -0.6809127470371119, -1.5527199616169216, -2.7997863483151204, -1.180248761530994),
+    (1.0, 1.0): (-1.5490764995094295, -0.7862503155930481, -2.0225349199887566, -3.103454323243905, -1.770373142296491),
+    (0.8, -0.5): (-2.7245067050729657, -1.648836963340944, -3.4246979247834752, -8.707619653277138, -3.1137219486548187),
+    (2.0, 3.0): (-1.8827673093306072, -0.819101698861001, -2.2943337241065866, -3.106334754065977, -2.1517340678064087),
+    (0.3, 0.1): (-1.812093432449096, -1.55630006924802, -2.9999194942263037, -7.066713603679368, -2.0709639227989673),
+    (3.0, -1.0): (-113.6923154867546, -3.8470499018941915, -35.28927742835376, -10.182252726983513, -129.9340748420053),
+    (0.05, 0.1): (-6.27727578612743, -4.138863155688416, -9.438060115928396, -17.018234144189528, -7.174029469859922),
+}
+
+
+@pytest.mark.parametrize("alpha, delta", list(ORACLE_PINS))
+def test_oracle_values_are_pinned_away_from_the_default_pair(alpha, delta):
+    params = DilationParams(alpha, delta)
+    gauss_re, gauss_im, stable15, stable08, stable2 = ORACLE_PINS[(alpha, delta)]
+    value = oracle_log_cf(GaussianDriver(variance=0.7, drift=0.3), params, 3.0, -1.3)
+    assert (value.real, value.imag) == (gauss_re, gauss_im)
+    for (index, scale), want in ((1.5, 0.6), stable15), ((0.8, 1.3), stable08):
+        assert oracle_log_cf(SymmetricStableDriver(index, scale), params, 3.0, -1.3) == want
+    value = oracle_log_cf(SymmetricStableDriver(2.0, 0.4), params, 3.0, -1.3)
+    assert abs(value.real - stable2) <= math.ulp(stable2) and value.imag == 0.0
+
+
+def test_oracle_needs_positive_rates():
+    with pytest.raises(OracleOutOfDomain, match="needs 0.8"):
+        # 0.8 * H + delta = 0.8 * 1.55 - 1.5 < 0
+        oracle_log_cf(SymmetricStableDriver(0.8, 1.0), DilationParams(0.8, -1.5), 1.0, 1.0)
+    with pytest.raises(OracleOutOfDomain, match="needs 1"):
+        # the drift's H + delta = 1.55 - 1.6 < 0, where 2 alpha > 0
+        oracle_log_cf(GaussianDriver(drift=1.0), DilationParams(0.75, -1.6), 1.0, 1.0)
+    assert oracle_log_cf(GaussianDriver(), DilationParams(0.75, -1.6), 1.0, 1.0).imag == 0.0
+
+
+def test_non_finite_samples_are_reported_not_estimated():
+    # one inf and one nan among 40 paths: before any cos or sin, which would
+    # warn, and instead of rows whose lhs, rhs and z are nan
+    values = np.ones((40, 2))
+    values[3, 1], values[7, 1] = math.inf, math.nan
+    ens = SamplePath(TimeGrid(np.array([1.0, 2.0])), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DilastabError, match=r"^2 of 40 paths .* times \[2.0\], thetas \[0.5\]"):
+            estimate_log_cf(ens, (2.0,), (0.5,))
+        with pytest.raises(DilastabError, match="2 of 40 paths"):
+            check_scaling(ens, DilativeLaw(1.0, 1.0, 2.0), marginal_points([1.0], [0.5]))
+    # the finite column alone still estimates
+    assert estimate_log_cf(ens, (1.0,), (0.5,))[-1].logcf.imag == pytest.approx(0.5)

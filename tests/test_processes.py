@@ -7,10 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dilastab import (
+    CompoundPoissonDriver,
     DegenerateDelta,
     DilationParams,
     EnsembleConfig,
+    GammaDriver,
     GaussianDriver,
+    GaussianJumps,
     TRANSFORMS,
     GridMissingUnit,
     InadmissibleParams,
@@ -399,3 +402,54 @@ def test_pathwise_functions_take_an_ensemble_row_by_row():
     ds = [apply_transforms(row, params, chain) for row in rows]
     assert d.role == "D" and np.array_equal(d.grid.points, ds[0].grid.points)
     assert _same_bits(d.values, [row.values for row in ds])
+
+
+# _truncation_point(spec, params, 1e-4) away from alpha = delta = 1, recorded
+# bit for bit before the stable tail was read from stable_part, for the
+# Gaussian with drift, stable 1.5, stable 0.8, compound Poisson and gamma
+TAIL_DRIVERS = (
+    GaussianDriver(variance=0.7, drift=0.3),
+    SymmetricStableDriver(1.5, 0.6),
+    SymmetricStableDriver(0.8, 1.3),
+    CompoundPoissonDriver(2.0, GaussianJumps(0.5, 0.3)),
+    GammaDriver(2.0, 3.0),
+)
+TAIL_PINS = {
+    (0.35, -0.4): (-69.62268895020581, -33.77339586816653, -276.071364665785, -77.64917431237872, -74.94607359165762),
+    (0.25, -0.2): (-68.98930020901682, -44.698304367344946, -128.18373868616396, -77.01578557118972, -74.31268485046863),
+    (0.7, 0.0): (-13.15762910282312, -12.624661685741765, -14.661526888038178, -14.162269865992696, -13.583033997266748),
+    (0.5, 1.0): (-18.21582812596066, -12.763360079585365, -7.089311707435519, -18.667813249703716, -17.06842567312312),
+    (1.0, 1.0): (-8.761340472700358, -6.97356816665711, -4.823456764867362, -8.987333034571886, -8.187639246281586),
+    (0.8, -0.5): (-16.709787468532877, -12.532064392210136, -26.32073874243414, -18.89882893094367, -18.16161964347428),
+    (2.0, 3.0): (-3.8801350222661246, -2.70202948368714, -1.3401595882462156, -3.993131303201889, -3.5932844090567393),
+    (0.3, 0.1): (-32.02926995398269, -29.470965846728053, -29.28064244808139, -32.78257849355445, -30.116932532586787),
+    (3.0, -1.0): (-3.1581302285772583, -2.8979861403880096, -4.167513912518555, -3.639719350307633, -3.477533307064367),
+    (0.05, 0.1): (-210.09321441617666, -155.56853395242373, -98.82805023092527, -214.61306565360724, -198.61918988780127),
+}
+
+
+@pytest.mark.parametrize("alpha, delta", list(TAIL_PINS))
+def test_truncation_points_are_pinned_away_from_the_default_pair(alpha, delta):
+    params = DilationParams(alpha, delta)
+    got = tuple(_truncation_point(spec, params, 1e-4) for spec in TAIL_DRIVERS)
+    assert got == TAIL_PINS[(alpha, delta)]
+
+
+@pytest.mark.parametrize("alpha, delta", list(TAIL_PINS))
+def test_rate_is_p_hurst_plus_delta(alpha, delta):
+    params = DilationParams(alpha, delta)
+    assert params.rate(2.0) == 2.0 * alpha
+    assert params.rate(1.0) == params.hurst + delta
+    assert params.rate(0.8) == 0.8 * params.hurst + delta
+
+
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+def test_plan_names_the_driver_whose_cells_leave_the_float_range(errstate):
+    # (scale * dt)**(1/index) overflows: one line naming the driver, instead of
+    # inf cells, numpy's warning and nan paths
+    spec = SymmetricStableDriver(0.3, 1e300)
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as exc:
+            plan_dilative(spec, UNIT, np.log(OUT.points))
+    assert '{"kind": "symmetric_stable", "index": 0.3, "scale": 1e+300}' in str(exc.value)

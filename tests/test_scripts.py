@@ -16,3 +16,16 @@ def test_scaling_demo_output_is_pinned(package_env):
         check=True,
     ).stdout
     assert hashlib.sha256(out).hexdigest() == "d511f2e0a983fc036c86f9778aabbfd495ba6d13c96866a8cd598018a0c469d9"
+
+
+def test_scaling_demo_reports_unestimable_rows(package_env):
+    # at 30 paths the |cf| floor 5/sqrt(30) is above most test points' |cf|
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "scaling_demo.py"), "--paths", "30"],
+        env=package_env,
+        capture_output=True,
+        check=True,
+        text=True,
+    ).stdout
+    lines = [line for line in out.splitlines() if "unestimable (" in line]
+    assert lines and all(line.endswith("FAIL") and "below the floor" in line for line in lines)
