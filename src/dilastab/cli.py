@@ -140,9 +140,9 @@ _INPUTS = (
     Input("--law-delta", float, bound=_FINITE, commands=_VERIFY,
           help="delta assumed by the checker; alone it shifts only the law "
           "multiplier (defaults to the simulation delta)"),
-    Input("--times", tuple, commands=("verify", "oracle"),
+    Input("--times", tuple, commands=("verify", "oracle"), required=True,
           help={"verify": "comma-separated base test times", "oracle": "comma-separated times"}),
-    Input("--thetas", tuple, commands=("verify", "oracle"),
+    Input("--thetas", tuple, commands=("verify", "oracle"), required=True,
           help={"verify": "comma-separated base test thetas", "oracle": "comma-separated thetas"}),
     Input("--pair", list, (), commands=_VERIFY,
           help="two-dimensional test point as t1,t2,theta1,theta2; repeatable"),
@@ -318,9 +318,6 @@ def cmd_verify(run):
     law = _build_law(run)
     if not run.transform:
         run.transform = law.chain
-
-    if run.times is None or run.thetas is None:
-        raise ValueError("verify needs --times and --thetas")
     points = marginal_points(run.times, run.thetas)
     for pair in run.pair:
         vals = _read(tuple, "--pair", pair)
@@ -344,11 +341,7 @@ def cmd_verify(run):
             "law's multiplier out of the float range"
         )
 
-    ens = simulate_ensemble(
-        _ensemble_config(run, extra_times=pulled),
-        run.n_paths,
-        run.seed,
-    )
+    ens = simulate_ensemble(_ensemble_config(run, extra_times=pulled), run.n_paths, run.seed)
     # check_scaling drops a row's oracle where it has none (OracleOutOfDomain)
     oracle = None if run.transform else partial(oracle_joint_log_cf, run.driver, run.params)
     try:
@@ -375,8 +368,6 @@ def cmd_verify(run):
 
 
 def cmd_oracle(run):
-    if run.times is None or run.thetas is None:
-        raise ValueError("oracle needs --times and --thetas")
     # the grid and (alpha, delta) are checked as simulate checks them,
     # although the closed form needs neither the grid nor a plan
     _ensemble_config(run)

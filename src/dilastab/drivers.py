@@ -20,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -122,13 +123,30 @@ class LevyDriver(_Parameters):
     durations alone, so a SimulationPlan computes them once for all its
     paths; draw neither keeps nor writes them.  max_moment_order(), the
     supremum of the finite absolute moment orders of L(1), is infinite
-    unless the driver says otherwise.
+    unless the driver says otherwise.  A driver refuses, naming itself, a
+    mean or variance of L(1) that its law makes finite but that leaves the
+    float range, and cells() any per-cell constant draw cannot take.
 
     stable_part is (p, c) when the exponent is i * mean_rate() * theta -
     c * |theta|**p, whose integrals have closed-form laws, and else None.
     """
 
     stable_part = None
+    # the largest |per-cell constant| draw takes
+    cell_limit = np.finfo(float).max
+
+    def __post_init__(self):
+        super().__post_init__()
+        for order, what in ((1, "mean"), (2, "variance")):
+            try:
+                moment = getattr(self, f"{what}_rate")()
+            except OverflowError:  # a square beyond the float range
+                moment = math.inf
+            if order < self.max_moment_order() and not math.isfinite(moment):
+                raise ValueError(f"{self._named()} takes the {what} of L(1) out of the float range")
+
+    def _named(self):
+        return f"the driver {json.dumps(driver_to_dict(self))}"
 
     def levy_exponent(self, theta):
         """Log-characteristic function of L(1) at theta (scalar or array)."""
@@ -136,10 +154,24 @@ class LevyDriver(_Parameters):
         return complex(out) if np.ndim(theta) == 0 else out
 
     def cells(self, dts):
-        """The per-cell constants of the law over an array of durations >= 0."""
+        """The per-cell constants of the law over an array of durations >= 0.
+
+        Every sampler's cells come from here; a constant that is not finite
+        or exceeds cell_limit raises ValueError naming the driver.
+        """
         if (dts < 0).any():
             raise ValueError("durations must be >= 0")
-        return self._cells(dts)
+        with np.errstate(all="ignore"):  # inf and nan are looked for below
+            cells = self._cells(dts)
+        # |nan| <= limit is False too
+        if not all((np.abs(cell) <= self.cell_limit).all() for cell in cells):
+            own = self.cell_limit < LevyDriver.cell_limit
+            limit = f" or past {self.cell_limit:.6g}, the most its sampler takes," if own else ""
+            raise ValueError(
+                f"{self._named()} takes its per-cell law constants out of the float range"
+                f"{limit} on clock increments up to {dts.max():.6g}"
+            )
+        return cells
 
     def max_moment_order(self):
         return math.inf
@@ -249,6 +281,8 @@ class CompoundPoissonDriver(LevyDriver):
     )
 
     kind = "compound_poisson"
+    # numpy's Generator.poisson refuses a larger mean (numpy/random/_generator.pyx)
+    cell_limit = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
     def _check(self):
         if self.rate < 0:
@@ -300,7 +334,10 @@ class GammaDriver(LevyDriver):
         return self.shape / self.rate
 
     def variance_rate(self):
-        return self.shape / self.rate**2
+        try:
+            return self.shape / self.rate**2
+        except (ZeroDivisionError, OverflowError):  # rate**2 alone left the float range
+            return self.mean_rate() / self.rate
 
 
 DRIVER_KINDS = {
@@ -313,9 +350,9 @@ def sample_increments(spec, durations, rng, cells=None):
     """Draw independent increments of L over intervals of the given lengths.
 
     Vectorised over durations; a duration of 0 yields exactly 0.0.  cells
-    are the driver's per-cell constants spec.cells(durations), computed here
-    when not given: a SimulationPlan computes them once and passes them to
-    every path, since they depend on the durations alone.  Each driver then
+    are spec.cells(durations), which the driver computes and checks here
+    when not given: a SimulationPlan does so once for all its paths, as
+    they depend on the durations alone.  Each driver then
     draws one standard variate of each kind per duration (cell), all k cells
     of a kind at once, and maps them with the float operations of numpy's
     own location-scale samplers.  The variates drawn, and their order,

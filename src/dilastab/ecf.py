@@ -137,13 +137,7 @@ def simulate_ensemble(config, n_paths, master_seed):
         raise NonPositiveTime("output times must be strictly positive")
     # the values and their transformed copy, refused before the plan is built
     check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
-    plan = plan_dilative(
-        config.driver,
-        config.params,
-        np.log(pts),
-        refine=config.refine,
-        tail_tol=config.tail_tol,
-    )
+    plan = plan_dilative(config.driver, config.params, np.log(pts), config.refine, config.tail_tol)
     values = np.empty((int(n_paths), pts.size))
     for n in range(int(n_paths)):
         values[n] = plan.run(derive_rng(master_seed, n))
@@ -248,22 +242,15 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=16):
         turns = round((np.unwrap(np.angle(fine))[-1] - phases[-1]) / (2 * math.pi))
         if turns:
             raise PhaseAmbiguous(r_steps, turns)
-    phases = phases[1:]
     ses = np.sqrt(np.maximum(0.0, 1.0 - mags**2) / n)
-    out = []
     direction = np.asarray(theta_direction, dtype=float)
-    for r, cf, mag, phase, se in zip(rs, cfs, mags, phases, ses):
-        out.append(
-            EcfEstimate(
-                tuple(times),
-                tuple(r * direction),
-                complex(cf),
-                float(se),
-                complex(math.log(mag), phase),
-                float(se / mag),
-            )
+    return [
+        EcfEstimate(
+            tuple(times), tuple(r * direction), complex(cf), float(se),
+            complex(math.log(mag), phase), float(se / mag),
         )
-    return out
+        for r, cf, mag, phase, se in zip(rs, cfs, mags, phases[1:], ses)
+    ]
 
 
 def oracle_log_cf(spec, params, t, theta):
@@ -273,8 +260,7 @@ def oracle_log_cf(spec, params, t, theta):
     rates p*H + delta and a finite value (OracleOutOfDomain otherwise, also
     when a term overflows).
     """
-    t = float(t)
-    theta = float(theta)
+    t, theta = float(t), float(theta)
     if t <= 0:
         raise NonPositiveTime("the oracle needs t > 0")
     try:
@@ -314,12 +300,9 @@ def oracle_joint_log_cf(spec, params, times, thetas):
     thetas = [float(th) for th in thetas]
     if len(times) != len(thetas):
         raise ValueError("times and thetas must have equal length")
-    order = np.argsort(times, kind="stable")
-    ts = [times[i] for i in order]
-    ths = [thetas[i] for i in order]
+    ts, ths = zip(*sorted(zip(times, thetas), key=lambda pair: pair[0]))
     tails = np.cumsum(ths[::-1])[::-1]
-    total = 0.0 + 0.0j
-    prev = None
+    total, prev = 0.0 + 0.0j, None
     for t, s in zip(ts, tails):
         term = oracle_log_cf(spec, params, t, float(s))
         if prev is not None:
@@ -556,10 +539,7 @@ def check_scaling(ens, law, points, r_steps=16, oracle=None):
     so the two sides of a pair never share one.  A ray without an estimate
     (_UNESTIMABLE) makes its rows unestimable; the other rows still run.
     """
-    if isinstance(ens, tuple):
-        scaled_ens, base_ens = ens
-    else:
-        scaled_ens = base_ens = ens
+    scaled_ens, base_ens = ens if isinstance(ens, tuple) else (ens, ens)
     psi = {}
 
     def estimate_psi(side, times, thetas):

@@ -144,12 +144,10 @@ def rs_integral(weight, path, a, b):
     """
     ia = path.grid.index_of(a)
     ib = path.grid.index_of(b)
-    sign = 1.0
     if ia > ib:
-        ia, ib = ib, ia
-        sign = -1.0
+        return -rs_integral(weight, path, b, a)
     w = _weight_values(weight, path.grid.points[ia:ib])
-    return sign * (w * np.diff(path.values[..., ia : ib + 1])).sum(axis=-1)
+    return (w * np.diff(path.values[..., ia : ib + 1])).sum(axis=-1)
 
 
 def ibp_integral(weight, weight_prime, path, a, b):

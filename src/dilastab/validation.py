@@ -161,10 +161,7 @@ def cascade_partial_sums(samples, a, b, beta, levels):
     S_k - S_{k-1} are nonnegative and, for a sample law with a finite moment
     of order 1/beta, shrink geometrically in k.
     """
-    a = int(a)
-    b = int(b)
-    levels = int(levels)
-    beta = float(beta)
+    a, b, levels, beta = int(a), int(b), int(levels), float(beta)
     if a < 2 or b < 1 or levels < 0:
         raise ValueError("need a >= 2, b >= 1, levels >= 0")
     if beta <= 0:

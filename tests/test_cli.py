@@ -5,13 +5,15 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dilastab import cli, ecf, processes
+from dilastab import DRIVER_KINDS, cli, ecf, processes
 from dilastab.cli import main
 
 
@@ -1132,6 +1134,8 @@ def test_verify_row_keeps_no_oracle_that_overflows(capsys):
         (("verify", "--times", "1", "--thetas", "1"), "--law"),
         (("simulate", "--bogus", "1"), "--bogus"),
         (VERIFY_IDT[:-2] + ("--thetas", "0.5,abc"), "--thetas"),
+        (("verify", "--law", "idt", "--n", "2", "--thetas", "0.5"), "--times"),
+        (("oracle", "--times", "1"), "--thetas"),
     ],
     ids=[
         "wrong-type",
@@ -1140,6 +1144,8 @@ def test_verify_row_keeps_no_oracle_that_overflows(capsys):
         "missing-required",
         "unknown-flag",
         "number-list",
+        "missing-times",
+        "missing-thetas",
     ],
 )
 def test_argument_rejections_are_one_line(capsys, argv, flag):
@@ -1267,13 +1273,36 @@ def either(valid, bad=()):
 
 FLOATS = either(("2", "0.5", "1"), BAD_FLOATS)
 LISTS = either(("1", "0.5,2"), BAD_LISTS)
+# a positive float anywhere from the least subnormal to near the largest float
+ACROSS_THE_RANGE = st.one_of(
+    st.sampled_from((5e-324, 1.7e308)),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-323, 307)),
+)
+
+
+@st.composite
+def laws_across_the_range(draw, kinds):
+    """A law of any kind, each of its fields left out or drawn across the float range."""
+    kind = draw(st.sampled_from(sorted(kinds)))
+    out = {"kind": kind}
+    for f in fields(kinds[kind]):
+        if draw(st.booleans()):
+            nested_kinds = f.metadata.get("kinds")
+            law = laws_across_the_range(nested_kinds) if nested_kinds else ACROSS_THE_RANGE
+            out[f.name] = draw(law)
+    return out
+
+
 COMMON_FLAGS = {
-    "--driver": either(
-        (
-            '{"kind": "symmetric_stable", "index": 1.5}',
-            '{"kind": "compound_poisson", "jumps": {"kind": "two_point"}}',
+    "--driver": st.one_of(
+        either(
+            (
+                '{"kind": "symmetric_stable", "index": 1.5}',
+                '{"kind": "compound_poisson", "jumps": {"kind": "two_point"}}',
+            ),
+            ('{"kind": "gamma", "shape": 1e308}', '{"kind": "gaussian", "variance": -1}', "{"),
         ),
-        ('{"kind": "gamma", "shape": 1e308}', '{"kind": "gaussian", "variance": -1}', "{"),
+        laws_across_the_range(DRIVER_KINDS).map(json.dumps),
     ),
     "--alpha": FLOATS,
     "--delta": FLOATS,
@@ -1393,6 +1422,8 @@ def command_lines(draw):
 @example(case=([*VERIFY_ONE_POINT, "--law", "translative", "--T", "800"], None))
 @example(case=([*VERIFY_ONE_POINT, "--law", "dilative", "--T", "1e300", "--alpha", "3"], None))
 @example(case=(["simulate", "--n-paths", "30"], '{"transforms": [[1]]}'))
+@example(case=(["simulate", '--driver={"kind": "gamma", "rate": 1e-200}', "--n-paths=2"], None))
+@example(case=(["simulate", '--driver={"kind": "compound_poisson", "rate": 1e300}'], None))
 def test_fuzzed_command_lines_exit_cleanly(tmp_path_factory, case):
     argv, config = case
     if config is not None:
@@ -1400,8 +1431,13 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path_factory, case):
         path.write_text(config)
         argv = [*argv, "--config", str(path)]
     out, err = io.StringIO(), io.StringIO()
-    # an exception other than SystemExit escapes and fails the test with its traceback
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # an exception other than SystemExit escapes and fails the test with its
+    # traceback; a drawn driver can ask for a refined grid of up to MAX_COUNT
+    # cells (a stable index near 0 at delta = 0), which a memory figure of
+    # 16 MiB refuses before it is allocated and drawn 40 times
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.object(
+        processes, "_physical_memory", lambda: 2**24
+    ):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -1474,3 +1510,47 @@ def test_overflowing_driver_constants_name_the_driver(capsys):
     assert out == ""
     assert_one_error_line(code, err, '"kind": "symmetric_stable"', '"scale": 1e+300', "float range")
     assert "power" not in err
+
+
+@pytest.mark.parametrize(
+    "driver, words",
+    [
+        (
+            '{"kind":"compound_poisson","rate":1e300}',
+            ('"kind": "compound_poisson"', '"rate": 1e+300'),
+        ),
+        ('{"kind":"gamma","shape":1,"rate":1e-200}', ('"kind": "gamma"', '"rate": 1e-200')),
+        ('{"kind":"gamma","shape":1,"rate":1e-160}', ('"kind": "gamma"', '"rate": 1e-160')),
+    ],
+    ids=["poisson-mean-past-numpy", "gamma-rate-squared-underflows", "gamma-variance-overflows"],
+)
+def test_drivers_that_cannot_be_drawn_name_themselves(capsys, driver, words):
+    # numpy's "lam value too large", a ZeroDivisionError traceback and a line
+    # blaming tail_tol before the driver checked its own constants
+    code, out, err = run_cli(capsys, "simulate", "--driver", driver, "--n-paths", "2", "--points=2")
+    assert out == ""
+    assert_one_error_line(code, err, "the driver", *words, "float range")
+    assert "lam value" not in err and "tail_tol" not in err
+
+
+def test_law_alpha_changes_only_the_checked_law(capsys):
+    plain = run_cli(capsys, *SMALL_VERIFY)
+    assert plain[0] in (0, 3)
+    assert run_cli(capsys, *SMALL_VERIFY, "--law-alpha", "1.0") == plain
+    code, out, _ = run_cli(capsys, *SMALL_VERIFY, "--law-alpha", "1.5")
+    assert code in (0, 3)
+    assert json.loads(out)["law"] == {"kind": "dilative", "alpha": 1.5, "delta": 1.0, "T": 2.0}
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (("--law", "dilative", "--times", "1", "--thetas", "1"), ("--law dilative needs --T",)),
+        (VERIFY_IDT[1:] + ("--pair", "0.5,1,1"), ("--pair needs t1,t2,theta1,theta2",)),
+    ],
+    ids=["dilative-without-T", "pair-of-three"],
+)
+def test_verify_rejects_an_incomplete_law_or_pair(capsys, argv, words):
+    code, out, err = run_cli(capsys, "verify", *argv, "--n-paths", "30")
+    assert out == ""
+    assert_one_error_line(code, err, *words)

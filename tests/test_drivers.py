@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from dilastab import (
     plan_dilative,
     sample_increments,
     sample_two_sided,
+    simulate_driving,
 )
 
 ALL_DRIVERS = [
@@ -458,3 +461,91 @@ def test_two_sided_is_one_stream_of_anchored_sums():
     inc = sample_increments(GammaDriver(1.0, 1.0), np.diff(grid.points), np.random.default_rng(3))
     np.testing.assert_allclose(np.diff(path.values), inc, rtol=1e-15)
     assert path.values[2] == 0.0
+
+
+def test_poisson_cell_limit_is_numpys():
+    # numpy's Generator.poisson draws at the limit and refuses the next float
+    limit = CompoundPoissonDriver.cell_limit
+    rng = np.random.default_rng(0)
+    assert rng.poisson(limit) >= 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(limit, np.inf))
+    assert CompoundPoissonDriver(rate=limit).cells(np.ones(1))[0][0] == limit
+    with pytest.raises(ValueError, match=r"or past 9\.22337e\+18"):
+        CompoundPoissonDriver(rate=float(np.nextafter(limit, np.inf))).cells(np.ones(1))
+
+
+TWO_SIDED = TimeGrid(np.arange(-2.0, 3.0))
+OVERFLOWING_CELLS = {
+    "sample_two_sided": lambda spec, rng: sample_two_sided(spec, TWO_SIDED, rng),
+    "simulate_driving": lambda spec, rng: simulate_driving(spec, 1.0, TWO_SIDED, rng),
+    "sample_increments": lambda spec, rng: sample_increments(spec, np.ones(3), rng),
+    "sample_increments_scalar": lambda spec, rng: sample_increments(spec, 1.0, rng),
+    "plan_dilative": lambda spec, rng: plan_dilative(
+        spec, DilationParams(1.0, 1.0), np.log([0.5, 1.0])
+    ),
+}
+
+
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize("sampler", list(OVERFLOWING_CELLS))
+@pytest.mark.parametrize(
+    "spec",
+    [SymmetricStableDriver(0.3, 1e300), CompoundPoissonDriver(rate=1e300)],
+    ids=["stable", "poisson"],
+)
+def test_every_sampler_names_the_driver_whose_cells_it_cannot_draw(errstate, sampler, spec):
+    # (scale * dt)**(1/index) overflows, and a Poisson mean of 1e300 is past
+    # numpy's limit: one ValueError naming the driver, with no RuntimeWarning
+    # and no numpy error, whatever the caller's errstate
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as exc:
+            OVERFLOWING_CELLS[sampler](spec, np.random.default_rng(0))
+    assert json.dumps(driver_to_dict(spec)) in str(exc.value)
+    assert "lam value" not in str(exc.value)
+
+
+def test_cells_name_nan_durations():
+    with pytest.raises(ValueError, match="the driver .*gaussian.* up to nan"):
+        GaussianDriver().cells(np.array([1.0, math.nan]))
+
+
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda: GammaDriver(1.0, 1e-200), "variance"),  # rate**2 underflows to 0
+        (lambda: GammaDriver(1.0, 1e-160), "variance"),  # shape / rate**2 overflows
+        (lambda: GammaDriver(1e308, 1e-10), "mean"),
+        (lambda: GammaDriver(5e-324, 5e-324), "variance"),  # mean 1, variance 1 / 5e-324
+        (lambda: CompoundPoissonDriver(1e300, GaussianJumps(0.0, 1e300)), "variance"),
+        (lambda: CompoundPoissonDriver(1e300, GaussianJumps(1e300, 0.0)), "mean"),
+        (lambda: CompoundPoissonDriver(1.0, GaussianJumps(1e200, 0.0)), "variance"),  # mean**2
+        (lambda: CompoundPoissonDriver(1.0, TwoPointJumps(1e200)), "variance"),  # magnitude**2
+    ],
+    ids=[
+        "gamma-rate-squared-underflows",
+        "gamma-variance-overflows",
+        "gamma-mean-overflows",
+        "gamma-least-subnormals",
+        "poisson-variance-overflows",
+        "poisson-mean-overflows",
+        "gaussian-jump-mean-squared",
+        "two-point-magnitude-squared",
+    ],
+)
+def test_driver_refuses_moments_out_of_the_float_range(make, what):
+    with pytest.raises(ValueError, match="out of the float range") as exc:
+        make()
+    assert str(exc.value).startswith('the driver {"kind": ')
+    if what is not None:
+        assert f"the {what} of L(1)" in str(exc.value)
+
+
+def test_gamma_moments_stay_exact_and_finite_at_extreme_rates():
+    assert GammaDriver(2.0, 3.0).variance_rate() == 2.0 / 3.0**2
+    # rate**2 overflows, the variance is below the float range
+    assert GammaDriver(1.0, 1e200).variance_rate() == 0.0
+    assert GammaDriver(1.0, 1e200).mean_rate() == 1e-200
+    # a variance the law makes infinite is not refused
+    assert SymmetricStableDriver(1.5, 1e300).variance_rate() == math.inf

@@ -35,6 +35,7 @@ from dilastab import (
     simulate_ensemble,
     tau,
 )
+from dilastab import processes
 from dilastab.processes import _truncation_point, pull_back
 from dilastab.timechange import tau_density
 
@@ -453,3 +454,27 @@ def test_plan_names_the_driver_whose_cells_leave_the_float_range(errstate):
         with pytest.raises(ValueError, match="float range") as exc:
             plan_dilative(spec, UNIT, np.log(OUT.points))
     assert '{"kind": "symmetric_stable", "index": 0.3, "scale": 1e+300}' in str(exc.value)
+
+
+def test_plan_names_alpha_and_delta_before_the_driver():
+    # the weights leave the float range first: the plan blames alpha and
+    # delta, and leaves the driver's own check to its cells
+    spec = SymmetricStableDriver(0.3, 1e300)
+    with pytest.raises(ValueError, match=r"alpha = 1e\+308 and delta = 1.0"):
+        plan_dilative(spec, DilationParams(1e308, 1.0), np.log(OUT.points))
+
+
+def test_only_the_driver_describes_a_driver():
+    # the per-cell check and the driver's JSON live in drivers.py alone
+    assert not hasattr(processes, "json")
+    assert not hasattr(processes, "driver_to_dict")
+
+
+def test_truncation_point_is_finite_where_moment_times_q_overflows():
+    # variance_rate * tau'(0) = 1.7e308 * 1.58 overflows; the log is taken in
+    # pieces instead of failing as log(0) and blaming tail_tol
+    spec = CompoundPoissonDriver(rate=1.7e308)
+    bound = _truncation_point(spec, DilationParams(2.0, -1.0), 1e-4)
+    assert math.isfinite(bound) and bound < 0
+    with pytest.raises(ValueError, match='the driver {"kind": "compound_poisson"'):
+        plan_dilative(spec, DilationParams(2.0, -1.0), np.log(OUT.points))
