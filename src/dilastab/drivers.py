@@ -27,8 +27,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import GridMissingOrigin, OffGrid
-from .integrator import SamplePath, _partial_sums
 from .validation import read_number
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "DRIVER_KINDS",
     "JUMP_KINDS",
     "sample_increments",
-    "sample_two_sided",
     "driver_to_dict",
     "driver_from_dict",
 ]
@@ -375,22 +372,6 @@ def sample_increments(spec, durations, rng, cells=None):
         cells = spec.cells(dts.reshape(1) if dts.ndim == 0 else dts)
     out = spec.draw(cells, rng)
     return float(out[0]) if dts.ndim == 0 else out
-
-
-def sample_two_sided(spec, grid, rng):
-    """Sample the two-sided extension of L on a grid containing 0.
-
-    One stream draws the increments of every grid cell, left to right, and
-    their partial sums are anchored at L(0) = 0: L(t) - L(s) has the plain
-    increment law of duration t - s on either side of 0, and a one-sided
-    driver (e.g. the gamma subordinator) stays monotone across the line.
-    """
-    try:
-        i0 = grid.index_of(0.0)
-    except OffGrid as exc:
-        raise GridMissingOrigin("two-sided sampling needs 0 on the grid") from exc
-    increments = sample_increments(spec, np.diff(grid.points), rng)
-    return SamplePath(grid, _partial_sums(increments, i0), role="L")
 
 
 def driver_to_dict(spec):

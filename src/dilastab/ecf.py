@@ -51,7 +51,8 @@ from .errors import (
 from .integrator import SamplePath, TimeGrid
 
 # apply_transforms is looked up here by simulate_ensemble (and by bench/spans.py)
-from .processes import DilationParams, _transform, apply_transforms, check_memory, plan_dilative
+from .processes import DilationParams, _check_drawn, _transform, apply_transforms
+from .processes import check_memory, plan_dilative
 from .timechange import tau_density
 from .validation import read_number
 
@@ -130,7 +131,8 @@ def simulate_ensemble(config, n_paths, master_seed):
     lock, so they run serially: on a 2-core machine one pool task per path
     on 2 threads had made 1000 gamma paths of 710 cells about 4 times
     slower.  An ensemble whose values would exceed physical memory raises
-    MemoryError before anything is built.
+    MemoryError before anything is built, and draws that leave the float
+    range raise ValueError naming the driver, alpha and delta.
     """
     pts = config.out_times.points
     if pts[0] <= 0:
@@ -139,8 +141,10 @@ def simulate_ensemble(config, n_paths, master_seed):
     check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
     plan = plan_dilative(config.driver, config.params, np.log(pts), config.refine, config.tail_tol)
     values = np.empty((int(n_paths), pts.size))
-    for n in range(int(n_paths)):
-        values[n] = plan.run(derive_rng(master_seed, n))
+    with np.errstate(all="ignore"):  # inf and nan are looked for after the loop
+        for n in range(int(n_paths)):
+            values[n] = plan.run(derive_rng(master_seed, n))
+    _check_drawn(values, config.driver, config.params)
     x = SamplePath(config.out_times, values)
     return apply_transforms(x, config.params, config.transforms)
 
@@ -275,7 +279,7 @@ def oracle_log_cf(spec, params, t, theta):
 
 def _closed_form_log_cf(spec, params, t, theta):
     if spec.stable_part is None:
-        raise OracleOutOfDomain(f"no closed-form log-CF for driver {type(spec).__name__}")
+        raise OracleOutOfDomain(f"no closed-form log-CF for {spec._named()}")
     q = tau_density(params.delta, 0.0)
 
     def term(p, coefficient):

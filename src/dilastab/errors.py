@@ -5,10 +5,6 @@ class DilastabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class GridMissingOrigin(DilastabError):
-    """A two-sided sampling grid does not contain time 0."""
-
-
 class GridMissingUnit(DilastabError):
     """Background extraction needs the point t = 1 on the grid."""
 

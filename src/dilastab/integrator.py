@@ -24,13 +24,12 @@ from .errors import OffGrid
 __all__ = ["TimeGrid", "SamplePath", "PATH_ROLES", "rs_integral", "ibp_integral"]
 
 # Which process a path's values describe:
-#   L  two-sided driver in its own clock
 #   Y  driver in log time (exponentially scaled increments)
 #   X  additive dilatively stable process
 #   V  stationary-law transform of X (OU-type)
 #   Z  time-stable reparametrisation of V
 #   D  infinitely divisible with respect to time reparametrisation of V
-PATH_ROLES = ("L", "Y", "X", "V", "Z", "D")
+PATH_ROLES = ("Y", "X", "V", "Z", "D")
 
 _MATCH_RTOL = 32 * np.finfo(float).eps
 

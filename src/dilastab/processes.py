@@ -295,20 +295,35 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
 def simulate_dilative(spec, params, out_times, rng, refine=8.0, tail_tol=1e-4):
     """Simulate one path of the additive (alpha, delta)-dilatively stable process.
 
-    out_times must be strictly positive.
+    out_times must be strictly positive; draws that leave the float range
+    raise ValueError naming the driver, alpha and delta.
     """
     pts = out_times.points
     if pts[0] <= 0:
         raise NonPositiveTime("output times must be strictly positive")
     plan = plan_dilative(spec, params, np.log(pts), refine=refine, tail_tol=tail_tol)
-    return SamplePath(out_times, plan.run(rng), role="X")
+    with np.errstate(all="ignore"):  # inf and nan are looked for below
+        values = plan.run(rng)
+    _check_drawn(values, spec, params)
+    return SamplePath(out_times, values, role="X")
+
+
+def _check_drawn(values, spec, params):
+    """Name the driver, alpha and delta if draws or their weighted sums left the float range."""
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"{spec._named()} at alpha = {params.alpha!r} and delta = {params.delta!r} "
+            "draws increments or weighted sums out of the float range"
+        )
 
 
 def simulate_driving(spec, delta, log_times, rng):
     """Sample the background process Y = L(tau(delta, .)) on a log-time grid.
 
     Anchored at Y = 0 at log time 0 when the grid contains it, else at the
-    first grid point.
+    first grid point.  At delta = 0 the clock is the identity and Y is the
+    two-sided driver L itself: one stream draws the increments of every
+    cell, left to right, and their sums are anchored at L(0) = 0.
     """
     durations, _ = _grid_cells(log_times.points, delta, 0.0)
     increments = sample_increments(spec, durations, rng)

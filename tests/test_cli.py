@@ -190,8 +190,9 @@ def test_oracle_unsupported_driver(capsys):
         "--thetas",
         "1.0",
     )
-    assert code == 2
-    assert err
+    # the driver by its JSON, not by its Python class
+    assert_one_error_line(code, err, 'no closed-form log-CF for the driver {"kind": "gamma", ')
+    assert "GammaDriver" not in err
 
 
 def test_verify_passes_correct_law(capsys, tmp_path):
@@ -1424,6 +1425,12 @@ def command_lines(draw):
 @example(case=(["simulate", "--n-paths", "30"], '{"transforms": [[1]]}'))
 @example(case=(["simulate", '--driver={"kind": "gamma", "rate": 1e-200}', "--n-paths=2"], None))
 @example(case=(["simulate", '--driver={"kind": "compound_poisson", "rate": 1e300}'], None))
+@example(
+    case=(["simulate", '--driver={"kind": "gaussian", "variance": 5e-324, "drift": 1.7e308}'], None)
+)
+@example(
+    case=(["simulate", '--driver={"kind": "symmetric_stable", "index": 5e-324, "scale": 5e-324}'], None)
+)
 def test_fuzzed_command_lines_exit_cleanly(tmp_path_factory, case):
     argv, config = case
     if config is not None:
@@ -1531,6 +1538,37 @@ def test_drivers_that_cannot_be_drawn_name_themselves(capsys, driver, words):
     assert out == ""
     assert_one_error_line(code, err, "the driver", *words, "float range")
     assert "lam value" not in err and "tail_tol" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (
+            ("simulate", "--n-paths=3", "--points=3")
+            + ("--driver", '{"kind": "gaussian", "variance": 5e-324, "drift": 1.7e+308}'),
+            "gaussian",
+        ),
+        (
+            ("verify", "--law=dilative", "--T=2", "--times=1", "--thetas=1", "--n-paths=30")
+            + ("--alpha=0.5", "--delta=0", "--driver")
+            + ('{"kind": "compound_poisson", "jumps": {"kind": "gaussian", "variance": 1.7e+308}}',),
+            "compound_poisson",
+        ),
+        (
+            ("simulate", "--n-paths=3", "--points=3")
+            + ("--driver", '{"kind": "symmetric_stable", "index": 5e-324, "scale": 5e-324}'),
+            "symmetric_stable",
+        ),
+    ],
+    ids=["gaussian-drift-sum", "poisson-jump-sums", "stable-index-near-0"],
+)
+def test_draws_past_the_float_range_name_the_driver(capsys, argv, kind):
+    # numpy's "overflow encountered in accumulate" (or "in multiply", "divide
+    # by zero encountered in divide") named neither the driver nor its fields
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    assert_one_error_line(code, err, f'the driver {{"kind": "{kind}"', "alpha = ", "float range")
+    assert "encountered" not in err
 
 
 def test_law_alpha_changes_only_the_checked_law(capsys):

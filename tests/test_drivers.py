@@ -16,7 +16,6 @@ from dilastab import (
     GammaDriver,
     GaussianDriver,
     GaussianJumps,
-    GridMissingOrigin,
     SymmetricStableDriver,
     TimeGrid,
     TwoPointJumps,
@@ -24,7 +23,6 @@ from dilastab import (
     driver_to_dict,
     plan_dilative,
     sample_increments,
-    sample_two_sided,
     simulate_driving,
 )
 
@@ -283,16 +281,10 @@ def test_two_point_increments_live_on_lattice():
     assert np.allclose(steps, np.round(steps))
 
 
-def test_two_sided_needs_origin():
-    grid = TimeGrid(np.array([0.5, 1.0, 2.0]))
-    with pytest.raises(GridMissingOrigin):
-        sample_two_sided(GaussianDriver(), grid, np.random.default_rng(0))
-
-
 def test_two_sided_anchored_at_zero():
     grid = TimeGrid(np.array([-2.0, -0.5, 0.0, 1.0, 3.0]))
-    path = sample_two_sided(GaussianDriver(), grid, np.random.default_rng(5))
-    assert path.role == "L"
+    # at delta = 0 the clock is the identity: Y is the two-sided L
+    path = simulate_driving(GaussianDriver(), 0.0, grid, np.random.default_rng(5))
     assert path.value_at(0.0) == 0.0
 
 
@@ -300,7 +292,7 @@ def test_two_sided_gamma_monotone_across_line():
     # the negative half is laid out right to left, so a subordinator keeps
     # nondecreasing paths on the whole line
     grid = TimeGrid(np.linspace(-3.0, 3.0, 25))
-    path = sample_two_sided(GammaDriver(1.0, 1.0), grid, np.random.default_rng(6))
+    path = simulate_driving(GammaDriver(1.0, 1.0), 0.0, grid, np.random.default_rng(6))
     assert np.all(np.diff(path.values) >= 0)
     assert path.values[0] < 0 < path.values[-1]
 
@@ -312,7 +304,7 @@ def test_two_sided_negative_increment_law():
     n = 4000
     incs = np.empty(n)
     for k in range(n):
-        path = sample_two_sided(GaussianDriver(1.0, 0.4), grid, rng)
+        path = simulate_driving(GaussianDriver(1.0, 0.4), 0.0, grid, rng)
         incs[k] = path.value_at(0.0) - path.value_at(-1.5)
     theta = 0.8
     ecf = np.exp(1j * theta * incs).mean()
@@ -323,8 +315,8 @@ def test_two_sided_negative_increment_law():
 
 def test_two_sided_reproducible():
     grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
-    a = sample_two_sided(GaussianDriver(), grid, np.random.default_rng(9))
-    b = sample_two_sided(GaussianDriver(), grid, np.random.default_rng(9))
+    a = simulate_driving(GaussianDriver(), 0.0, grid, np.random.default_rng(9))
+    b = simulate_driving(GaussianDriver(), 0.0, grid, np.random.default_rng(9))
     assert np.array_equal(a.values, b.values)
 
 
@@ -457,7 +449,7 @@ def test_two_sided_is_one_stream_of_anchored_sums():
     # the increments over every cell, drawn left to right from one stream,
     # summed from L(0) = 0 in both directions
     grid = TimeGrid(np.array([-2.0, -0.5, 0.0, 1.0, 3.0]))
-    path = sample_two_sided(GammaDriver(1.0, 1.0), grid, np.random.default_rng(3))
+    path = simulate_driving(GammaDriver(1.0, 1.0), 0.0, grid, np.random.default_rng(3))
     inc = sample_increments(GammaDriver(1.0, 1.0), np.diff(grid.points), np.random.default_rng(3))
     np.testing.assert_allclose(np.diff(path.values), inc, rtol=1e-15)
     assert path.values[2] == 0.0
@@ -477,7 +469,7 @@ def test_poisson_cell_limit_is_numpys():
 
 TWO_SIDED = TimeGrid(np.arange(-2.0, 3.0))
 OVERFLOWING_CELLS = {
-    "sample_two_sided": lambda spec, rng: sample_two_sided(spec, TWO_SIDED, rng),
+    "simulate_driving_delta_0": lambda spec, rng: simulate_driving(spec, 0.0, TWO_SIDED, rng),
     "simulate_driving": lambda spec, rng: simulate_driving(spec, 1.0, TWO_SIDED, rng),
     "sample_increments": lambda spec, rng: sample_increments(spec, np.ones(3), rng),
     "sample_increments_scalar": lambda spec, rng: sample_increments(spec, 1.0, rng),

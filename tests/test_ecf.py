@@ -37,6 +37,7 @@ from dilastab import (
     apply_transforms,
     check_scaling,
     derive_rng,
+    driver_to_dict,
     estimate_log_cf,
     increment_pair,
     marginal_points,
@@ -480,6 +481,38 @@ def test_simulate_ensemble_reproducible():
         GaussianDriver(), UNIT, cfg.out_times, derive_rng(99, 0), refine=8.0
     )
     assert np.array_equal(a.values[0], direct.values)
+
+
+DRAWS_PAST_THE_FLOAT_RANGE = [
+    (GaussianDriver(5e-324, 1.7e308), UNIT),  # the weighted sum overflows
+    (SymmetricStableDriver(5e-324, 5e-324), UNIT),  # cos(u)**(1/index) underflows to 0
+    (CompoundPoissonDriver(1.0, GaussianJumps(0.0, 1.7e308)), DilationParams(0.5, 0.0)),
+]
+SIMULATORS = {
+    "simulate_ensemble": lambda spec, params: simulate_ensemble(
+        EnsembleConfig(spec, params, (0.5, 1.0, 2.0)), 30, master_seed=1
+    ),
+    "simulate_dilative": lambda spec, params: simulate_dilative(
+        spec, params, TimeGrid(np.array([0.5, 1.0, 2.0])), np.random.default_rng(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize("simulator", list(SIMULATORS))
+@pytest.mark.parametrize(
+    "spec, params", DRAWS_PAST_THE_FLOAT_RANGE, ids=["gaussian-drift", "stable-index", "poisson"]
+)
+def test_draws_past_the_float_range_name_the_driver(errstate, simulator, spec, params):
+    # finite cells whose draws or weighted sums are not: one ValueError naming
+    # the driver, alpha and delta, with no RuntimeWarning, whatever the errstate
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as exc:
+            SIMULATORS[simulator](spec, params)
+    message = str(exc.value)
+    assert json.dumps(driver_to_dict(spec)) in message
+    assert f"alpha = {params.alpha!r} and delta = {params.delta!r}" in message
 
 
 def test_transform_ensemble_chain():
