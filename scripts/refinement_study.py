@@ -47,7 +47,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     for refine in (4, 8, 16, 32, 64, 128):
         plan = plan_dilative(GaussianDriver(), params, np.array([0.0]), refine=float(refine))
-        draws = np.array([plan.run(rng)[0] for _ in range(args.paths)])
+        draws = plan.rows(args.paths, lambda n: rng)[:, 0]
         var = draws.var(ddof=1)
         print(
             f"{refine:>7} {var:>11.6f} {var / target:>9.4f}"

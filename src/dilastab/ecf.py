@@ -51,9 +51,8 @@ from .errors import (
 from .integrator import SamplePath, TimeGrid
 
 # apply_transforms is looked up here by simulate_ensemble (and by bench/spans.py)
-from .processes import DilationParams, _check_drawn, _transform, apply_transforms
+from .processes import DilationParams, _transform, apply_transforms
 from .processes import check_memory, plan_dilative
-from .timechange import tau_density
 from .validation import read_number
 
 __all__ = [
@@ -125,14 +124,12 @@ def simulate_ensemble(config, n_paths, master_seed):
     """Simulate an ensemble; path n depends only on (master_seed, n).
 
     Path n is drawn from derive_rng(master_seed, n) into row n of one
-    matrix, and the transform chain then maps the whole matrix at once.
-    Every path draws over the plan's one set of driver cells, computed when
-    the plan is built.  The draws are Python-bound and hold the interpreter
-    lock, so they run serially: on a 2-core machine one pool task per path
-    on 2 threads had made 1000 gamma paths of 710 cells about 4 times
-    slower.  An ensemble whose values would exceed physical memory raises
-    MemoryError before anything is built, and draws that leave the float
-    range raise ValueError naming the driver, alpha and delta.
+    matrix (SimulationPlan.rows), and the transform chain then maps the
+    whole matrix at once.  Every path draws over the plan's one set of
+    driver cells, computed when the plan is built.  An ensemble whose values
+    would exceed physical memory raises MemoryError before anything is
+    built, and draws that leave the float range raise ValueError naming the
+    driver, alpha and delta.
     """
     pts = config.out_times.points
     if pts[0] <= 0:
@@ -140,12 +137,7 @@ def simulate_ensemble(config, n_paths, master_seed):
     # the values and their transformed copy, refused before the plan is built
     check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
     plan = plan_dilative(config.driver, config.params, np.log(pts), config.refine, config.tail_tol)
-    values = np.empty((int(n_paths), pts.size))
-    with np.errstate(all="ignore"):  # inf and nan are looked for after the loop
-        for n in range(int(n_paths)):
-            values[n] = plan.run(derive_rng(master_seed, n))
-    _check_drawn(values, config.driver, config.params)
-    x = SamplePath(config.out_times, values)
+    x = SamplePath(config.out_times, plan.rows(n_paths, lambda n: derive_rng(master_seed, n)))
     return apply_transforms(x, config.params, config.transforms)
 
 
@@ -280,7 +272,11 @@ def oracle_log_cf(spec, params, t, theta):
 def _closed_form_log_cf(spec, params, t, theta):
     if spec.stable_part is None:
         raise OracleOutOfDomain(f"no closed-form log-CF for {spec._named()}")
-    q = tau_density(params.delta, 0.0)
+    q = params.q
+    if math.isnan(q):
+        raise OracleOutOfDomain(
+            f"delta = {params.delta!r} takes q = delta/(e^delta - 1) out of the float range"
+        )
 
     def term(p, coefficient):
         rate = params.rate(p)

@@ -125,6 +125,13 @@ class DilationParams:
         return 2.0 * self.alpha if p == 2.0 else p * self.hurst + self.delta
 
     @property
+    def q(self):
+        """q = tau'(0) = delta/(e^delta - 1), or nan where it leaves (0, inf); never warns."""
+        with np.errstate(all="ignore"):  # e^delta overflows for delta above about 709.78
+            q = tau_density(self.delta, 0.0)
+        return q if 0 < q < math.inf else math.nan
+
+    @property
     def ou_rate(self):
         """Rate lambda = delta/2 - alpha of the OU-type transform; equals -hurst."""
         return self.delta / 2.0 - self.alpha
@@ -141,7 +148,7 @@ def _log_over(numerator, moment, q):
 def _truncation_point(spec, params, tail_tol):
     """Log-time u_min below which the neglected tail scale is < tail_tol.
 
-    With q = tau'(0) = delta/(e^delta - 1) and r(p) = params.rate(p), the
+    With q = params.q = tau'(0) and r(p) = params.rate(p), the
     tail integral_{-inf}^u e^(s H) dL(tau(s)) has stable scale
     (c q e^(r(p) u) / r(p))**(1/p) when the driver's stable_part is (p, c)
     with p < 2, and otherwise mean mean_rate q e^(r(1) u) / r(1) and
@@ -149,8 +156,8 @@ def _truncation_point(spec, params, tail_tol):
     is split evenly in the second-moment sense.  Returns None when the
     driver is deterministic zero, and nan when q leaves the float range.
     """
-    q = tau_density(params.delta, 0.0)
-    if not 0 < q < math.inf:
+    q = params.q
+    if math.isnan(q):
         return math.nan
     if spec.stable_part is not None and spec.stable_part[0] < 2.0:
         p, c = spec.stable_part
@@ -201,6 +208,7 @@ class SimulationPlan:
     """
 
     spec: object
+    params: DilationParams
     durations: np.ndarray  # clock increments fed to the driver sampler
     weights: np.ndarray  # e^(u H) left-endpoint weights
     out_index: np.ndarray  # grid positions of the output times
@@ -218,6 +226,33 @@ class SimulationPlan:
         if self._at_start:
             return np.concatenate([[0.0], values])
         return values
+
+    def rows(self, n_rows, rng_of):
+        """Draw n_rows paths into one (n_rows, outputs) matrix: row n is run(rng_of(n)).
+
+        rng_of is called once per row, in row order, so a caller's generators
+        are made only as they are drawn from.  The draws are Python-bound and
+        hold the interpreter lock, so they run serially: on a 2-core machine
+        one pool task per path on 2 threads had made 1000 gamma paths of 710
+        cells about 4 times slower.  Draws or weighted sums that leave the
+        float range raise ValueError naming the driver, alpha and delta,
+        whatever the caller's errstate.
+        """
+        values = np.empty((int(n_rows), self.out_index.size))
+        with np.errstate(all="ignore"):  # inf and nan are looked for after the loop
+            for n in range(int(n_rows)):
+                values[n] = self.run(rng_of(n))
+        at = f"alpha = {self.params.alpha!r} and delta = {self.params.delta!r}"
+        _refuse_non_finite(values, self.spec, at)
+        return values
+
+
+def _refuse_non_finite(values, spec, at):
+    """Raise ValueError naming the driver if its draws, or sums of them, left the float range."""
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"{spec._named()} at {at} draws increments or sums of them out of the float range"
+        )
 
 
 def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
@@ -289,7 +324,7 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
             f"e^(u H) or the clock tau(delta, u) out of the float range for log times "
             f"u in [{u_min:.6g}, {u_out[-1]:.6g}]"
         )
-    return SimulationPlan(spec, durations, weights, out_idx)
+    return SimulationPlan(spec, params, durations, weights, out_idx)
 
 
 def simulate_dilative(spec, params, out_times, rng, refine=8.0, tail_tol=1e-4):
@@ -302,19 +337,7 @@ def simulate_dilative(spec, params, out_times, rng, refine=8.0, tail_tol=1e-4):
     if pts[0] <= 0:
         raise NonPositiveTime("output times must be strictly positive")
     plan = plan_dilative(spec, params, np.log(pts), refine=refine, tail_tol=tail_tol)
-    with np.errstate(all="ignore"):  # inf and nan are looked for below
-        values = plan.run(rng)
-    _check_drawn(values, spec, params)
-    return SamplePath(out_times, values, role="X")
-
-
-def _check_drawn(values, spec, params):
-    """Name the driver, alpha and delta if draws or their weighted sums left the float range."""
-    if not np.isfinite(values).all():
-        raise ValueError(
-            f"{spec._named()} at alpha = {params.alpha!r} and delta = {params.delta!r} "
-            "draws increments or weighted sums out of the float range"
-        )
+    return SamplePath(out_times, plan.rows(1, lambda n: rng)[0], role="X")
 
 
 def simulate_driving(spec, delta, log_times, rng):
@@ -323,15 +346,19 @@ def simulate_driving(spec, delta, log_times, rng):
     Anchored at Y = 0 at log time 0 when the grid contains it, else at the
     first grid point.  At delta = 0 the clock is the identity and Y is the
     two-sided driver L itself: one stream draws the increments of every
-    cell, left to right, and their sums are anchored at L(0) = 0.
+    cell, left to right, and their sums are anchored at L(0) = 0.  Draws or
+    sums that leave the float range raise ValueError naming the driver and
+    delta.
     """
     durations, _ = _grid_cells(log_times.points, delta, 0.0)
-    increments = sample_increments(spec, durations, rng)
     try:
         anchor = log_times.index_of(0.0)
     except OffGrid:
         anchor = 0
-    return SamplePath(log_times, _partial_sums(increments, anchor), role="Y")
+    with np.errstate(all="ignore"):  # inf and nan are looked for below
+        values = _partial_sums(sample_increments(spec, durations, rng), anchor)
+    _refuse_non_finite(values, spec, f"delta = {delta!r}")
+    return SamplePath(log_times, values, role="Y")
 
 
 def extract_background(x, params):
@@ -388,14 +415,15 @@ def ou_from_integral(spec, params, out_log_times, rng, refine=8.0, tail_tol=1e-4
     V_t = integral_{-inf}^t e^((u - t) H) dY_u on the given (real) log-time
     grid, built from one driver realisation shared across all output times;
     equal to the transform of a simulate_dilative path drawn from the same
-    stream, up to rounding.  Requires delta != 0.
+    stream, up to rounding.  Requires delta != 0; draws that leave the float
+    range raise ValueError naming the driver, alpha and delta.
     """
     if params.delta == 0:
         raise DegenerateDelta("the moving-average form needs delta != 0")
     u_out = out_log_times.points
     plan = plan_dilative(spec, params, u_out, refine=refine, tail_tol=tail_tol)
     weight = TRANSFORMS["lamperti"].weight(np.exp(u_out), u_out, params.hurst)  # e^(-H u)
-    values = weight * plan.run(rng)
+    values = weight * plan.rows(1, lambda n: rng)[0]
     return SamplePath(out_log_times, values, role="V")
 
 
@@ -471,7 +499,10 @@ def apply_transforms(path, params, transforms):
 
     Each transform is a time map and a weight shared by every path, so an
     ensemble is mapped as one matrix and a single path is the one-row case.
-    Returns a SamplePath with the new grid, values and role.
+    Returns a SamplePath with the new grid, values and role.  A step that
+    takes finite values to a non-finite time or value raises ValueError
+    naming the transform, alpha, delta and the times it was given, whatever
+    the caller's errstate; values that are already non-finite are carried on.
     """
     grid, values, role = path.grid, path.values, path.role
     for name in transforms:
@@ -479,16 +510,23 @@ def apply_transforms(path, params, transforms):
         if step.source is not None and role != step.source:
             raise ValueError(f"the {name} transform expects a {step.source} path, got {role}")
         pts = grid.points
-        new = step.clock(pts, params.delta)
-        if new.size > 1 and new[0] > new[-1]:
-            # the relabelled clock runs backwards (idt at delta < 0): flip
-            # points and columns together
-            pts, new, values = pts[::-1], new[::-1], values[..., ::-1]
-        if step.weight is None:
-            values = values.copy()
-        else:
-            values = step.weight(pts, new, params.hurst) * values
-        grid, role = TimeGrid(new), step.role
+        with np.errstate(all="ignore"):  # inf and nan are looked for below
+            new = step.clock(pts, params.delta)
+            if new.size > 1 and new[0] > new[-1]:
+                # the relabelled clock runs backwards (idt at delta < 0): flip
+                # points and columns together
+                pts, new, values = pts[::-1], new[::-1], values[..., ::-1]
+            if step.weight is None:
+                out = values.copy()
+            else:
+                out = step.weight(pts, new, params.hurst) * values
+        if not (np.isfinite(new).all() and np.isfinite(out).all()) and np.isfinite(values).all():
+            raise ValueError(
+                f"the {name} transform at alpha = {params.alpha!r} and delta = {params.delta!r} "
+                f"takes times in [{grid.points[0]:.6g}, {grid.points[-1]:.6g}] or the values "
+                "on them out of the float range"
+            )
+        grid, values, role = TimeGrid(new), out, step.role
     return SamplePath(grid, values, role)
 
 

@@ -943,6 +943,18 @@ def test_oracle_overflow_exit_2(capsys):
     assert_one_error_line(code, err, "overflows")
 
 
+def test_oracle_clock_rate_overflow_exit_2(capsys):
+    # e^delta overflows in q = delta/(e^delta - 1): the line names delta, not numpy's expm1
+    code, out, err = run_cli(
+        capsys,
+        *("oracle", "--times=1", "--thetas=0.5,2", "--points=3"),
+        *("--delta=1e308", "--alpha=1e308"),
+    )
+    assert out == ""
+    assert_one_error_line(code, err, "delta = 1e+308")
+    assert "expm1" not in err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [(("--times", "nan", "--thetas", "1"), "--times"), (("--times", "1", "--thetas", "inf"), "--thetas")],
@@ -1193,8 +1205,25 @@ def test_verify_law_out_of_float_range_exit_2(capsys, argv):
             + ("--pair", "1,2,1e308,1e308", "--n-paths", "30"),
             ("--thetas", "--pair", "overflow"),
         ),
+        (
+            ("simulate", "--t-max=1e308", "--transform=lamperti_inverse", "--spacing=geometric")
+            + ("--n-paths=30",),
+            ("lamperti_inverse", "[0.5, 1e+308]"),
+        ),
+        (
+            ("simulate", "--refine=1", "--transform=lamperti_inverse", "--n-paths=30")
+            + ("--driver", '{"kind": "gamma", "shape": 1e308}'),
+            ("lamperti_inverse",),
+        ),
     ],
-    ids=["weight-overflow", "cell-count-overflow", "projection-overflow", "pair-overflow"],
+    ids=[
+        "weight-overflow",
+        "cell-count-overflow",
+        "projection-overflow",
+        "pair-overflow",
+        "transform-clock-overflow",
+        "transform-weight-overflow",
+    ],
 )
 def test_float_overflow_exit_2(capsys, argv, words):
     # numpy would warn on stderr and write inf, or Python raise OverflowError;

@@ -43,6 +43,7 @@ from dilastab import (
     marginal_points,
     oracle_joint_log_cf,
     oracle_log_cf,
+    ou_from_integral,
     simulate_dilative,
     simulate_ensemble,
 )
@@ -368,6 +369,16 @@ def test_oracle_edge_cases():
         oracle_log_cf(SymmetricStableDriver(1.5, 1.0), UNIT, 1e300, 1.0)
 
 
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+def test_oracle_names_a_delta_whose_clock_rate_leaves_the_float_range(errstate):
+    # q = delta/(e^delta - 1) underflows to 0 where e^delta overflows: the
+    # oracle refuses it, as the plan's truncation point does, and never warns
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleOutOfDomain, match=r"delta = 1e\+308 takes q"):
+            oracle_log_cf(GaussianDriver(), DilationParams(1e308, 1e308), 1.0, 0.5)
+
+
 @given(
     st.floats(0.1, 5.0),
     st.floats(1.1, 4.0),
@@ -483,11 +494,15 @@ def test_simulate_ensemble_reproducible():
     assert np.array_equal(a.values[0], direct.values)
 
 
-DRAWS_PAST_THE_FLOAT_RANGE = [
-    (GaussianDriver(5e-324, 1.7e308), UNIT),  # the weighted sum overflows
-    (SymmetricStableDriver(5e-324, 5e-324), UNIT),  # cos(u)**(1/index) underflows to 0
-    (CompoundPoissonDriver(1.0, GaussianJumps(0.0, 1.7e308)), DilationParams(0.5, 0.0)),
-]
+DRAWS_PAST_THE_FLOAT_RANGE = {
+    "gaussian-drift": (GaussianDriver(5e-324, 1.7e308), UNIT),  # the weighted sum overflows
+    # cos(u)**(1/index) underflows to 0
+    "stable-index": (SymmetricStableDriver(5e-324, 5e-324), UNIT),
+    "poisson": (
+        CompoundPoissonDriver(1.0, GaussianJumps(0.0, 1.7e308)),
+        DilationParams(0.5, 0.0),
+    ),
+}
 SIMULATORS = {
     "simulate_ensemble": lambda spec, params: simulate_ensemble(
         EnsembleConfig(spec, params, (0.5, 1.0, 2.0)), 30, master_seed=1
@@ -495,13 +510,22 @@ SIMULATORS = {
     "simulate_dilative": lambda spec, params: simulate_dilative(
         spec, params, TimeGrid(np.array([0.5, 1.0, 2.0])), np.random.default_rng(0)
     ),
+    "ou_from_integral": lambda spec, params: ou_from_integral(
+        spec, params, TimeGrid(np.array([-0.7, 0.0, 0.7])), np.random.default_rng(0)
+    ),
 }
 
 
 @pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
-@pytest.mark.parametrize("simulator", list(SIMULATORS))
 @pytest.mark.parametrize(
-    "spec, params", DRAWS_PAST_THE_FLOAT_RANGE, ids=["gaussian-drift", "stable-index", "poisson"]
+    "simulator, spec, params",
+    [
+        pytest.param(simulator, spec, params, id=f"{case}-{simulator}")
+        for case, (spec, params) in DRAWS_PAST_THE_FLOAT_RANGE.items()
+        for simulator in SIMULATORS
+        # the moving-average form refuses delta = 0 (DegenerateDelta) before drawing
+        if not (simulator == "ou_from_integral" and params.delta == 0)
+    ],
 )
 def test_draws_past_the_float_range_name_the_driver(errstate, simulator, spec, params):
     # finite cells whose draws or weighted sums are not: one ValueError naming

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from dilastab import (
     SymmetricStableDriver,
     TimeGrid,
     apply_transforms,
+    driver_to_dict,
     extract_background,
     ibp_integral,
     ou_evolve,
@@ -105,7 +107,7 @@ def test_degenerate_plan_has_one_cell_per_output():
 
 def test_plan_rejects_negative_durations():
     with pytest.raises(ValueError, match="durations must be >= 0"):
-        SimulationPlan(GaussianDriver(), np.array([0.1, -0.2]), np.ones(2), np.arange(1, 3))
+        SimulationPlan(GaussianDriver(), UNIT, np.array([0.1, -0.2]), np.ones(2), np.arange(1, 3))
 
 
 def test_truncation_point_takes_an_underflowing_log_in_pieces():
@@ -300,6 +302,43 @@ def test_reparam_idt():
     assert np.array_equal(neg.values, vals[::-1])
     with pytest.raises(DegenerateDelta):
         apply_transforms(v, DilationParams(1.0, 0.0), ("idt",))
+
+
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_driving_draws_past_the_float_range_name_the_driver(errstate, delta):
+    # increments or their partial sums overflow: one ValueError naming the
+    # driver and delta, with no RuntimeWarning, whatever the errstate
+    spec = GaussianDriver(5e-324, 1.7e308)
+    grid = TimeGrid(np.linspace(-3.0, 3.0, 25))
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as exc:
+            simulate_driving(spec, delta, grid, np.random.default_rng(0))
+    assert json.dumps(driver_to_dict(spec)) in str(exc.value)
+    assert f"at delta = {delta!r} " in str(exc.value)
+
+
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize(
+    "points, values",
+    [([0.5, 1e308], [1.0, 1.0]), ([0.5, 2.0], [1.0, 1e308])],
+    ids=["clock", "weight"],
+)
+def test_transform_names_what_leaves_the_float_range(errstate, points, values):
+    # e^u or t^H * X(t) overflows on finite input: one ValueError naming the
+    # transform, alpha, delta and the times, whatever the errstate
+    grid = TimeGrid(np.array(points))
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as exc:
+            apply_transforms(SamplePath(grid, np.array(values)), UNIT, ("lamperti_inverse",))
+        # values that are already non-finite are carried on, not refused
+        carried = apply_transforms(SamplePath(grid, np.full(2, math.inf)), UNIT, ("lamperti",))
+    message = str(exc.value)
+    assert message.startswith("the lamperti_inverse transform at alpha = 1.0 and delta = 1.0 ")
+    assert f"times in [{points[0]:.6g}, {points[1]:.6g}]" in message
+    assert carried.values.tolist() == [math.inf, math.inf]
 
 
 def test_simulate_driving_anchor_and_clock():
