@@ -1,15 +1,15 @@
 """Per-path generators whose PCG64 seeds come from one numpy pass per block.
 
-path_rng(master_seed, n) returns exactly
-np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,))).
-That SeedSequence hashes its entropy words (the master seed's uint32 words,
-zero-padded to the pool size, then n) into a pool of 4 uint32 words with
-O'Neill's seed_seq hash and NumPy's constants, and PCG64 seeds itself from
-the pool's generate_state(4, uint64).  The spawn key is the last word, so the
-pool before it is numpy's own SeedSequence(master_seed).pool.  This module
-ports only the steps after it: the 4 hash-and-mix steps that take n in, and
-the 8 output words, as elementwise uint32 arithmetic over a block of BLOCK
-consecutive keys.
+path_rng(master_seed, n) has the same PCG64 state and stream as
+np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,))),
+but does not spawn.  That SeedSequence hashes its entropy words (the master
+seed's uint32 words, zero-padded to the pool size, then n) into a pool of 4
+uint32 words with O'Neill's seed_seq hash and NumPy's constants, and PCG64
+seeds itself from the pool's generate_state(4, uint64).  The spawn key is the
+last word, so the pool before it is numpy's own SeedSequence(master_seed).pool.
+This module ports only the steps after it: the 4 hash-and-mix steps that take
+n in, and the 8 output words, as elementwise uint32 arithmetic over a block
+of BLOCK consecutive keys.
 
 Kept in its own module so that `import dilastab` does not load numpy.random.
 """
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
-from numpy.random.bit_generator import ISpawnableSeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 BLOCK = 1024
 
@@ -72,53 +72,28 @@ def _block_seeds(master_seed, block):
     return seeds
 
 
-class _PathSeed(ISpawnableSeedSequence):
-    """SeedSequence(master_seed, spawn_key=(n,)) with PCG64's seed words at hand.
+class _PathWords(ISeedSequence):
+    """SeedSequence(master_seed, spawn_key=(n,)) as PCG64 reads it: 4 uint64 seed words.
 
-    The first generate_state(4, uint64) call, PCG64's, returns the
-    precomputed words; every other use builds the real SeedSequence.
+    Any call but PCG64's generate_state(4, uint64) builds that SeedSequence.
     """
-
-    __slots__ = ("_entropy", "_n", "_words", "_seq")
 
     def __init__(self, entropy, n, words):
         self._entropy = entropy
         self._n = n
         self._words = words
-        self._seq = None
-
-    def _real(self):
-        if self._seq is None:
-            self._seq = SeedSequence(self._entropy, spawn_key=(self._n,))
-        return self._seq
 
     def generate_state(self, n_words, dtype=np.uint32):
-        words, self._words = self._words, None
-        if words is not None and n_words == 4 and dtype is np.uint64:
-            return words
-        return self._real().generate_state(n_words, dtype)
-
-    def spawn(self, n_children):
-        return self._real().spawn(n_children)
-
-    def __getattr__(self, name):
-        # entropy, spawn_key, pool, n_children_spawned, ...; slots are never looked up here
-        if name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(self._real(), name)
-
-    def __reduce__(self):
-        return self._real().__reduce__()
-
-    def __repr__(self):
-        return repr(self._real())
+        if n_words == 4 and dtype is np.uint64:
+            return self._words
+        return SeedSequence(self._entropy, spawn_key=(self._n,)).generate_state(n_words, dtype)
 
 
 _INTS = (int, np.integer)
 
 
 def path_rng(master_seed, n):
-    """np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,)))."""
+    """The stream of np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,)))."""
     if not (
         isinstance(master_seed, _INTS)
         and isinstance(n, _INTS)
@@ -129,4 +104,4 @@ def path_rng(master_seed, n):
     # int(): a numpy int8 n would overflow in n % BLOCK
     block, offset = divmod(int(n), BLOCK)
     seeds = _block_seeds(master_seed, block)
-    return Generator(PCG64(_PathSeed(master_seed, n, seeds[offset])))
+    return Generator(PCG64(_PathWords(master_seed, n, seeds[offset])))

@@ -45,6 +45,7 @@ import numpy as np
 from .drivers import GaussianDriver, driver_from_dict
 from .ecf import (
     LAWS,
+    R_STEPS,
     EnsembleConfig,
     TestPoint,
     check_scaling,
@@ -55,7 +56,8 @@ from .ecf import (
 )
 from .errors import DilastabError, InadmissibleParams
 from .integrator import TimeGrid
-from .processes import MAX_COUNT, TRANSFORMS, DilationParams, check_memory, pull_back
+from .processes import MAX_COUNT, REFINE, TAIL_TOL, TRANSFORMS, DilationParams
+from .processes import check_memory, pull_back
 from .validation import admissibility, read_number
 
 __all__ = ["MAX_COUNT", "main", "cmd_simulate", "cmd_verify", "cmd_oracle"]
@@ -122,8 +124,8 @@ _INPUTS = (
     Input("--n-paths", int, 1000, "n_paths", {"at least": 1, "at most": MAX_COUNT}),
     Input("--seed", int, 0, "master_seed", {"at least": 0}, env="DILASTAB_SEED",
           help="master seed (else DILASTAB_SEED, else 0)"),
-    Input("--refine", float, 8.0, "refine", {**_FINITE, "at least": 1}),
-    Input("--tail-tol", float, 1e-4, "tail_tol", {**_FINITE, "above": 0}),
+    Input("--refine", float, REFINE, "refine", {**_FINITE, "at least": 1}),
+    Input("--tail-tol", float, TAIL_TOL, "tail_tol", {**_FINITE, "above": 0}),
     Input("--transform", list, (), "transforms", {"one of": tuple(TRANSFORMS)},
           help="transform chain entry; repeat for a chain"),
     Input("--threads", int, 1, help="accepted and ignored"),
@@ -147,7 +149,8 @@ _INPUTS = (
     Input("--pair", list, (), commands=_VERIFY,
           help="two-dimensional test point as t1,t2,theta1,theta2; repeatable"),
     Input("--threshold", float, 0.99, bound=_FINITE, commands=_VERIFY),
-    Input("--r-steps", int, 16, bound={"at least": 1, "at most": MAX_COUNT}, commands=_VERIFY),
+    Input("--r-steps", int, R_STEPS, bound={"at least": 1, "at most": MAX_COUNT},
+          commands=_VERIFY),
 )
 
 
@@ -416,9 +419,35 @@ def build_parser():
     return parser
 
 
+# argparse answers an abbreviation of any of these flags
+_SWITCHES = {"--help", *(row.flag for row in _INPUTS if row.kind is bool)}
+_FLAGS = _SWITCHES | {row.flag for row in _INPUTS if row.kind is not bool}
+
+
+def _takes_value(token):
+    """Whether token is a flag, or an abbreviation of flags, that takes a value."""
+    named = {token} if token in _FLAGS else {f for f in _FLAGS if f.startswith(token)}
+    return token.startswith("--") and "=" not in token and named and not named & _SWITCHES
+
+
+def _join_values(argv):
+    """argv with each value-taking flag joined by "=" to a next token that starts with one "-".
+
+    argparse reads such a token (-1e3, -0.5,1) as a flag unless it is a plain
+    decimal, and then says the flag before it expected one argument.
+    """
+    out = []
+    for token in argv:
+        if out and _takes_value(out[-1]) and token[:1] == "-" and token[:2] != "--":
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         # numpy raises where it would warn on stderr and go on with inf or nan
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -51,7 +51,7 @@ from .errors import (
 from .integrator import SamplePath, TimeGrid
 
 # apply_transforms is looked up here by simulate_ensemble (and by bench/spans.py)
-from .processes import DilationParams, _transform, apply_transforms
+from .processes import REFINE, TAIL_TOL, DilationParams, _transform, apply_transforms
 from .processes import check_memory, plan_dilative
 from .validation import read_number
 
@@ -77,6 +77,10 @@ __all__ = [
     "check_scaling",
 ]
 
+# the default count of positions along a log-CF ray
+R_STEPS = 16
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """What to simulate: driver, scaling parameters, output grid, transforms.
@@ -90,8 +94,8 @@ class EnsembleConfig:
     driver: object
     params: DilationParams
     out_times: TimeGrid
-    refine: float = 8.0
-    tail_tol: float = 1e-4
+    refine: float = REFINE
+    tail_tol: float = TAIL_TOL
     transforms: tuple = ()
 
     def __post_init__(self):
@@ -114,8 +118,9 @@ def _path_rng():
 def derive_rng(master_seed, n):
     """The independent generator for path n; a pure function of (seed, n).
 
-    Exactly np.random.default_rng(np.random.SeedSequence(master_seed,
-    spawn_key=(n,))), with the PCG64 seeds of a block of n computed at once.
+    It has the same PCG64 state and stream as
+    np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,))),
+    but does not spawn; the PCG64 seeds of a block of n are computed at once.
     """
     return _path_rng()(master_seed, n)
 
@@ -197,7 +202,7 @@ def _ray_terms(rs, w):
     return terms
 
 
-def estimate_log_cf(ens, times, theta_direction, r_steps=16):
+def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     """Estimate the log-CF along the ray r * theta_direction, r = k/r_steps, k = 1..r_steps.
 
     Returns one EcfEstimate per ray position, phases unwrapped continuously
@@ -523,7 +528,7 @@ def _z_score(diff, se):
 _UNESTIMABLE = (LowMagnitude, PhaseAmbiguous)
 
 
-def check_scaling(ens, law, points, r_steps=16, oracle=None):
+def check_scaling(ens, law, points, r_steps=R_STEPS, oracle=None):
     """Run one scaling law over a list of test points.
 
     ens is an ensemble SamplePath, or a (scaled_side, base_side) pair of ensembles

@@ -52,6 +52,11 @@ class TimeGrid:
 
     @classmethod
     def linear(cls, t_min, t_max, n):
+        if not math.isfinite(float(t_max) - float(t_min)):
+            raise ValueError(
+                f"linear grids need a span t_max - t_min in the float range, "
+                f"got {t_min!r} to {t_max!r}"
+            )
         return cls(np.linspace(float(t_min), float(t_max), int(n)))
 
     @classmethod

@@ -78,6 +78,10 @@ __all__ = [
 # (n_paths, points) float matrix of that size stays below numpy's size limit
 MAX_COUNT = 10**9
 
+# a plan's defaults: log-time steps per unit, and the neglected tail's scale
+REFINE = 8.0
+TAIL_TOL = 1e-4
+
 # float64 arrays of a plan's length alive at once while it is built and runs
 # one path: 6 to 9 for the four drivers, measured with tracemalloc
 _FLOATS_PER_CELL = 9
@@ -255,7 +259,7 @@ def _refuse_non_finite(values, spec, at):
         )
 
 
-def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
+def plan_dilative(spec, params, log_out_times, refine=REFINE, tail_tol=TAIL_TOL):
     """Build the discretisation for X at output times e^(u), u in log_out_times.
 
     Checks admissibility (raising InadmissibleParams with the verdict), picks
@@ -327,7 +331,7 @@ def plan_dilative(spec, params, log_out_times, refine=8.0, tail_tol=1e-4):
     return SimulationPlan(spec, params, durations, weights, out_idx)
 
 
-def simulate_dilative(spec, params, out_times, rng, refine=8.0, tail_tol=1e-4):
+def simulate_dilative(spec, params, out_times, rng, refine=REFINE, tail_tol=TAIL_TOL):
     """Simulate one path of the additive (alpha, delta)-dilatively stable process.
 
     out_times must be strictly positive; draws that leave the float range
@@ -367,7 +371,10 @@ def extract_background(x, params):
     Y at log time u sums the increments of X from t = 1 to t = e^u (negated
     below 1), each divided by its cell's weight from _grid_cells, so the grid
     must contain t = 1 (GridMissingUnit otherwise).  On a simulated path's
-    grid this recovers the driver increments up to rounding.
+    grid this recovers the driver increments up to rounding.  Weights that
+    take a finite X's increments out of the float range (e^(u H) underflows
+    to 0 far below t = 1) raise ValueError naming alpha, delta and the
+    times, whatever the caller's errstate.
     """
     pts = x.grid.points
     if pts[0] <= 0:
@@ -377,10 +384,17 @@ def extract_background(x, params):
     except OffGrid as exc:
         raise GridMissingUnit("background extraction needs t = 1 on the grid") from exc
     u = np.log(pts)
-    with np.errstate(over="ignore", invalid="ignore"):  # the unused clock may overflow
+    # inf and nan are looked for below; the unused clock may overflow
+    with np.errstate(all="ignore"):
         _, weights = _grid_cells(u, params.delta, params.hurst)
-    dy = np.diff(x.values) / weights
-    return SamplePath(TimeGrid(u), _partial_sums(dy, i1), role="Y")
+        y = _partial_sums(np.diff(x.values) / weights, i1)
+    if np.isfinite(x.values).all() and not np.isfinite(y).all():
+        raise ValueError(
+            f"alpha = {params.alpha!r} and delta = {params.delta!r} take the weights e^(u H), "
+            "or the increments of X divided by them, out of the float range for times in "
+            f"[{pts[0]:.6g}, {pts[-1]:.6g}]"
+        )
+    return SamplePath(TimeGrid(u), y, role="Y")
 
 
 def ou_evolve(v0, y, ou_rate, a, b):
@@ -409,21 +423,31 @@ def ou_evolve(v0, y, ou_rate, a, b):
     return SamplePath(TimeGrid(seg.copy()), values, role="V")
 
 
-def ou_from_integral(spec, params, out_log_times, rng, refine=8.0, tail_tol=1e-4):
+def ou_from_integral(spec, params, out_log_times, rng, refine=REFINE, tail_tol=TAIL_TOL):
     """Simulate the OU-type transform directly from its moving-average form.
 
     V_t = integral_{-inf}^t e^((u - t) H) dY_u on the given (real) log-time
     grid, built from one driver realisation shared across all output times;
     equal to the transform of a simulate_dilative path drawn from the same
     stream, up to rounding.  Requires delta != 0; draws that leave the float
-    range raise ValueError naming the driver, alpha and delta.
+    range raise ValueError naming the driver, alpha and delta, and weights
+    e^(-H u) that take V out of it one naming alpha, delta and the times,
+    whatever the caller's errstate.
     """
     if params.delta == 0:
         raise DegenerateDelta("the moving-average form needs delta != 0")
     u_out = out_log_times.points
     plan = plan_dilative(spec, params, u_out, refine=refine, tail_tol=tail_tol)
-    weight = TRANSFORMS["lamperti"].weight(np.exp(u_out), u_out, params.hurst)  # e^(-H u)
-    values = weight * plan.rows(1, lambda n: rng)[0]
+    x = plan.rows(1, lambda n: rng)[0]
+    with np.errstate(all="ignore"):  # inf and nan are looked for below
+        weight = TRANSFORMS["lamperti"].weight(np.exp(u_out), u_out, params.hurst)  # e^(-H u)
+        values = weight * x
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"alpha = {params.alpha!r} and delta = {params.delta!r} take the weights "
+            "e^(-H u) or V out of the float range for log times in "
+            f"[{u_out[0]:.6g}, {u_out[-1]:.6g}]"
+        )
     return SamplePath(out_log_times, values, role="V")
 
 

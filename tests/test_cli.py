@@ -1167,6 +1167,25 @@ def test_argument_rejections_are_one_line(capsys, argv, flag):
     assert_one_error_line(code, err, flag)
 
 
+def test_a_value_that_starts_with_a_minus_is_read_as_the_value(capsys):
+    # argparse alone reads -1e3 and -0.5,1 as flags: "expected one argument"
+    code, out, err = run_cli(
+        capsys, "simulate", "--spacing", "linear", "--t-min", "-1e3", "--t-max", "1",
+        "--n-paths", "1", "--points", "2",
+    )
+    assert out == ""
+    assert_one_error_line(code, err, "output times must be strictly positive")
+    spaced = run_cli(capsys, "oracle", "--times", "1", "--thetas", "-0.5,1")
+    joined = run_cli(capsys, "oracle", "--times", "1", "--thetas=-0.5,1")
+    assert spaced == joined
+    assert joined[0] == 0 and joined[2] == ""
+    assert joined[1].splitlines()[1].startswith("1.0,-0.5,")
+    # an abbreviation takes its value too; a switch takes none
+    assert run_cli(capsys, "oracle", "--times", "1", "--thet", "-0.5,1") == joined
+    code, out, err = run_cli(capsys, "simulate", "--include-origin", "-1")
+    assert_one_error_line(code, err, "unrecognized arguments: -1")
+
+
 def test_help_still_prints_usage(capsys):
     code, out, err = run_cli(capsys, "verify", "--help")
     assert code == 0 and err == ""
@@ -1215,6 +1234,11 @@ def test_verify_law_out_of_float_range_exit_2(capsys, argv):
             + ("--driver", '{"kind": "gamma", "shape": 1e308}'),
             ("lamperti_inverse",),
         ),
+        (
+            ("simulate", "--spacing", "linear", "--t-min=-1.7e308", "--t-max", "1.7e308")
+            + ("--n-paths", "3"),
+            ("-1.7e+308 to 1.7e+308",),
+        ),
     ],
     ids=[
         "weight-overflow",
@@ -1223,6 +1247,7 @@ def test_verify_law_out_of_float_range_exit_2(capsys, argv):
         "pair-overflow",
         "transform-clock-overflow",
         "transform-weight-overflow",
+        "linear-span-overflow",
     ],
 )
 def test_float_overflow_exit_2(capsys, argv, words):

@@ -195,6 +195,21 @@ def test_extract_background_needs_only_the_weights():
     assert np.array_equal(y.values, [0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+def test_extract_background_names_weights_that_underflow(errstate):
+    # e^(29.5 u) is 0 at u = -30 and -26: one ValueError naming alpha, delta
+    # and the times, where the division gave an all-nan Y, whatever the errstate
+    grid = TimeGrid(np.exp([-30.0, -26.0, 0.0]))
+    x = SamplePath(grid, np.array([0.0, 0.0, 1.0]))
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as exc:
+            extract_background(x, DilationParams(30.0, 1.0))
+    message = str(exc.value)
+    assert message.startswith("alpha = 30.0 and delta = 1.0 ")
+    assert f"times in [{grid.points[0]:.6g}, 1]" in message
+
+
 def test_extract_background_needs_unit_knot():
     grid = TimeGrid(np.array([0.5, 2.0]))
     x = SamplePath(grid, np.array([0.1, 0.4]))
@@ -267,6 +282,21 @@ def test_ou_from_integral_matches_transform():
         w = apply_transforms(x, UNIT, ("lamperti",))
         assert v.role == "V"
         assert np.allclose(v.values, w.values, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+def test_ou_from_integral_names_a_weight_that_overflows(errstate):
+    # e^(-H u) = e^799 at u = -2 times X = 0 at the truncation point: one
+    # ValueError naming alpha and delta, where V was [nan, -3.9e-23]
+    grid = TimeGrid(np.array([-2.0, 0.0]))
+    params = DilationParams(400.0, 1.0)
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as exc:
+            ou_from_integral(GaussianDriver(), params, grid, np.random.default_rng(0))
+    message = str(exc.value)
+    assert message.startswith("alpha = 400.0 and delta = 1.0 ")
+    assert "log times in [-2, 0]" in message
 
 
 def test_ou_from_integral_rejects_zero_delta():
