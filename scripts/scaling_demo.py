@@ -14,7 +14,6 @@ import math
 from dilastab import (
     DilationParams,
     DilativeLaw,
-    EnsembleConfig,
     GaussianDriver,
     IdtLaw,
     TestPoint,
@@ -62,11 +61,15 @@ def main():
     args = parser.parse_args()
 
     params = DilationParams(1.0, 1.0)
-    config = EnsembleConfig(
-        GaussianDriver(), params, (0.5, 1.0, 2.0, 4.0, 8.0), refine=64.0
-    )
     print(f"simulating {args.paths} paths (seed {args.seed}) ...")
-    ens = simulate_ensemble(config, args.paths, master_seed=args.seed)
+    ens = simulate_ensemble(
+        GaussianDriver(),
+        params,
+        (0.5, 1.0, 2.0, 4.0, 8.0),
+        args.paths,
+        master_seed=args.seed,
+        refine=64.0,
+    )
 
     points = base_points()
     h = params.hurst

@@ -46,7 +46,6 @@ from .drivers import GaussianDriver, driver_from_dict
 from .ecf import (
     LAWS,
     R_STEPS,
-    EnsembleConfig,
     TestPoint,
     check_scaling,
     marginal_points,
@@ -233,7 +232,7 @@ def _load_config(args):
     return args
 
 
-def _ensemble_config(run, extra_times=()):
+def _output_grid(run, extra_times=()):
     if "lamperti" in run.transform and run.spacing != "geometric":
         raise ValueError("a transform chain containing 'lamperti' needs geometric spacing")
     # the builders' temporaries: three arrays of the grid's length
@@ -243,14 +242,7 @@ def _ensemble_config(run, extra_times=()):
     extra = [t for t in extra_times if not grid.contains(t)]
     if extra:
         grid = TimeGrid(np.union1d(grid.points, extra))
-    return EnsembleConfig(
-        driver=run.driver,
-        params=run.params,
-        out_times=grid,
-        refine=run.refine,
-        tail_tol=run.tail_tol,
-        transforms=run.transform,
-    )
+    return grid
 
 
 # values per block of CSV text: about 1024 paths of 8 times
@@ -270,7 +262,10 @@ def _write_text(out, text):
 def cmd_simulate(run):
     if run.include_origin and run.transform:
         raise ValueError("--include-origin applies only to untransformed output")
-    ens = simulate_ensemble(_ensemble_config(run), run.n_paths, run.seed)
+    ens = simulate_ensemble(
+        run.driver, run.params, _output_grid(run), run.n_paths, run.seed,
+        run.refine, run.tail_tol, run.transform,
+    )
     times = [_fmt(t) for t in ens.grid.points]
     # whole paths per block, so that the text held at once stays near
     # _CSV_BLOCK values however many paths there are
@@ -344,7 +339,10 @@ def cmd_verify(run):
             "law's multiplier out of the float range"
         )
 
-    ens = simulate_ensemble(_ensemble_config(run, extra_times=pulled), run.n_paths, run.seed)
+    ens = simulate_ensemble(
+        run.driver, run.params, _output_grid(run, extra_times=pulled), run.n_paths, run.seed,
+        run.refine, run.tail_tol, run.transform,
+    )
     # check_scaling drops a row's oracle where it has none (OracleOutOfDomain)
     oracle = None if run.transform else partial(oracle_joint_log_cf, run.driver, run.params)
     try:
@@ -372,7 +370,7 @@ def cmd_verify(run):
 def cmd_oracle(run):
     # the grid and (alpha, delta) are checked as simulate checks them,
     # although the closed form needs neither the grid nor a plan
-    _ensemble_config(run)
+    _output_grid(run)
     verdict = admissibility(run.params, run.driver)
     if not verdict.admissible:
         raise InadmissibleParams(verdict)

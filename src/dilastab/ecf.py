@@ -56,7 +56,6 @@ from .processes import check_memory, plan_dilative
 from .validation import read_number
 
 __all__ = [
-    "EnsembleConfig",
     "EcfEstimate",
     "TestPoint",
     "ScalingLaw",
@@ -81,31 +80,6 @@ __all__ = [
 R_STEPS = 16
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """What to simulate: driver, scaling parameters, output grid, transforms.
-
-    out_times is the output grid of the underlying additive process (strictly
-    positive); transforms is a chain of names from TRANSFORMS applied to
-    every path, e.g. ("lamperti",) for the OU-type transform or
-    ("lamperti", "time_stable") for its time-stable relabelling.
-    """
-
-    driver: object
-    params: DilationParams
-    out_times: TimeGrid
-    refine: float = REFINE
-    tail_tol: float = TAIL_TOL
-    transforms: tuple = ()
-
-    def __post_init__(self):
-        if not isinstance(self.out_times, TimeGrid):
-            object.__setattr__(self, "out_times", TimeGrid(self.out_times))
-        object.__setattr__(self, "transforms", tuple(self.transforms))
-        for name in self.transforms:
-            _transform(name)
-
-
 @cache
 def _path_rng():
     # loaded on the first draw: the module loads numpy.random, which
@@ -125,25 +99,32 @@ def derive_rng(master_seed, n):
     return _path_rng()(master_seed, n)
 
 
-def simulate_ensemble(config, n_paths, master_seed):
-    """Simulate an ensemble; path n depends only on (master_seed, n).
+def simulate_ensemble(
+    driver, params, out_times, n_paths, master_seed, refine=REFINE, tail_tol=TAIL_TOL, transforms=()
+):
+    """Simulate n_paths paths of X; path n depends only on (master_seed, n).
 
+    out_times (a TimeGrid or strictly positive times) is the output grid of
+    the underlying additive process, and transforms a chain of names from
+    TRANSFORMS applied to every path, e.g. ("lamperti", "time_stable").
     Path n is drawn from derive_rng(master_seed, n) into row n of one
-    matrix (SimulationPlan.rows), and the transform chain then maps the
-    whole matrix at once.  Every path draws over the plan's one set of
-    driver cells, computed when the plan is built.  An ensemble whose values
-    would exceed physical memory raises MemoryError before anything is
-    built, and draws that leave the float range raise ValueError naming the
-    driver, alpha and delta.
+    matrix (SimulationPlan.rows), and the chain then maps the whole matrix
+    at once.  An unknown transform name and values that would exceed
+    physical memory are refused before the plan is built; draws that leave
+    the float range raise ValueError naming the driver, alpha and delta.
     """
-    pts = config.out_times.points
+    grid = out_times if isinstance(out_times, TimeGrid) else TimeGrid(out_times)
+    transforms = tuple(transforms)
+    for name in transforms:
+        _transform(name)
+    pts = grid.points
     if pts[0] <= 0:
         raise NonPositiveTime("output times must be strictly positive")
     # the values and their transformed copy, refused before the plan is built
     check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
-    plan = plan_dilative(config.driver, config.params, np.log(pts), config.refine, config.tail_tol)
-    x = SamplePath(config.out_times, plan.rows(n_paths, lambda n: derive_rng(master_seed, n)))
-    return apply_transforms(x, config.params, config.transforms)
+    plan = plan_dilative(driver, params, np.log(pts), refine, tail_tol)
+    x = SamplePath(grid, plan.rows(n_paths, lambda n: derive_rng(master_seed, n)))
+    return apply_transforms(x, params, transforms)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from dilastab import (
     CompoundPoissonDriver,
     DilationParams,
     DilativeLaw,
-    EnsembleConfig,
     GammaDriver,
     GaussianDriver,
     GaussianJumps,
@@ -91,24 +90,30 @@ def report(num, label, ok, elapsed):
 @pytest.fixture(scope="module")
 def gauss_bundle():
     start = time.perf_counter()
-    cfg = EnsembleConfig(
+    ens = simulate_ensemble(
         GaussianDriver(),
         UNIT,
         (0.5, 1.0, 2.0, 4.0, 8.0),
+        10_000,
+        master_seed=MASTER_SEED,
         refine=128.0,
         tail_tol=1e-4,
     )
-    ens = simulate_ensemble(cfg, 10_000, master_seed=MASTER_SEED)
     return {"ens": ens, "build": time.perf_counter() - start, "charged": False}
 
 
 @pytest.fixture(scope="module")
 def stable_bundle():
     start = time.perf_counter()
-    cfg = EnsembleConfig(
-        STABLE_DRIVER, STABLE_PARAMS, (0.5, 1.0, 2.0), refine=64.0, tail_tol=1e-4
+    ens = simulate_ensemble(
+        STABLE_DRIVER,
+        STABLE_PARAMS,
+        (0.5, 1.0, 2.0),
+        10_000,
+        master_seed=MASTER_SEED,
+        refine=64.0,
+        tail_tol=1e-4,
     )
-    ens = simulate_ensemble(cfg, 10_000, master_seed=MASTER_SEED)
     return {"ens": ens, "build": time.perf_counter() - start, "charged": False}
 
 

@@ -513,7 +513,7 @@ def test_oversized_counts_exit_2_before_allocating(
     def allocate(*args, **kwargs):
         raise AssertionError("an oversized count reached the allocation")
 
-    monkeypatch.setattr(cli, "_ensemble_config", allocate)
+    monkeypatch.setattr(cli, "_output_grid", allocate)
     monkeypatch.setattr(cli, "simulate_ensemble", allocate)
     if content is not None:
         cfg = tmp_path / "run.json"
@@ -1102,9 +1102,9 @@ def test_verify_time_near_a_grid_point_is_added_not_merged(capsys):
     seen = []
     simulate = cli.simulate_ensemble
 
-    def simulated(config, *args):
-        seen.append(config.out_times.points)
-        return simulate(config, *args)
+    def simulated(driver, params, out_times, *args):
+        seen.append(out_times.points)
+        return simulate(driver, params, out_times, *args)
 
     argv = ("verify", "--law", "dilative", "--T", "1", "--times", "1.00000000000001")
     argv += ("--thetas", "1", "--t-min", "1", "--t-max", "2", "--points", "2")

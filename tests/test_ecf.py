@@ -18,7 +18,6 @@ from dilastab import (
     DilastabError,
     DilationParams,
     DilativeLaw,
-    EnsembleConfig,
     GammaDriver,
     GaussianDriver,
     GaussianJumps,
@@ -275,8 +274,7 @@ def test_check_scaling_on_a_wrapping_ray_matches_all_cos_sin_rows(monkeypatch):
     # the phase at t = 4, theta = 0.7 is about 42 rad, so that ray wraps six
     # times, each of its 16 steps turning it by less than pi
     driver = GaussianDriver(variance=0.01, drift=20.0)
-    cfg = EnsembleConfig(driver, UNIT, (0.5, 1.0, 2.0, 4.0))
-    ens = simulate_ensemble(cfg, 500, master_seed=13)
+    ens = simulate_ensemble(driver, UNIT, (0.5, 1.0, 2.0, 4.0), 500, master_seed=13)
     law = DilativeLaw(1.0, 1.0, 2.0)
     points = marginal_points((0.5, 1.0, 2.0), (0.5, 0.7)) + [increment_pair(0.5, 1.0, 1.0)]
     got = check_scaling(ens, law, points).rows
@@ -469,27 +467,31 @@ def test_law_mappings():
         json.dumps(d)
 
 
-def test_ensemble_config_coercion():
-    cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0), transforms=["lamperti"])
-    assert isinstance(cfg.out_times, TimeGrid)
-    assert cfg.transforms == ("lamperti",)
+def test_simulate_ensemble_refuses_an_unknown_transform_before_planning(monkeypatch):
+    import dilastab.ecf as ecf_module
+
+    def plan(*args, **kwargs):
+        raise AssertionError("an unknown transform reached plan_dilative")
+
+    monkeypatch.setattr(ecf_module, "plan_dilative", plan)
+    grid = TimeGrid(np.array([0.5, 1.0]))
     # a name that is not a string is unknown too, not an unhashable key
     for name in ("spin", [1], 1, None):
         with pytest.raises(ValueError, match=r"^unknown transform"):
-            EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0), transforms=[name])
+            simulate_ensemble(GaussianDriver(), UNIT, grid, 2, 0, transforms=["lamperti", name])
         with pytest.raises(ValueError, match=r"^unknown transform"):
-            apply_transforms(SamplePath(cfg.out_times, [1.0, 2.0]), UNIT, [name])
+            apply_transforms(SamplePath(grid, [1.0, 2.0]), UNIT, [name])
 
 
 def test_simulate_ensemble_reproducible():
-    cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), refine=8.0)
-    a = simulate_ensemble(cfg, 40, master_seed=99)
-    b = simulate_ensemble(cfg, 40, master_seed=99)
+    grid = TimeGrid(np.array([0.5, 1.0, 2.0]))
+    a = simulate_ensemble(GaussianDriver(), UNIT, grid, 40, master_seed=99, refine=8.0)
+    b = simulate_ensemble(GaussianDriver(), UNIT, grid, 40, master_seed=99, refine=8.0)
     assert np.array_equal(a.values, b.values)
     assert a.n_paths == 40 and a.role == "X"
     # row n is exactly the single-path simulation under the derived stream
     direct = simulate_dilative(
-        GaussianDriver(), UNIT, cfg.out_times, derive_rng(99, 0), refine=8.0
+        GaussianDriver(), UNIT, grid, derive_rng(99, 0), refine=8.0
     )
     assert np.array_equal(a.values[0], direct.values)
 
@@ -505,7 +507,7 @@ DRAWS_PAST_THE_FLOAT_RANGE = {
 }
 SIMULATORS = {
     "simulate_ensemble": lambda spec, params: simulate_ensemble(
-        EnsembleConfig(spec, params, (0.5, 1.0, 2.0)), 30, master_seed=1
+        spec, params, (0.5, 1.0, 2.0), 30, master_seed=1
     ),
     "simulate_dilative": lambda spec, params: simulate_dilative(
         spec, params, TimeGrid(np.array([0.5, 1.0, 2.0])), np.random.default_rng(0)
@@ -540,16 +542,16 @@ def test_draws_past_the_float_range_name_the_driver(errstate, simulator, spec, p
 
 
 def test_transform_ensemble_chain():
-    cfg = EnsembleConfig(GaussianDriver(), UNIT, TimeGrid.geometric(0.5, 2.0, 3))
-    ens = simulate_ensemble(cfg, 20, master_seed=7)
+    grid = TimeGrid.geometric(0.5, 2.0, 3)
+    ens = simulate_ensemble(GaussianDriver(), UNIT, grid, 20, master_seed=7)
     v = apply_transforms(ens, UNIT, ("lamperti",))
-    assert np.allclose(v.grid.points, np.log(cfg.out_times.points), rtol=1e-14)
+    assert np.allclose(v.grid.points, np.log(grid.points), rtol=1e-14)
     assert v.role == "V"
     z = apply_transforms(v, UNIT, ("time_stable",))
-    assert np.allclose(z.grid.points, cfg.out_times.points, rtol=1e-14)
+    assert np.allclose(z.grid.points, grid.points, rtol=1e-14)
     assert np.array_equal(z.values, v.values)
     d = apply_transforms(v, UNIT, ("idt",))
-    assert np.allclose(d.grid.points, cfg.out_times.points, rtol=1e-14)
+    assert np.allclose(d.grid.points, grid.points, rtol=1e-14)
     assert (z.role, d.role) == ("Z", "D")
 
 
@@ -573,13 +575,13 @@ def row_by_row(ens, params, transforms, role):
     ],
 )
 def test_ensemble_chain_equals_row_by_row(params, chain):
-    cfg = EnsembleConfig(GaussianDriver(), params, TimeGrid.geometric(0.5, 2.0, 5))
-    x = simulate_ensemble(cfg, 12, master_seed=3)
+    grid = TimeGrid.geometric(0.5, 2.0, 5)
+    x = simulate_ensemble(GaussianDriver(), params, grid, 12, master_seed=3)
     # the whole chain at once, and its last step on an ensemble of the
     # intermediate role, both bit-for-bit equal to the per-row chain
     points, values, role = row_by_row(x, params, chain, "X")
-    chained = EnsembleConfig(GaussianDriver(), params, cfg.out_times, transforms=chain)
-    for ens in (apply_transforms(x, params, chain), simulate_ensemble(chained, 12, 3)):
+    chained = simulate_ensemble(GaussianDriver(), params, grid, 12, 3, transforms=chain)
+    for ens in (apply_transforms(x, params, chain), chained):
         assert np.array_equal(ens.grid.points, points)
         assert np.array_equal(ens.values, values)
         assert ens.role == role
@@ -627,15 +629,14 @@ def test_ensemble_chain_raises_like_row_by_row(points, params, chain, role, erro
 
 
 def test_empty_ensemble():
-    cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), transforms=("lamperti", "idt"))
-    ens = simulate_ensemble(cfg, 0, master_seed=1)
+    times = (0.5, 1.0, 2.0)
+    ens = simulate_ensemble(GaussianDriver(), UNIT, times, 0, 1, transforms=("lamperti", "idt"))
     assert ens.values.shape == (0, 3)
-    assert np.allclose(ens.grid.points, cfg.out_times.points, rtol=1e-14)
+    assert np.allclose(ens.grid.points, times, rtol=1e-14)
 
 
 def test_check_scaling_small_run():
-    cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), refine=16.0)
-    ens = simulate_ensemble(cfg, 800, master_seed=11)
+    ens = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), 800, 11, refine=16.0)
     law = DilativeLaw(1.0, 1.0, 2.0)
     points = marginal_points((0.5, 1.0), (0.5, 1.0))
     report = check_scaling(ens, law, points, oracle=lambda t, th: oracle_joint_log_cf(GaussianDriver(), UNIT, t, th))
@@ -652,8 +653,7 @@ def test_check_scaling_small_run():
 
 
 def test_check_scaling_leaves_out_an_oracle_out_of_domain():
-    cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), refine=8.0)
-    ens = simulate_ensemble(cfg, 200, master_seed=3)
+    ens = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), 200, 3, refine=8.0)
 
     def oracle(times, thetas):
         if times == (1.0,):
@@ -667,8 +667,7 @@ def test_check_scaling_leaves_out_an_oracle_out_of_domain():
 
 
 def test_check_scaling_accepts_paired_ensembles():
-    cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), refine=16.0)
-    ens = simulate_ensemble(cfg, 800, master_seed=11)
+    ens = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), 800, 11, refine=16.0)
     law = DilativeLaw(1.0, 1.0, 2.0)
     points = [TestPoint((0.5,), (1.0,)), TestPoint((1.0,), (0.5,))]
     single = check_scaling(ens, law, points)
@@ -680,8 +679,7 @@ def test_check_scaling_accepts_paired_ensembles():
 
 def test_check_scaling_flags_wrong_multiplier():
     # a multiplier off by 2^0.5 on points with enough signal must fail
-    cfg = EnsembleConfig(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), refine=16.0)
-    ens = simulate_ensemble(cfg, 4000, master_seed=21)
+    ens = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), 4000, 21, refine=16.0)
     wrong = DilativeLaw(0.75, 0.5, 2.0)  # keeps H = 0.5, shifts the multiplier
     points = [TestPoint((1.0,), (1.0,)), TestPoint((0.5,), (1.5,))]
     report = check_scaling(ens, wrong, points)
@@ -695,10 +693,9 @@ IDT_POINTS = marginal_points((0.5, 1.0, 2.0), (0.25, 0.5, 0.75, 1.0)) + [
 
 
 def idt_ensemble(n_paths, seed):
-    cfg = EnsembleConfig(
-        GaussianDriver(), UNIT, (0.5, 1.0, 2.0, 4.0), transforms=("lamperti", "idt")
+    return simulate_ensemble(
+        GaussianDriver(), UNIT, (0.5, 1.0, 2.0, 4.0), n_paths, seed, transforms=("lamperti", "idt")
     )
-    return simulate_ensemble(cfg, n_paths, master_seed=seed)
 
 
 def pointwise_rows(scaled_ens, base_ens, law, points, r_steps=16):

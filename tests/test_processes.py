@@ -11,7 +11,6 @@ from dilastab import (
     CompoundPoissonDriver,
     DegenerateDelta,
     DilationParams,
-    EnsembleConfig,
     GammaDriver,
     GaussianDriver,
     GaussianJumps,
@@ -443,7 +442,7 @@ def test_pathwise_functions_take_an_ensemble_row_by_row():
     # long enough for numpy's pairwise sums to split each row
     params = DilationParams(0.8, 0.6)
     grid = TimeGrid.geometric(math.exp(-2.0), math.exp(2.0), 201)
-    x = simulate_ensemble(EnsembleConfig(GaussianDriver(), params, grid), 4, master_seed=5)
+    x = simulate_ensemble(GaussianDriver(), params, grid, 4, master_seed=5)
     rows = [SamplePath(grid, row) for row in x.values]
     assert x.n_paths == 4 and x.values.shape == (4, 201)
     pts = grid.points
