@@ -347,12 +347,12 @@ def cmd_verify(run):
     oracle = None if run.transform else partial(oracle_joint_log_cf, run.driver, run.params)
     try:
         report = check_scaling(ens, law, points, r_steps=run.r_steps, oracle=oracle)
-    except FloatingPointError as exc:
+    except FloatingPointError:
         # sum_j theta_j X(t_j) overflowed; simulate_ensemble refuses non-finite draws,
-        # so the thetas are the cause
+        # so the thetas are the cause, and numpy's text names only its own matmul
         raise ValueError(
             "--thetas (or a --pair's thetas) times the simulated values leave the "
-            f"float range ({exc})"
+            "float range: a sum theta_j X(t_j) overflows"
         ) from None
     with _open_output(run.output) as out:
         _write_text(out, json.dumps(report.to_dict(), indent=2) + "\n")

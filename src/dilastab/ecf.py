@@ -109,9 +109,10 @@ def simulate_ensemble(
     TRANSFORMS applied to every path, e.g. ("lamperti", "time_stable").
     Path n is drawn from derive_rng(master_seed, n) into row n of one
     matrix (SimulationPlan.rows), and the chain then maps the whole matrix
-    at once.  An unknown transform name and values that would exceed
-    physical memory are refused before the plan is built; draws that leave
-    the float range raise ValueError naming the driver, alpha and delta.
+    at once.  An unknown transform name, an n_paths that is no whole number
+    of at least 0 and values that would exceed physical memory are refused
+    before the plan is built; draws that leave the float range raise
+    ValueError naming the driver, alpha and delta.
     """
     grid = out_times if isinstance(out_times, TimeGrid) else TimeGrid(out_times)
     transforms = tuple(transforms)
@@ -120,6 +121,9 @@ def simulate_ensemble(
     pts = grid.points
     if pts[0] <= 0:
         raise NonPositiveTime("output times must be strictly positive")
+    n_paths = read_number(int, "n_paths", n_paths)
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths!r}")
     # the values and their transformed copy, refused before the plan is built
     check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
     plan = plan_dilative(driver, params, np.log(pts), refine, tail_tol)
@@ -140,11 +144,12 @@ class EcfEstimate:
 
 
 def _projection(ens, times, thetas):
+    """sum_j thetas[j] * X(times[j]), one per path; a 1-d path is the one-row case."""
     idx = [ens.grid.index_of(t) for t in times]
     th = np.asarray(thetas, dtype=float)
     if th.shape != (len(idx),):
         raise ValueError("times and thetas must have equal length")
-    return ens.values[:, idx] @ th
+    return np.atleast_2d(ens.values)[:, idx] @ th
 
 
 def _cf_terms(rs, w):
@@ -194,7 +199,8 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     step of the unwrapped phase exceeds pi/2, the phase at r = 1 is
     unwrapped again over 2 * r_steps positions, and PhaseAmbiguous is raised
     if the two differ by a turn or more.  r_steps must be a whole number of
-    at least 1; a ray whose terms would exceed physical memory raises
+    at least 1, and the ensemble must hold at least one path (a 1-d path is
+    one); a ray whose terms would exceed physical memory raises
     MemoryError before they are allocated, and non-finite sums
     sum_j theta_j X(t_j) raise DilastabError before any cos or sin.
     """
@@ -203,6 +209,8 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
         raise ValueError(f"r_steps must be >= 1, got {r_steps!r}")
     w = _projection(ens, times, theta_direction)
     n = w.size
+    if n == 0:
+        raise ValueError("an empirical CF needs at least one path, got n_paths = 0")
     bad = np.count_nonzero(~np.isfinite(w))
     if bad:
         point = f"times {list(map(float, times))}, thetas {list(map(float, theta_direction))}"

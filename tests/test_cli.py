@@ -1485,6 +1485,7 @@ def command_lines(draw):
 @example(
     case=(["simulate", '--driver={"kind": "symmetric_stable", "index": 5e-324, "scale": 5e-324}'], None)
 )
+@example(case=([*VERIFY_ONE_POINT[:5], "--thetas", "1e308", "--law", "dilative", "--T", "2"], None))
 def test_fuzzed_command_lines_exit_cleanly(tmp_path_factory, case):
     argv, config = case
     if config is not None:
@@ -1508,6 +1509,10 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path_factory, case):
     assert not any("Traceback" in line for line in lines)
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+        # numpy's own words ("overflow encountered in matmul") name no input, and
+        # main's generic float-range line is for what no command foresaw
+        assert "encountered" not in lines[0], (argv, lines)
+        assert not lines[0].startswith("error: this configuration leaves"), (argv, lines)
 
 
 def run_with_config(tmp_path_factory, argv, config):

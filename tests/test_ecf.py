@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -111,6 +112,30 @@ def test_log_cf_ray_structure():
     assert got == pytest.approx([0.375, 0.75, 1.125, 1.5])
     with pytest.raises(ValueError):
         estimate_log_cf(ens, (1.0,), (1.5,), r_steps=0)
+
+
+def test_log_cf_refuses_an_empty_ensemble():
+    # 5/sqrt(N) once divided by zero; check_scaling raised it as a traceback
+    empty = SamplePath(TimeGrid(np.array([1.0])), np.zeros((0, 1)))
+    with pytest.raises(ValueError, match="at least one path, got n_paths = 0"):
+        estimate_log_cf(empty, (1.0,), (1.0,))
+    ens = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), 0, master_seed=1)
+    with pytest.raises(ValueError, match="n_paths = 0"):
+        check_scaling(ens, DilativeLaw(1.0, 1.0, 2.0), marginal_points((0.5, 1.0), (1.0,)))
+
+
+def test_a_single_path_is_the_one_row_ensemble():
+    # a 1-d path once raised IndexError in the projection; as one row, its
+    # |cf| is 1, below the floor 5/sqrt(1), so every row is unestimable
+    row = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), 1, master_seed=4)
+    path = SamplePath(row.grid, row.values[0])
+    law, points = DilativeLaw(1.0, 1.0, 2.0), marginal_points((0.5, 1.0), (0.5, 1.0))
+    report = check_scaling(path, law, points)
+    assert report.unestimable == len(points) and report.pass_fraction == 0.0
+    assert report.to_dict() == check_scaling(row, law, points).to_dict()
+    with pytest.raises(LowMagnitude) as exc:
+        estimate_log_cf(path, (1.0,), (1.0,))
+    assert exc.value.floor == 5.0
 
 
 def test_log_cf_aborts_on_low_magnitude():
@@ -494,6 +519,30 @@ def test_simulate_ensemble_reproducible():
         GaussianDriver(), UNIT, grid, derive_rng(99, 0), refine=8.0
     )
     assert np.array_equal(a.values[0], direct.values)
+
+
+@pytest.mark.parametrize(
+    "n_paths, words",
+    [(2.5, "n_paths must be a number (int), got 2.5"), (True, "got True"), (-1, "n_paths must be >= 0")],
+)
+def test_simulate_ensemble_reads_n_paths_as_a_whole_count(monkeypatch, n_paths, words):
+    # 2.5 once drew 2 rows, and -1 failed in numpy with an error naming no input
+    import dilastab.ecf as ecf_module
+
+    def plan(*args, **kwargs):
+        raise AssertionError("a bad n_paths reached plan_dilative")
+
+    monkeypatch.setattr(ecf_module, "plan_dilative", plan)
+    monkeypatch.setattr(ecf_module, "check_memory", plan)
+    with pytest.raises(ValueError, match=re.escape(words)):
+        simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0), n_paths, master_seed=0)
+
+
+def test_simulate_ensemble_takes_a_whole_float_or_numpy_count():
+    want = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0), 3, master_seed=2).values
+    for n_paths in (3.0, np.int64(3), "3"):
+        got = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0), n_paths, master_seed=2)
+        assert np.array_equal(got.values, want)
 
 
 DRAWS_PAST_THE_FLOAT_RANGE = {

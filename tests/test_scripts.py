@@ -1,9 +1,11 @@
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def test_scaling_demo_output_is_pinned(package_env):
@@ -29,3 +31,12 @@ def test_scaling_demo_reports_unestimable_rows(package_env):
     ).stdout
     lines = [line for line in out.splitlines() if "unestimable (" in line]
     assert lines and all(line.endswith("FAIL") and "below the floor" in line for line in lines)
+
+
+def test_readme_quickstart_prints_a_full_pass(package_env):
+    # the README's one python block: the library's public face
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    out = subprocess.run(
+        [sys.executable, "-c", block], env=package_env, capture_output=True, check=True, text=True
+    ).stdout
+    assert out == "1.0\n"
