@@ -529,11 +529,11 @@ def test_simulate_ensemble_reads_n_paths_as_a_whole_count(monkeypatch, n_paths, 
     # 2.5 once drew 2 rows, and -1 failed in numpy with an error naming no input
     import dilastab.ecf as ecf_module
 
-    def plan(*args, **kwargs):
-        raise AssertionError("a bad n_paths reached plan_dilative")
+    def reached(*args, **kwargs):
+        raise AssertionError("a bad n_paths reached check_memory or plan_dilative")
 
-    monkeypatch.setattr(ecf_module, "plan_dilative", plan)
-    monkeypatch.setattr(ecf_module, "check_memory", plan)
+    monkeypatch.setattr(ecf_module, "check_memory", reached)
+    monkeypatch.setattr(ecf_module, "plan_dilative", reached)
     with pytest.raises(ValueError, match=re.escape(words)):
         simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0), n_paths, master_seed=0)
 
