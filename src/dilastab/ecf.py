@@ -109,12 +109,15 @@ def simulate_ensemble(
     TRANSFORMS applied to every path, e.g. ("lamperti", "time_stable").
     Path n is drawn from derive_rng(master_seed, n) into row n of one
     matrix (SimulationPlan.rows), and the chain then maps the whole matrix
-    at once.  An unknown transform name, an n_paths that is no whole number
-    of at least 0 and values that would exceed physical memory are refused
-    before the plan is built; draws that leave the float range raise
-    ValueError naming the driver, alpha and delta.
+    at once.  An unknown transform name or a bare string of names, an
+    n_paths or master_seed that is no whole number of at least 0 and values
+    that would exceed physical memory are refused before the plan is built;
+    draws that leave the float range raise ValueError naming the driver,
+    alpha and delta.
     """
     grid = out_times if isinstance(out_times, TimeGrid) else TimeGrid(out_times)
+    if isinstance(transforms, str):  # a chain of names, not a name's letters
+        raise ValueError(f"transforms must be a sequence of names, got the string {transforms!r}")
     transforms = tuple(transforms)
     for name in transforms:
         _transform(name)
@@ -124,6 +127,9 @@ def simulate_ensemble(
     n_paths = read_number(int, "n_paths", n_paths)
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths!r}")
+    master_seed = read_number(int, "master_seed", master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed!r}")
     # the values and their transformed copy, refused before the plan is built
     check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
     plan = plan_dilative(driver, params, np.log(pts), refine, tail_tol)

@@ -86,6 +86,11 @@ TAIL_TOL = 1e-4
 # one path: 6 to 9 for the four drivers, measured with tracemalloc
 _FLOATS_PER_CELL = 9
 
+# the most increments SimulationPlan.rows holds at once: it draws whole rows
+# into a buffer of this many floats and weighs and sums them as one block, so
+# its memory beyond the result is flat in the row count and the cell count
+_BLOCK_FLOATS = 2**13
+
 
 def _physical_memory():
     """Bytes of physical memory, the most that one run's arrays may take."""
@@ -220,32 +225,44 @@ class SimulationPlan:
     def __post_init__(self):
         self.cells = self.spec.cells(self.durations)
         # grid point i > 0 is the (i-1)-th partial sum; an output time at
-        # the truncation point (i = 0) is X = 0 and is prepended in run
+        # the truncation point (i = 0) is X = 0, the first column in rows
         self._at_start = bool(self.out_index[0] == 0)
         self._take = self.out_index[int(self._at_start) :] - 1
 
     def run(self, rng):
-        increments = sample_increments(self.spec, self.durations, rng, self.cells)
-        values = (self.weights * increments).cumsum()[self._take]
-        if self._at_start:
-            return np.concatenate([[0.0], values])
-        return values
+        """One path's driver increments over the plan's cells, drawn from rng."""
+        return sample_increments(self.spec, self.durations, rng, self.cells)
 
     def rows(self, n_rows, rng_of):
-        """Draw n_rows paths into one (n_rows, outputs) matrix: row n is run(rng_of(n)).
+        """Draw n_rows paths into one (n_rows, outputs) matrix.
 
-        rng_of is called once per row, in row order, so a caller's generators
-        are made only as they are drawn from.  The draws are Python-bound and
-        hold the interpreter lock, so they run serially: on a 2-core machine
-        one pool task per path on 2 threads had made 1000 gamma paths of 710
-        cells about 4 times slower.  Draws or weighted sums that leave the
+        Row n is X at the output times for the increments run(rng_of(n)):
+        their weighted partial sums at out_index, and 0 at an output time on
+        the truncation point.  rng_of is called once per row, in row order,
+        so a caller's generators are made only as they are drawn from.  The
+        draws are Python-bound and hold the interpreter lock, so they run
+        serially: on a 2-core machine one pool task per path on 2 threads had
+        made 1000 gamma paths of 710 cells about 4 times slower.  Rows are
+        drawn into a block of at most _BLOCK_FLOATS increments, which is
+        weighed and summed at once.  Draws or weighted sums that leave the
         float range raise ValueError naming the driver, alpha and delta,
         whatever the caller's errstate.
         """
-        values = np.empty((int(n_rows), self.out_index.size))
+        n_rows, k = int(n_rows), self.durations.size
+        values = np.empty((n_rows, self.out_index.size))
+        first = int(self._at_start)
+        values[:, :first] = 0.0
+        block = max(1, _BLOCK_FLOATS // max(k, 1))
+        buffer = np.empty((min(block, n_rows), k))
         with np.errstate(all="ignore"):  # inf and nan are looked for after the loop
-            for n in range(int(n_rows)):
-                values[n] = self.run(rng_of(n))
+            for start in range(0, n_rows, block):
+                stop = min(start + block, n_rows)
+                inc = buffer[: stop - start]
+                for i in range(stop - start):
+                    inc[i] = self.run(rng_of(start + i))
+                inc *= self.weights
+                inc.cumsum(axis=1, out=inc)
+                values[start:stop, first:] = inc[:, self._take]
         at = f"alpha = {self.params.alpha!r} and delta = {self.params.delta!r}"
         _refuse_non_finite(values, self.spec, at)
         return values

@@ -539,10 +539,47 @@ def test_simulate_ensemble_reads_n_paths_as_a_whole_count(monkeypatch, n_paths, 
 
 
 def test_simulate_ensemble_takes_a_whole_float_or_numpy_count():
+    # a master_seed is read as n_paths is
     want = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0), 3, master_seed=2).values
-    for n_paths in (3.0, np.int64(3), "3"):
-        got = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0), n_paths, master_seed=2)
+    for n_paths, master_seed in ((3.0, 2.0), (np.int64(3), np.int64(2)), ("3", "2")):
+        got = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0), n_paths, master_seed=master_seed)
         assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("transforms", ["lamperti", "idt", ""])
+def test_simulate_ensemble_refuses_a_bare_string_of_transforms(monkeypatch, transforms):
+    # "lamperti" was read letter by letter and refused as unknown transform 'l'
+    import dilastab.ecf as ecf_module
+
+    def plan(*args, **kwargs):
+        raise AssertionError("a bare string reached plan_dilative")
+
+    monkeypatch.setattr(ecf_module, "plan_dilative", plan)
+    words = f"transforms must be a sequence of names, got the string {transforms!r}"
+    with pytest.raises(ValueError, match=re.escape(words)):
+        simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0), 2, 0, transforms=transforms)
+
+
+@pytest.mark.parametrize(
+    "master_seed, words",
+    [
+        (-1, "master_seed must be >= 0, got -1"),
+        (1.5, "master_seed must be a number (int), got 1.5"),
+        (True, "master_seed must be a number (int), got True"),
+        ("x", "master_seed must be a number (int), got 'x'"),
+    ],
+)
+def test_simulate_ensemble_reads_master_seed_as_a_whole_number(monkeypatch, master_seed, words):
+    # -1 and 1.5 failed in numpy's seeding with errors naming no input
+    import dilastab.ecf as ecf_module
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a bad master_seed reached check_memory or plan_dilative")
+
+    monkeypatch.setattr(ecf_module, "check_memory", reached)
+    monkeypatch.setattr(ecf_module, "plan_dilative", reached)
+    with pytest.raises(ValueError, match=re.escape(words)):
+        simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0), 2, master_seed=master_seed)
 
 
 DRAWS_PAST_THE_FLOAT_RANGE = {

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,7 @@ from dilastab import (
 from dilastab import processes
 from dilastab.processes import _truncation_point, pull_back
 from dilastab.timechange import tau_density
+from test_drivers import ALL_DRIVERS
 
 UNIT = DilationParams(1.0, 1.0)
 OUT = TimeGrid(np.array([0.5, 1.0, 2.0, 4.0]))
@@ -99,7 +101,7 @@ def test_degenerate_plan_has_one_cell_per_output():
     # the increments are read straight off the clock at the output knots
     np.testing.assert_allclose(plan.durations.cumsum(), OUT.points / (math.e - 1.0), rtol=1e-14)
     rng, ref = np.random.default_rng(0), np.random.default_rng(0)
-    vals = plan.run(rng)
+    vals = plan.rows(1, lambda n: rng)[0]
     assert vals.shape == (len(OUT),)
     assert vals.tobytes() == sample_increments(spec, plan.durations, ref).cumsum().tobytes()
 
@@ -130,7 +132,7 @@ def test_degenerate_variance_matches_clock():
     rng = np.random.default_rng(12)
     n = 4000
     plan = plan_dilative(GaussianDriver(), params, np.log(OUT.points))
-    draws = np.array([plan.run(rng) for _ in range(n)])
+    draws = plan.rows(n, lambda i: rng)
     for j, t in enumerate(OUT.points):
         want = t / (math.e - 1.0)
         got = draws[:, j].var()
@@ -161,9 +163,94 @@ def test_variance_at_unit_time():
     n = 4000
     rng = np.random.default_rng(13)
     plan = plan_dilative(GaussianDriver(), UNIT, np.array([0.0]), refine=64.0)
-    draws = np.array([plan.run(rng)[0] for _ in range(n)])
+    draws = plan.rows(n, lambda i: rng)[:, 0]
     se = want * math.sqrt(2.0 / n)
     assert abs(draws.var() - want) <= 4.0 * se
+
+
+def _summed_per_row(plan, n_rows, rng_of):
+    """The reference for rows: each row's increments weighed and summed on their own.
+
+    Row n is (weights * increments).cumsum() at the output positions, with a
+    leading 0.0 where the plan starts at an output time.
+    """
+    take = plan.out_index[plan.out_index > 0] - 1
+    lead = [0.0] * int(plan.out_index[0] == 0)
+    rows = []
+    for n in range(n_rows):
+        increments = sample_increments(plan.spec, plan.durations, rng_of(n), plan.cells)
+        rows.append(np.concatenate([lead, (plan.weights * increments).cumsum()[take]]))
+    return np.array(rows).reshape(n_rows, plan.out_index.size)
+
+
+def _block_rows(plan):
+    """Rows per block of SimulationPlan.rows for this plan."""
+    return max(1, processes._BLOCK_FLOATS // max(plan.durations.size, 1))
+
+
+BLOCK_PLANS = {
+    **{repr(spec): (spec, UNIT, [0.5, 1.0, 2.0]) for spec in ALL_DRIVERS},
+    # the truncation point lies above t = 0.5, so X_0.5 = 0: the first column
+    "starts-at-an-output": (
+        SymmetricStableDriver(0.05, 1.0),
+        DilationParams(30.0, 1.0),
+        [0.5, 2.0],
+    ),
+    # no cells at all: one output time, X = 0
+    "no-cells": (GaussianDriver(0.0, 0.0), UNIT, [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_PLANS)
+def test_rows_sum_blocks_as_each_row_alone(case):
+    spec, params, times = BLOCK_PLANS[case]
+    plan = plan_dilative(spec, params, np.log(times))
+    if case == "starts-at-an-output":
+        assert plan.out_index[0] == 0
+    if case == "no-cells":
+        assert plan.durations.size == 0
+    block = _block_rows(plan)
+    for n_rows in sorted({0, 1, block - 1, block, block + 1, 3 * block + 5}):
+
+        def rng_of(n):
+            return np.random.default_rng([n_rows, n])
+
+        got = plan.rows(n_rows, rng_of)
+        assert got.shape == (n_rows, len(times))
+        assert got.tobytes() == _summed_per_row(plan, n_rows, rng_of).tobytes()
+        if plan.out_index[0] == 0:
+            assert (got[:, 0] == 0.0).all()
+
+
+def test_an_ensemble_is_a_prefix_of_a_larger_one_across_blocks():
+    times = (0.5, 1.0, 2.0)
+    plan = plan_dilative(GaussianDriver(), UNIT, np.log(times))
+    block = _block_rows(plan)
+    n = 3 * block + 5
+    big = simulate_ensemble(GaussianDriver(), UNIT, times, n, master_seed=5).values
+    for m in (1, block - 1, block, block + 1, 2 * block + 3, n):
+        small = simulate_ensemble(GaussianDriver(), UNIT, times, m, master_seed=5).values
+        assert small.tobytes() == big[:m].tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, refine, n_rows, cells",
+    [(GammaDriver(1.0, 1.0), 64.0, 1000, 710), (SymmetricStableDriver(1.5, 1.0), 8.0, 4000, 81)],
+    ids=["gamma", "stable"],
+)
+def test_rows_memory_stays_flat_in_the_row_count(spec, refine, n_rows, cells):
+    # beyond the (n_rows, outputs) result, rows holds a block of increments,
+    # not all of them: the whole (n_rows, cells) matrix of gamma is 5.7 MB
+    plan = plan_dilative(spec, UNIT, np.log(np.geomspace(0.5, 8.0, 8)), refine=refine)
+    assert plan.durations.size == cells
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        values = plan.rows(n_rows, lambda n: rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes < 2**20
 
 
 def test_round_trip_recovers_background():
