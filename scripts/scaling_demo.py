@@ -26,7 +26,7 @@ from dilastab import (
 )
 
 
-def base_points():
+def demo_points():
     marginals = [
         (0.5, 1.0),
         (0.5, 2.0),
@@ -71,7 +71,7 @@ def main():
         refine=64.0,
     )
 
-    points = base_points()
+    points = demo_points()
     h = params.hurst
 
     def mapped_thetas(point):

@@ -174,13 +174,15 @@ def _read(kind, name, value):
         return tuple(value)
     if kind is tuple:  # comma-separated numbers, each finite
         try:
-            value = tuple(float(part) for part in value.split(",") if part.strip())
+            numbers = tuple(float(part) for part in value.split(",") if part.strip())
         except ValueError:
             raise ValueError(f"{name} must be comma-separated numbers, got {value!r:.60}") from None
-        for number in value:
+        if not numbers:
+            raise ValueError(f"{name} must hold at least one number, got {value!r:.60}")
+        for number in numbers:
             if not math.isfinite(number):
                 raise ValueError(f"{name} must be finite, got {number!r}")
-        return value
+        return numbers
     if kind is bool:
         return value
     return str(value) if kind is str else read_number(kind, name, value)
@@ -325,10 +327,10 @@ def cmd_verify(run):
 
     # every number the law derives, checked before anything is simulated
     try:
-        reached = [law.scaled_point(p) for p in points] + [law.base_point(p) for p in points]
-        needed = sorted({t for point in reached for t in point.times})
+        terms = [term for p in points for term in law.terms(p)]
+        needed = sorted({t for _, point in terms for t in point.times})
         pulled = [pull_back(run.transform, run.params.delta, s) for s in needed]
-        derived = [law.multiplier, *pulled, *(th for point in reached for th in point.thetas)]
+        derived = [*(a for a, _ in terms), *pulled, *(th for _, p in terms for th in p.thetas)]
         in_range = all(math.isfinite(x) for x in derived)
     except OverflowError:
         in_range = False

@@ -528,11 +528,16 @@ TRANSFORMS = {
     "idt": Transform(_idt_clock, _idt_time, None, "V", "D"),
 }
 
-def _transform(name):
-    step = TRANSFORMS.get(name) if isinstance(name, str) else None
-    if step is None:
-        raise ValueError(f"unknown transform {name!r}")
-    return step
+
+def _chain(transforms):
+    """A chain of names from TRANSFORMS as a tuple; a bare string or an unknown name is refused."""
+    if isinstance(transforms, str):  # a chain of names, not a name's letters
+        raise ValueError(f"transforms must be a sequence of names, got the string {transforms!r}")
+    transforms = tuple(transforms)
+    for name in transforms:
+        if not isinstance(name, str) or name not in TRANSFORMS:
+            raise ValueError(f"unknown transform {name!r}")
+    return transforms
 
 
 def apply_transforms(path, params, transforms):
@@ -544,10 +549,11 @@ def apply_transforms(path, params, transforms):
     takes finite values to a non-finite time or value raises ValueError
     naming the transform, alpha, delta and the times it was given, whatever
     the caller's errstate; values that are already non-finite are carried on.
+    A bare string of names or an unknown name raises ValueError.
     """
     grid, values, role = path.grid, path.values, path.role
-    for name in transforms:
-        step = _transform(name)
+    for name in _chain(transforms):
+        step = TRANSFORMS[name]
         if step.source is not None and role != step.source:
             raise ValueError(f"the {name} transform expects a {step.source} path, got {role}")
         pts = grid.points
@@ -573,6 +579,6 @@ def apply_transforms(path, params, transforms):
 
 def pull_back(transforms, delta, s):
     """Map one time of a chain's final grid back to the time of X it came from."""
-    for name in reversed(transforms):
-        s = _transform(name).inverse(s, delta)
+    for name in reversed(_chain(transforms)):
+        s = TRANSFORMS[name].inverse(s, delta)
     return s

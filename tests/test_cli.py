@@ -875,7 +875,7 @@ def test_verify_test_times_lie_on_the_transformed_grid(capsys, monkeypatch, law,
 
     def checked(ens, law, points, **kwargs):
         for point in points:
-            for t in law.scaled_point(point).times + law.base_point(point).times:
+            for t in (s for _, term in law.terms(point) for s in term.times):
                 assert ens.grid.contains(t), (t, ens.grid.points)
         seen.append(len(points))
         return check_scaling(ens, law, points, **kwargs)
@@ -963,6 +963,24 @@ def test_nonfinite_oracle_numbers_exit_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, "oracle", *argv)
     assert out == ""
     assert_one_error_line(code, err, f"{flag} must be finite")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--law", "idt", "--n", "2", "--times", ",", "--thetas", "1"), "--times"),
+        (("verify", "--law", "idt", "--n", "2", "--times", "1", "--thetas", " "), "--thetas"),
+        (VERIFY_IDT + ("--pair", ","), "--pair"),
+        (("oracle", "--times", ",", "--thetas", "1"), "--times"),
+        (("oracle", "--times", "1", "--thetas", ",,"), "--thetas"),
+    ],
+)
+def test_an_empty_list_of_numbers_exit_2(capsys, argv, flag):
+    # `verify --times ,` passed with "rows": [] and a pass fraction of 1.0,
+    # and `oracle --times ,` wrote only its header
+    code, out, err = run_cli(capsys, *argv, *(("--n-paths", "100") if argv[0] == "verify" else ()))
+    assert out == ""
+    assert_one_error_line(code, err, f"{flag} must hold at least one number")
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dilastab import (
@@ -49,6 +49,8 @@ from dilastab import (
 )
 from dilastab._seeds import BLOCK, _block_seeds
 from dilastab.ecf import _cf_terms, _ray_terms
+from dilastab.processes import pull_back
+from dilastab.validation import CONDITION_A, CONDITION_B, admissibility
 
 UNIT = DilationParams(1.0, 1.0)
 
@@ -421,6 +423,49 @@ def test_oracle_satisfies_dilative_identity(t, T, theta, alpha, delta):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
+def chain_log_cf(spec, params, chain, point):
+    """The closed-form log-CF of the chain's process at point, read through X.
+
+    Each time is pulled back to X's, and after lamperti, V_u = e^(-H u) X_(e^u),
+    each theta carries the weight t^(-H) of its time t of X.
+    """
+    times = [pull_back(chain, params.delta, s) for s in point.times]
+    h = params.hurst if "lamperti" in chain else 0.0
+    thetas = [th * t**-h for t, th in zip(times, point.thetas)]
+    return oracle_joint_log_cf(spec, params, times, thetas)
+
+
+@given(
+    spec=st.sampled_from([GaussianDriver(0.4, 0.7), SymmetricStableDriver(1.5, 1.0)]),
+    alpha=st.floats(0.3, 2.0),
+    delta=st.one_of(st.floats(-1.0, -0.2), st.floats(0.2, 1.5)),
+    scale=st.floats(0.4, 3.0),
+    start=st.floats(0.3, 2.0),
+    gap=st.one_of(st.none(), st.floats(1.2, 3.0)),
+    theta=st.one_of(st.floats(-2.0, -0.2), st.floats(0.2, 2.0)),
+)
+def test_every_law_relation_holds_exactly_for_the_closed_form(
+    spec, alpha, delta, scale, start, gap, theta
+):
+    # sum_k a_k Psi(point_k) = 0 on X, V, Z and D alike, at one- and two-time points
+    params = DilationParams(alpha, delta)
+    assume(admissibility(params, spec).status in (CONDITION_A, CONDITION_B))
+    laws = [
+        DilativeLaw(alpha, delta, scale),
+        TranslativeLaw(delta, math.log(scale)),
+        TimeStableLaw(delta, scale),
+        IdtLaw(scale),
+    ]
+    for law in laws:
+        # the times of the chain's final grid: log times on V, times elsewhere
+        times = (start,) if gap is None else (start, gap * start)
+        if law.chain == ("lamperti",):
+            times = tuple(math.log(t) for t in times)
+        point = TestPoint(times, (theta, -0.5 * theta)[: len(times)])
+        values = [a * chain_log_cf(spec, params, law.chain, p) for a, p in law.terms(point)]
+        assert abs(sum(values)) <= 1e-12 * max(map(abs, values)), (law, point, values)
+
+
 def test_joint_oracle_reduces_to_marginal():
     got = oracle_joint_log_cf(GaussianDriver(), UNIT, (2.0,), (0.7,))
     want = oracle_log_cf(GaussianDriver(), UNIT, 2.0, 0.7)
@@ -463,28 +508,33 @@ def test_point_constructors():
 
 
 def test_law_mappings():
+    # every law is two terms, ((1, scaled), (-multiplier, base))
     law = DilativeLaw(1.0, 1.0, 2.0)
     p = TestPoint((0.5, 1.0), (1.0, -0.5))
-    assert law.scaled_point(p) == TestPoint((1.0, 2.0), (1.0, -0.5))
-    base = law.base_point(p)
+    (one, scaled), (a, base) = law.terms(p)
+    assert one == 1.0
+    assert scaled == TestPoint((1.0, 2.0), (1.0, -0.5))
     assert base.times == (0.5, 1.0)
     assert base.thetas == pytest.approx((math.sqrt(2.0), -math.sqrt(0.5)))
-    assert law.multiplier == 2.0
+    assert a == -2.0
 
     tr = TranslativeLaw(1.0, math.log(2.0))
-    assert tr.scaled_point(TestPoint((0.0,), (1.0,))).times == (math.log(2.0),)
-    assert tr.base_point(p) == p
-    assert tr.multiplier == pytest.approx(2.0, rel=1e-15)
+    (one, scaled), _ = tr.terms(TestPoint((0.0,), (1.0,)))
+    assert one == 1.0
+    assert scaled.times == (math.log(2.0),)
+    _, (a, base) = tr.terms(p)
+    assert base == p
+    assert a == pytest.approx(-2.0, rel=1e-15)
 
     ts = TimeStableLaw(2.0, 4.0)
-    assert ts.scaled_point(TestPoint((1.0,), (1.0,))).times == (2.0,)
-    assert ts.multiplier == 4.0
+    (one, scaled), (a, base) = ts.terms(TestPoint((1.0,), (1.0,)))
+    assert (one, scaled.times, a, base) == (1.0, (2.0,), -4.0, TestPoint((1.0,), (1.0,)))
     with pytest.raises(DegenerateDelta):
         TimeStableLaw(0.0, 2.0)
 
     idt = IdtLaw(3.0)
-    assert idt.scaled_point(TestPoint((1.0,), (1.0,))).times == (3.0,)
-    assert idt.multiplier == 3.0
+    (one, scaled), (a, base) = idt.terms(TestPoint((1.0,), (1.0,)))
+    assert (one, scaled.times, a, base) == (1.0, (3.0,), -3.0, TestPoint((1.0,), (1.0,)))
 
     for l in (law, tr, ts, idt):
         d = l.to_dict()
@@ -763,6 +813,12 @@ def test_check_scaling_accepts_paired_ensembles():
         assert a.z_real == b.z_real and a.z_imag == b.z_imag
 
 
+def test_check_scaling_refuses_an_empty_list_of_points():
+    # no points once gave no rows and a pass fraction of 1.0
+    with pytest.raises(ValueError, match="at least one test point"):
+        check_scaling(normal_ensemble(0.0, 1.0, 50, 3), IdtLaw(2.0), [])
+
+
 def test_check_scaling_flags_wrong_multiplier():
     # a multiplier off by 2^0.5 on points with enough signal must fail
     ens = simulate_ensemble(GaussianDriver(), UNIT, (0.5, 1.0, 2.0), 4000, 21, refine=16.0)
@@ -785,14 +841,14 @@ def idt_ensemble(n_paths, seed):
 
 
 def pointwise_rows(scaled_ens, base_ens, law, points, r_steps=16):
-    """The reference: both sides of every point estimated on their own."""
+    """The reference: both terms of every point estimated on their own."""
     rows = []
     for point in points:
-        sp, bp = law.scaled_point(point), law.base_point(point)
+        (_, sp), (a, bp) = law.terms(point)
         lhs = estimate_log_cf(scaled_ens, sp.times, sp.thetas, r_steps)[-1]
         base = estimate_log_cf(base_ens, bp.times, bp.thetas, r_steps)[-1]
-        rhs = law.multiplier * base.logcf
-        se = math.hypot(lhs.logcf_se, law.multiplier * base.logcf_se)
+        rhs = -a * base.logcf
+        se = math.hypot(lhs.logcf_se, -a * base.logcf_se)
         diff = lhs.logcf - rhs
         rows.append((lhs.logcf, rhs, diff.real / se, diff.imag / se))
     return rows
@@ -817,7 +873,7 @@ def test_check_scaling_estimates_each_distinct_ray_once(monkeypatch):
     law = IdtLaw(2.0)
     rays = set()
     for point in IDT_POINTS:
-        for side in (law.scaled_point(point), law.base_point(point)):
+        for _, side in law.terms(point):
             rays.add((side.times, side.thetas))
     assert (len(rays), 2 * len(IDT_POINTS)) == (19, 28)
     expected = pointwise_rows(ens, ens, law, IDT_POINTS)

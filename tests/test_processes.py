@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -418,6 +419,17 @@ def test_reparam_idt():
     assert np.array_equal(neg.values, vals[::-1])
     with pytest.raises(DegenerateDelta):
         apply_transforms(v, DilationParams(1.0, 0.0), ("idt",))
+
+
+@pytest.mark.parametrize("transforms", ["lamperti", "idt", ""])
+def test_apply_transforms_and_pull_back_refuse_a_bare_string(transforms):
+    # "lamperti" was read letter by letter and refused as unknown transform 'l';
+    # "" was an empty chain that mapped nothing
+    words = f"transforms must be a sequence of names, got the string {transforms!r}"
+    with pytest.raises(ValueError, match=re.escape(words)):
+        apply_transforms(SamplePath(OUT, np.ones(4)), UNIT, transforms)
+    with pytest.raises(ValueError, match=re.escape(words)):
+        pull_back(transforms, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
