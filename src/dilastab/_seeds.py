@@ -17,6 +17,7 @@ Kept in its own module so that `import dilastab` does not load numpy.random.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -89,19 +90,21 @@ class _PathWords(ISeedSequence):
         return SeedSequence(self._entropy, spawn_key=(self._n,)).generate_state(n_words, dtype)
 
 
-_INTS = (int, np.integer)
+# the blocks of the spawn keys 0 <= n <= MASK32, those of one uint32 word
+_BLOCKS = (MASK32 + 1) // BLOCK
 
 
 def path_rng(master_seed, n):
-    """The stream of np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,)))."""
-    if not (
-        isinstance(master_seed, _INTS)
-        and isinstance(n, _INTS)
-        and master_seed >= 0
-        and 0 <= n <= MASK32
-    ):
+    """The stream of np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,))).
+
+    Python and numpy integers take one path, as Python ints (a numpy int8 n
+    would overflow in n % BLOCK); any other input, a negative one and a
+    spawn key of more than one word are SeedSequence's own to take or refuse.
+    """
+    try:
+        seed, (block, offset) = index(master_seed), divmod(index(n), BLOCK)
+    except TypeError:  # not an integer
+        seed = block = -1
+    if seed < 0 or not 0 <= block < _BLOCKS:
         return np.random.default_rng(SeedSequence(master_seed, spawn_key=(n,)))
-    # int(): a numpy int8 n would overflow in n % BLOCK
-    block, offset = divmod(int(n), BLOCK)
-    seeds = _block_seeds(master_seed, block)
-    return Generator(PCG64(_PathWords(master_seed, n, seeds[offset])))
+    return Generator(PCG64(_PathWords(master_seed, n, _block_seeds(seed, block)[offset])))

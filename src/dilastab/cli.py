@@ -126,7 +126,9 @@ _INPUTS = (
     Input("--refine", float, REFINE, "refine", {**_FINITE, "at least": 1}),
     Input("--tail-tol", float, TAIL_TOL, "tail_tol", {**_FINITE, "above": 0}),
     Input("--transform", list, (), "transforms", {"one of": tuple(TRANSFORMS)},
-          help="transform chain entry; repeat for a chain"),
+          help={"simulate": "transform chain entry; repeat for a chain",
+                "verify": "transform chain entry; repeat for a chain",
+                "oracle": "refused: the oracle is the log-CF of X"}),
     Input("--threads", int, 1, help="accepted and ignored"),
     Input("--output", help="output file (default stdout)"),
     Input("--include-origin", bool, False, commands=("simulate",),
@@ -376,6 +378,11 @@ def cmd_oracle(run):
     verdict = admissibility(run.params, run.driver)
     if not verdict.admissible:
         raise InadmissibleParams(verdict)
+    if run.transform:
+        raise ValueError(
+            "--transform (config key transforms) applies to simulate and verify only: "
+            "oracle writes the closed-form log-CF of X"
+        )
     lines = ["t,theta,re,im"]
     for t in run.times:
         for theta in run.thetas:

@@ -75,9 +75,11 @@ class GaussianJumps(_Parameters):
     def cf(self, th):
         return np.exp(1j * self.mean * th - 0.5 * self.variance * th**2)
 
-    def draw_sums(self, counts, rng):
-        scale = np.sqrt(counts * self.variance)
-        return counts * self.mean + scale * rng.standard_normal(counts.shape)
+    def draw_sums(self, counts, rng, out):
+        rng.standard_normal(out=out)
+        part = np.multiply(counts, self.variance)
+        out *= np.sqrt(part, out=part)
+        out += np.multiply(counts, self.mean, out=part)
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,10 @@ class TwoPointJumps(_Parameters):
     def variance(self):
         return self.magnitude**2
 
-    def draw_sums(self, counts, rng):
-        ups = rng.binomial(counts, 0.5)
-        return self.magnitude * (2.0 * ups - counts)
+    def draw_sums(self, counts, rng, out):
+        np.multiply(2.0, rng.binomial(counts, 0.5), out=out)
+        out -= counts
+        out *= self.magnitude
 
 
 JUMP_KINDS = {law.kind: law for law in (GaussianJumps, TwoPointJumps)}
@@ -114,13 +117,15 @@ class LevyDriver(_Parameters):
     Each driver defines _exponent(th), the Levy exponent at a float array
     th; _cells(dts), the tuple of per-cell arrays its law takes from an
     array of durations (a location and a scale, a Poisson mean, a gamma
-    shape); draw(cells, rng), its increments over those cells, with the
-    variates listed in sample_increments; mean_rate() = E L(1); and
-    variance_rate() = Var L(1), possibly infinite.  The cells depend on the
-    durations alone, so a SimulationPlan computes them once for all its
-    paths; draw neither keeps nor writes them.  max_moment_order(), the
-    supremum of the finite absolute moment orders of L(1), is infinite
-    unless the driver says otherwise.  A driver refuses, naming itself, a
+    shape); draw(cells, rng, out), which writes its increments over those
+    cells into the float array out, with the variates listed in
+    sample_increments; mean_rate() = E L(1); and variance_rate() = Var L(1),
+    possibly infinite.  The cells depend on the durations alone, so a
+    SimulationPlan computes them once for all its paths; draw neither keeps
+    nor writes them, and computes each increment with the float operations
+    of the expression its comment gives, in place where it can.
+    max_moment_order(), the supremum of the finite absolute moment orders of
+    L(1), is infinite unless the driver says otherwise.  A driver refuses, naming itself, a
     mean or variance of L(1) that its law makes finite but that leaves the
     float range, and cells() any per-cell constant draw cannot take.
 
@@ -193,9 +198,12 @@ class GaussianDriver(LevyDriver):
     def _cells(self, dts):
         return self.drift * dts, np.sqrt(self.variance * dts)
 
-    def draw(self, cells, rng):
+    def draw(self, cells, rng, out):
+        # loc + scale * z
         loc, scale = cells
-        return loc + scale * rng.standard_normal(loc.shape)
+        rng.standard_normal(out=out)
+        out *= scale
+        out += loc
 
     @property
     def stable_part(self):
@@ -231,21 +239,36 @@ class SymmetricStableDriver(LevyDriver):
             return (np.sqrt(2.0 * self.scale * dts),)
         return ((self.scale * dts) ** (1.0 / self.index),)
 
-    def draw(self, cells, rng):
+    def draw(self, cells, rng, out):
         (scale,) = cells
         p = self.index
         if p == 2.0:
-            # 0.0 + keeps rng.normal(0.0, scale)'s +0.0 where the product is -0.0
-            return 0.0 + scale * rng.standard_normal(scale.shape)
-        # Chambers-Mallows-Stuck in the symmetric case; CF is exp(-|theta|**p)
-        u = rng.uniform(-math.pi / 2, math.pi / 2, scale.shape)
-        w = rng.standard_exponential(scale.shape)
+            # 0.0 + scale * z: 0.0 + keeps rng.normal(0.0, scale)'s +0.0
+            # where the product is -0.0
+            rng.standard_normal(out=out)
+            out *= scale
+            out += 0.0
+            return
+        # Chambers-Mallows-Stuck in the symmetric case; CF is exp(-|theta|**p):
+        # scale * draws, with draws = tan(u) at p = 1 and else
+        # sin(pu) / cos(u) ** (1 / p) * (cos(u - pu) / w) ** ((1 - p) / p);
+        # x **= y takes the same fast paths as x ** y
+        u = rng.uniform(-math.pi / 2, math.pi / 2, out.shape)
+        rng.standard_exponential(out=out)  # w, drawn but unused at p = 1
         if p == 1.0:
-            draws = np.tan(u)
+            np.tan(u, out=out)
         else:
             pu = p * u
-            draws = np.sin(pu) / np.cos(u) ** (1.0 / p) * (np.cos(u - pu) / w) ** ((1.0 - p) / p)
-        return scale * draws
+            root = np.cos(u)
+            root **= 1.0 / p
+            u -= pu
+            np.cos(u, out=u)
+            u /= out
+            u **= (1.0 - p) / p
+            np.sin(pu, out=pu)
+            pu /= root
+            np.multiply(pu, u, out=out)
+        out *= scale
 
     @property
     def stable_part(self):
@@ -268,8 +291,10 @@ class CompoundPoissonDriver(LevyDriver):
 
     A jump law (one of JUMP_KINDS) has a mean and a variance, as fields or
     properties; cf(th), the characteristic function of one jump at an array
-    th; and draw_sums(counts, rng), the sums of counts[i] independent jumps,
-    one per cell.
+    th; and draw_sums(counts, rng, out), which writes the sums of counts[i]
+    independent jumps, one per cell, into out.  Gaussian jumps sum to
+    counts * mean + sqrt(counts * variance) * z, two-point ones to
+    magnitude * (2.0 * ups - counts) with ups ~ binomial(counts, 1/2).
     """
 
     rate: float = 1.0
@@ -293,9 +318,9 @@ class CompoundPoissonDriver(LevyDriver):
     def _cells(self, dts):
         return (self.rate * dts,)
 
-    def draw(self, cells, rng):
+    def draw(self, cells, rng, out):
         (lam,) = cells
-        return self.jumps.draw_sums(rng.poisson(lam), rng)
+        self.jumps.draw_sums(rng.poisson(lam), rng, out)
 
     def mean_rate(self):
         return self.rate * self.jumps.mean
@@ -323,9 +348,11 @@ class GammaDriver(LevyDriver):
     def _cells(self, dts):
         return (self.shape * dts,)
 
-    def draw(self, cells, rng):
+    def draw(self, cells, rng, out):
+        # standard_gamma(shape) * (1.0 / rate)
         (shape,) = cells
-        return rng.standard_gamma(shape) * (1.0 / self.rate)
+        rng.standard_gamma(shape, out=out)
+        out *= 1.0 / self.rate
 
     def mean_rate(self):
         return self.shape / self.rate
@@ -343,17 +370,21 @@ DRIVER_KINDS = {
 }
 
 
-def sample_increments(spec, durations, rng, cells=None):
+def sample_increments(spec, durations, rng, cells=None, out=None):
     """Draw independent increments of L over intervals of the given lengths.
 
     Vectorised over durations; a duration of 0 yields exactly 0.0.  cells
     are spec.cells(durations), which the driver computes and checks here
     when not given: a SimulationPlan does so once for all its paths, as
-    they depend on the durations alone.  Each driver then
-    draws one standard variate of each kind per duration (cell), all k cells
-    of a kind at once, and maps them with the float operations of numpy's
-    own location-scale samplers.  The variates drawn, and their order,
-    therefore fix the output bytes for a seed:
+    they depend on the durations alone.  out, when given, is the
+    C-contiguous float64 array of the durations' shape (one value for a
+    scalar duration) that the increments are written to and that is
+    returned, such as one row of a block (SimulationPlan.rows); else a new
+    array is.  Each driver then draws one standard variate of each kind per
+    duration (cell), all k cells of a kind at once, and maps them with the
+    float operations of numpy's own location-scale samplers, into out
+    wherever numpy takes an out.  The variates drawn, and their order,
+    therefore fix the output bytes for a seed, whether or not out is given:
 
     ===========================  =============================================
     driver                       variates, in order
@@ -370,7 +401,9 @@ def sample_increments(spec, durations, rng, cells=None):
     dts = np.asarray(durations, dtype=float)
     if cells is None:
         cells = spec.cells(dts.reshape(1) if dts.ndim == 0 else dts)
-    out = spec.draw(cells, rng)
+    if out is None:
+        out = np.empty(dts.shape or 1)
+    spec.draw(cells, rng, out)
     return float(out[0]) if dts.ndim == 0 else out
 
 

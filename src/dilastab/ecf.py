@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import partial
 
 import numpy as np
 
@@ -85,13 +85,13 @@ __all__ = [
 R_STEPS = 16
 
 
-@cache
-def _path_rng():
-    # loaded on the first draw: the module loads numpy.random, which
-    # `import dilastab` does not
-    from ._seeds import path_rng
+def _path_rng(master_seed, n):
+    # replaced by _seeds.path_rng on the first draw: that module loads
+    # numpy.random, which `import dilastab` does not
+    global _path_rng
+    from ._seeds import path_rng as _path_rng
 
-    return path_rng
+    return _path_rng(master_seed, n)
 
 
 def derive_rng(master_seed, n):
@@ -101,7 +101,7 @@ def derive_rng(master_seed, n):
     np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n,))),
     but does not spawn; the PCG64 seeds of a block of n are computed at once.
     """
-    return _path_rng()(master_seed, n)
+    return _path_rng(master_seed, n)
 
 
 def simulate_ensemble(
@@ -134,7 +134,7 @@ def simulate_ensemble(
     # the values and their transformed copy, refused before the plan is built
     check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
     plan = plan_dilative(driver, params, np.log(pts), refine, tail_tol)
-    x = SamplePath(grid, plan.rows(n_paths, lambda n: derive_rng(master_seed, n)))
+    x = SamplePath(grid, plan.rows(n_paths, partial(derive_rng, master_seed)))
     return apply_transforms(x, params, transforms)
 
 
@@ -156,7 +156,8 @@ def _projection(ens, times, thetas):
     th = np.asarray(thetas, dtype=float)
     if th.shape != (len(idx),):
         raise ValueError("times and thetas must have equal length")
-    return np.atleast_2d(ens.values)[:, idx] @ th
+    # np.dot gives the bytes of @, whose loop over a single column is slow
+    return np.dot(np.atleast_2d(ens.values)[:, idx], th)
 
 
 def _cf_terms(rs, w):
@@ -188,10 +189,11 @@ def _ray_terms(rs, w):
     that an ulp of rs[k] * w is a turn or more.
     """
     terms = np.empty((rs.size, w.size), dtype=complex)
-    ends = np.unique([0, rs.size - 1])
+    ends = slice(None, None, max(rs.size - 1, 1))  # the first and last rows, or the one
     terms[ends] = _cf_terms(rs[ends], w)
-    for k in range(1, rs.size - 1):
-        np.multiply(terms[k - 1], terms[0], out=terms[k])
+    first = terms[0]
+    for before, row in zip(terms[:-2], terms[1:-1]):
+        np.multiply(before, first, out=row)
     return terms
 
 
@@ -199,8 +201,11 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     """Estimate the log-CF along the ray r * theta_direction, r = k/r_steps, k = 1..r_steps.
 
     Returns one EcfEstimate per ray position, phases unwrapped continuously
-    from 0 at r = 0.  The positions r = 1/r_steps and r = 1 are exact (the
-    bytes of np.exp(1j * W r)); the CF terms between are powers of the first
+    from 0 at r = 0 (np.unwrap's, which are the angles themselves while no
+    step reaches pi), with thetas r * theta_direction; the thetas, CFs,
+    log-CFs and standard errors are Python numbers, each array converted
+    once.  The positions r = 1/r_steps and r = 1 are exact (the bytes of
+    np.exp(1j * W r)); the CF terms between are powers of the first
     position's (see _ray_terms).  Aborts with LowMagnitude at the first ray
     position whose CF magnitude falls below max(0.1, 5/sqrt(N)).  When a
     step of the unwrapped phase exceeds pi/2, the phase at r = 1 is
@@ -231,8 +236,16 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     if low.size:
         i = int(low[0])
         raise LowMagnitude(float(rs[i]), float(mags[i]), floor)
-    phases = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))
-    if np.any(np.abs(np.diff(phases)) > math.pi / 2):
+    # the phases are np.unwrap's from 0 at r = 0; while every step is under
+    # pi its corrections are all 0, and it returns the angles plus 0.0
+    phases = np.concatenate([[0.0], np.angle(cfs)])
+    steps = np.abs(np.diff(phases))
+    if (steps < math.pi).all():
+        phases += 0.0
+    else:
+        phases = np.unwrap(phases)
+        steps = np.abs(np.diff(phases))
+    if (steps > math.pi / 2).any():
         check_memory(4 * r_steps * n, f"{2 * r_steps} ray positions of n_paths = {n} paths")
         fine = _ray_terms(np.arange(1, 2 * r_steps + 1) / (2 * r_steps), w).mean(axis=1)
         # both rays end in the same r = 1 CF, so the phases differ by whole turns
@@ -240,13 +253,14 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
         if turns:
             raise PhaseAmbiguous(r_steps, turns)
     ses = np.sqrt(np.maximum(0.0, 1.0 - mags**2) / n)
-    direction = np.asarray(theta_direction, dtype=float)
+    # Python numbers from one conversion per array; the thetas of position r
+    # are r * direction, one row of the outer product
+    times = tuple(times)
+    thetas = np.outer(rs, np.asarray(theta_direction, dtype=float)).tolist()
+    columns = (cfs, ses, mags, phases[1:], ses / mags)
     return [
-        EcfEstimate(
-            tuple(times), tuple(r * direction), complex(cf), float(se),
-            complex(math.log(mag), phase), float(se / mag),
-        )
-        for r, cf, mag, phase, se in zip(rs, cfs, mags, phases[1:], ses)
+        EcfEstimate(times, tuple(th), cf, se, complex(math.log(mag), phase), se_log)
+        for th, cf, se, mag, phase, se_log in zip(thetas, *(c.tolist() for c in columns))
     ]
 
 

@@ -82,9 +82,17 @@ MAX_COUNT = 10**9
 REFINE = 8.0
 TAIL_TOL = 1e-4
 
-# float64 arrays of a plan's length alive at once while it is built and runs
-# one path: 6 to 9 for the four drivers, measured with tracemalloc
-_FLOATS_PER_CELL = 9
+# float64 arrays of a plan's length alive at once while it is built and
+# rows(1) draws and sums one path into its block: the plan holds durations,
+# weights and the driver's cells, and a draw its variates and temporaries.
+# The peak of tracemalloc over plan_dilative and rows(1), in floats per cell,
+# at alpha = delta = 1, times 0.5, 1 and 2 and refine 20000 (119k-202k cells):
+#   Gaussian (both tested)   6.13    compound Poisson, Gaussian jumps   6.04
+#   stable 1.5               7.00    compound Poisson, two-point jumps  6.05
+#   stable 1                 5.13    gamma                              5.13
+#   stable 2                 5.13
+# plus about 3 KiB of array headers and Python objects, whatever the cells
+_FLOATS_PER_CELL = 7
 
 # the most increments SimulationPlan.rows holds at once: it draws whole rows
 # into a buffer of this many floats and weighs and sums them as one block, so
@@ -229,9 +237,14 @@ class SimulationPlan:
         self._at_start = bool(self.out_index[0] == 0)
         self._take = self.out_index[int(self._at_start) :] - 1
 
-    def run(self, rng):
-        """One path's driver increments over the plan's cells, drawn from rng."""
-        return sample_increments(self.spec, self.durations, rng, self.cells)
+    def run(self, rng, out=None):
+        """One path's driver increments over the plan's cells, drawn from rng.
+
+        They are written into out, a C-contiguous float array of one value
+        per cell, when it is given (rows passes each path its row of the
+        block), and into a new array otherwise; the array is returned.
+        """
+        return sample_increments(self.spec, self.durations, rng, self.cells, out)
 
     def rows(self, n_rows, rng_of):
         """Draw n_rows paths into one (n_rows, outputs) matrix.
@@ -242,11 +255,12 @@ class SimulationPlan:
         so a caller's generators are made only as they are drawn from.  The
         draws are Python-bound and hold the interpreter lock, so they run
         serially: on a 2-core machine one pool task per path on 2 threads had
-        made 1000 gamma paths of 710 cells about 4 times slower.  Rows are
-        drawn into a block of at most _BLOCK_FLOATS increments, which is
-        weighed and summed at once.  Draws or weighted sums that leave the
-        float range raise ValueError naming the driver, alpha and delta,
-        whatever the caller's errstate.
+        made 1000 gamma paths of 710 cells about 4 times slower.  Each path
+        is drawn straight into its row of a block of at most _BLOCK_FLOATS
+        increments, with no copy, and the block is weighed and summed at
+        once.  Draws or weighted sums that leave the float range raise
+        ValueError naming the driver, alpha and delta, whatever the caller's
+        errstate.
         """
         n_rows, k = int(n_rows), self.durations.size
         values = np.empty((n_rows, self.out_index.size))
@@ -257,9 +271,10 @@ class SimulationPlan:
         with np.errstate(all="ignore"):  # inf and nan are looked for after the loop
             for start in range(0, n_rows, block):
                 stop = min(start + block, n_rows)
+                # the rows of the buffer, each a view that run draws into
+                for n, row in zip(range(start, stop), buffer):
+                    self.run(rng_of(n), row)
                 inc = buffer[: stop - start]
-                for i in range(stop - start):
-                    inc[i] = self.run(rng_of(start + i))
                 inc *= self.weights
                 inc.cumsum(axis=1, out=inc)
                 values[start:stop, first:] = inc[:, self._take]

@@ -195,6 +195,22 @@ def test_oracle_unsupported_driver(capsys):
     assert "GammaDriver" not in err
 
 
+def test_oracle_refuses_a_transform_chain(capsys, tmp_path):
+    # the oracle is X's log-CF: a chain from the flag or the config file once
+    # exited 0 with X's values, as if it had been applied
+    oracle = ("oracle", "--times", "1,2", "--thetas", "0.5")
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"transforms": ["lamperti", "idt"]}')
+    for extra in (("--transform", "lamperti"), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, *oracle, *extra)
+        assert out == ""
+        assert_one_error_line(code, err, "--transform", "transforms", "oracle")
+    # an empty chain is no chain
+    cfg.write_text('{"transforms": []}')
+    code, out, _ = run_cli(capsys, *oracle, "--config", str(cfg))
+    assert code == 0 and out == run_cli(capsys, *oracle)[1]
+
+
 def test_verify_passes_correct_law(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, _, _ = run_cli(
@@ -1045,7 +1061,8 @@ def test_oracle_checks_grid_and_parameters_like_simulate(capsys, argv):
             8 * 2**30,
             processes,
             "_refined_log_grid",
-            ("refine = 100000000.0", "9.63283e+08 grid cells", "64.6 GiB", "the 8 GiB"),
+            # processes._FLOATS_PER_CELL = 7 floats of 8 B per cell
+            ("refine = 100000000.0", "9.63283e+08 grid cells", "50.2 GiB", "the 8 GiB"),
         ),
         (
             ("--n-paths", "40000", "--points", "5"),

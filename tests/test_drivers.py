@@ -173,15 +173,21 @@ def per_path_increments(spec, dts, rng):
 
 @pytest.mark.parametrize("spec", ALL_DRIVERS, ids=lambda s: type(s).__name__ + repr(s))
 def test_shared_cells_draw_like_the_per_path_formulas(spec):
-    # every driver and jump kind, with the cells computed by the call and
-    # with one set of cells passed to every call, as a plan passes them
+    # every driver and jump kind, with the cells computed by the call, with
+    # one set of cells passed to every call, as a plan passes them, and drawn
+    # into one row of a larger block, as SimulationPlan.rows draws
     dts = np.array([0.0, 0.1, 2.5, 0.0, 1e-9, 7.0] * 50)
-    rng, shared, ref = (np.random.default_rng(8) for _ in range(3))
+    rng, shared, into, ref = (np.random.default_rng(8) for _ in range(4))
     cells = spec.cells(dts)
-    for _ in range(3):
+    for i in range(3):
         want = per_path_increments(spec, dts, ref).tobytes()
         assert sample_increments(spec, dts, rng).tobytes() == want
         assert sample_increments(spec, dts, shared, cells).tobytes() == want
+        block = np.zeros((3, dts.size))
+        row = sample_increments(spec, dts, into, cells, block[i])
+        assert row.base is block and block[i].tobytes() == want
+        others = np.delete(block, i, axis=0)
+        assert not others.any() and not np.signbit(others).any()
 
 
 @pytest.fixture

@@ -48,7 +48,7 @@ from dilastab import (
     simulate_ensemble,
 )
 from dilastab._seeds import BLOCK, _block_seeds
-from dilastab.ecf import _cf_terms, _ray_terms
+from dilastab.ecf import _cf_terms, _projection, _ray_terms
 from dilastab.processes import pull_back
 from dilastab.validation import CONDITION_A, CONDITION_B, admissibility
 
@@ -165,6 +165,30 @@ def test_log_cf_rejects_a_phase_that_turns_past_pi_per_step():
     ens = normal_ensemble(30.0, 0.1, 1000, 5)
     ray = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
     assert abs(ray[-1].logcf.imag - 30.0) < 0.1
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.3, -4.0, 30.0, -30.0])
+def test_log_cf_phases_are_np_unwraps(mean):
+    # the phases skip np.unwrap while every step is under pi; mean 30 steps
+    # by about 1.875 rad, which the doubled ray confirms
+    ens = normal_ensemble(mean, 0.1, 1000, 6)
+    ray = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
+    cfs = np.array([est.cf_mean for est in ray])
+    want = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))[1:]
+    assert_same_bits([est.logcf.imag for est in ray], want)
+    assert all(type(th) is float for est in ray for th in est.thetas)
+
+
+def test_projection_has_the_bytes_of_matmul():
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(300, 4))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.1] = -0.0
+    ens = SamplePath(TimeGrid(np.array([0.5, 1.0, 2.0, 4.0])), values)
+    points = [((1.0,), (0.5,)), ((2.0,), (-0.0,)), ((0.5, 4.0), (1.0, -0.5))]
+    for times, thetas in points + [((0.5, 1.0, 2.0), (0.3, -1.2, 2.5))]:
+        want = values[:, [ens.grid.index_of(t) for t in times]] @ np.array(thetas)
+        assert_same_bits(_projection(ens, times, thetas), want)
 
 
 def exp_log_cf(w, r_steps):

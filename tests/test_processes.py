@@ -254,6 +254,25 @@ def test_rows_memory_stays_flat_in_the_row_count(spec, refine, n_rows, cells):
     assert peak - values.nbytes < 2**20
 
 
+@pytest.mark.parametrize("spec", ALL_DRIVERS, ids=repr)
+def test_floats_per_cell_bound_a_plan_and_its_first_row(spec):
+    # check_memory guards _FLOATS_PER_CELL floats per cell before a plan is
+    # built; at 9 it under-counted stable 1.5, which peaked at 10 per cell
+    # when each path was drawn into a new array and copied into the block
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        plan = plan_dilative(spec, UNIT, np.log([0.5, 1.0, 2.0]), refine=20000.0)
+        plan.rows(1, lambda n: rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = plan.durations.size
+    assert cells > 10**5
+    # a few KiB of array headers and Python objects do not grow with the cells
+    assert peak <= processes._FLOATS_PER_CELL * 8 * cells + 2**14
+
+
 def test_round_trip_recovers_background():
     rng = np.random.default_rng(3)
     grid = TimeGrid(np.exp(np.array([-1.0, -0.25, 0.0, 0.5, 1.2])))
