@@ -220,8 +220,9 @@ class SimulationPlan:
     X at output time j sums weights[i] times the driver's increment over the
     clock increment durations[i] for the cells i < out_index[j].  The
     driver's per-cell constants spec.cells(durations) are computed once, when
-    the plan is built.  Every run(rng) consumes the generator identically, so
-    path n of an ensemble is reproducible from its derived stream alone.
+    the plan is built.  Every run(rng, out) consumes the generator
+    identically, so path n of an ensemble is reproducible from its derived
+    stream alone.
     """
 
     spec: object
