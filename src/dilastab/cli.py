@@ -149,7 +149,8 @@ _INPUTS = (
           help={"verify": "comma-separated base test thetas", "oracle": "comma-separated thetas"}),
     Input("--pair", list, (), commands=_VERIFY,
           help="two-dimensional test point as t1,t2,theta1,theta2; repeatable"),
-    Input("--threshold", float, 0.99, bound=_FINITE, commands=_VERIFY),
+    Input("--threshold", float, 0.99, bound={**_FINITE, "at least": 0, "at most": 1},
+          commands=_VERIFY),
     Input("--r-steps", int, R_STEPS, bound={"at least": 1, "at most": MAX_COUNT},
           commands=_VERIFY),
 )

@@ -3,13 +3,14 @@
 An ensemble holds N independent path realisations on a common grid.  The
 finite dimensional empirical CF at (times, thetas) averages the per-path
 terms exp(i * W), W = sum_j theta_j * X(t_j), over paths; its standard error
-is sqrt((1 - |cf|^2) / N).  Log-CFs are estimated along the ray r * theta,
-r = k/R for k = 1..R, with the phase unwrapped continuously from r = 0
-where the log-CF is 0 -- the principal-branch angle alone would be wrong
-whenever the accumulated phase passes pi.  A ray is aborted (LowMagnitude)
-when |cf| falls below max(0.1, 5/sqrt(N)), the region where log-CF estimates
-stop being meaningful at the available sample size, and (PhaseAmbiguous)
-when doubling its steps moves the unwrapped phase at r = 1 by whole turns.
+is sqrt((1 - |cf|^2) / N).  A log-CF is estimated at the end r = 1 of the
+ray r * theta, r = k/R for k = 1..R, with the phase unwrapped continuously
+from r = 0 where the log-CF is 0 -- the principal-branch angle alone would
+be wrong whenever the accumulated phase passes pi.  A ray is aborted
+(LowMagnitude) when |cf| falls below max(0.1, 5/sqrt(N)), the region where
+log-CF estimates stop being meaningful at the available sample size, and
+(PhaseAmbiguous) when doubling its steps moves the unwrapped phase at r = 1
+by whole turns.
 
 The per-path terms of a ray are one (R, N) complex array (_ray_terms): the
 rows at r = 1/R and r = 1 are exact, and those between are powers of the
@@ -140,10 +141,8 @@ def simulate_ensemble(
 
 @dataclass(frozen=True)
 class EcfEstimate:
-    """Empirical CF at one finite dimensional point, with standard errors."""
+    """Empirical CF and unwrapped log-CF at one point, with standard errors."""
 
-    times: tuple
-    thetas: tuple
     cf_mean: complex
     cf_se: float
     logcf: complex
@@ -198,23 +197,21 @@ def _ray_terms(rs, w):
 
 
 def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
-    """Estimate the log-CF along the ray r * theta_direction, r = k/r_steps, k = 1..r_steps.
+    """Estimate the log-CF at theta_direction, the end r = 1 of its ray.
 
-    Returns one EcfEstimate per ray position, phases unwrapped continuously
-    from 0 at r = 0 (np.unwrap's, which are the angles themselves while no
-    step reaches pi), with thetas r * theta_direction; the thetas, CFs,
-    log-CFs and standard errors are Python numbers, each array converted
-    once.  The positions r = 1/r_steps and r = 1 are exact (the bytes of
-    np.exp(1j * W r)); the CF terms between are powers of the first
-    position's (see _ray_terms).  Aborts with LowMagnitude at the first ray
-    position whose CF magnitude falls below max(0.1, 5/sqrt(N)).  When a
-    step of the unwrapped phase exceeds pi/2, the phase at r = 1 is
-    unwrapped again over 2 * r_steps positions, and PhaseAmbiguous is raised
-    if the two differ by a turn or more.  r_steps must be a whole number of
-    at least 1, and the ensemble must hold at least one path (a 1-d path is
-    one); a ray whose terms would exceed physical memory raises
-    MemoryError before they are allocated, and non-finite sums
-    sum_j theta_j X(t_j) raise DilastabError before any cos or sin.
+    Returns one EcfEstimate of Python numbers, its phase the last of
+    np.unwrap over the positions r = k/r_steps, k = 1..r_steps, from 0 at
+    r = 0.  Its CF has the bytes of the mean of np.exp(1j * W); the positions
+    r < 1 (see _ray_terms) only steer the unwrapping and the checks.  Aborts
+    with LowMagnitude at the first position whose CF magnitude falls below
+    max(0.1, 5/sqrt(N)).  When a step of the unwrapped phase exceeds pi/2,
+    the phase at r = 1 is unwrapped again over 2 * r_steps positions, and
+    PhaseAmbiguous is raised if the two differ by a turn or more.  r_steps
+    must be a whole number of at least 1, and the ensemble must hold at
+    least one path (a 1-d path is one); a ray whose terms would exceed
+    physical memory raises MemoryError before they are allocated, and
+    non-finite sums sum_j theta_j X(t_j) raise DilastabError before any cos
+    or sin.
     """
     r_steps = read_number(int, "r_steps", r_steps)
     if r_steps < 1:
@@ -236,32 +233,17 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     if low.size:
         i = int(low[0])
         raise LowMagnitude(float(rs[i]), float(mags[i]), floor)
-    # the phases are np.unwrap's from 0 at r = 0; while every step is under
-    # pi its corrections are all 0, and it returns the angles plus 0.0
-    phases = np.concatenate([[0.0], np.angle(cfs)])
-    steps = np.abs(np.diff(phases))
-    if (steps < math.pi).all():
-        phases += 0.0
-    else:
-        phases = np.unwrap(phases)
-        steps = np.abs(np.diff(phases))
-    if (steps > math.pi / 2).any():
+    phases = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))
+    if (np.abs(np.diff(phases)) > math.pi / 2).any():
         check_memory(4 * r_steps * n, f"{2 * r_steps} ray positions of n_paths = {n} paths")
         fine = _ray_terms(np.arange(1, 2 * r_steps + 1) / (2 * r_steps), w).mean(axis=1)
         # both rays end in the same r = 1 CF, so the phases differ by whole turns
         turns = round((np.unwrap(np.angle(fine))[-1] - phases[-1]) / (2 * math.pi))
         if turns:
             raise PhaseAmbiguous(r_steps, turns)
-    ses = np.sqrt(np.maximum(0.0, 1.0 - mags**2) / n)
-    # Python numbers from one conversion per array; the thetas of position r
-    # are r * direction, one row of the outer product
-    times = tuple(times)
-    thetas = np.outer(rs, np.asarray(theta_direction, dtype=float)).tolist()
-    columns = (cfs, ses, mags, phases[1:], ses / mags)
-    return [
-        EcfEstimate(times, tuple(th), cf, se, complex(math.log(mag), phase), se_log)
-        for th, cf, se, mag, phase, se_log in zip(thetas, *(c.tolist() for c in columns))
-    ]
+    cf, mag = complex(cfs[-1]), float(mags[-1])
+    se = math.sqrt(max(0.0, 1.0 - mag * mag) / n)
+    return EcfEstimate(cf, se, complex(math.log(mag), float(phases[-1])), se / mag)
 
 
 def oracle_log_cf(spec, params, t, theta):
@@ -550,7 +532,7 @@ def check_scaling(ens, law, points, r_steps=R_STEPS, oracle=None):
         key = (id(side), repr(point.times), repr(point.thetas))
         if key not in psi:
             try:
-                psi[key] = estimate_log_cf(side, point.times, point.thetas, r_steps=r_steps)[-1]
+                psi[key] = estimate_log_cf(side, point.times, point.thetas, r_steps=r_steps)
             except _UNESTIMABLE as exc:
                 psi[key] = exc
         return psi[key]

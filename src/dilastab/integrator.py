@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OffGrid
+from .validation import read_number
 
 __all__ = ["TimeGrid", "SamplePath", "PATH_ROLES", "rs_integral", "ibp_integral"]
 
@@ -32,6 +33,14 @@ __all__ = ["TimeGrid", "SamplePath", "PATH_ROLES", "rs_integral", "ibp_integral"
 PATH_ROLES = ("Y", "X", "V", "Z", "D")
 
 _MATCH_RTOL = 32 * np.finfo(float).eps
+
+
+def _grid_size(n):
+    """The point count of a built grid: a whole number of at least 1."""
+    n = read_number(int, "n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    return n
 
 
 @dataclass(eq=False)
@@ -57,13 +66,13 @@ class TimeGrid:
                 f"linear grids need a span t_max - t_min in the float range, "
                 f"got {t_min!r} to {t_max!r}"
             )
-        return cls(np.linspace(float(t_min), float(t_max), int(n)))
+        return cls(np.linspace(float(t_min), float(t_max), _grid_size(n)))
 
     @classmethod
     def geometric(cls, t_min, t_max, n):
         if min(t_min, t_max) <= 0:
             raise ValueError(f"geometric grids need times > 0, got {t_min!r} to {t_max!r}")
-        return cls(np.exp(np.linspace(math.log(t_min), math.log(t_max), int(n))))
+        return cls(np.exp(np.linspace(math.log(t_min), math.log(t_max), _grid_size(n))))
 
     def __len__(self):
         return self.points.size

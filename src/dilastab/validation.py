@@ -26,6 +26,7 @@ level gaps S_k - S_{k-1} shrink geometrically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,13 +160,18 @@ def cascade_partial_sums(samples, a, b, beta, levels):
     S_k = sum_{j<=k} a**(-j*beta) * sum_{l <= a**j * b} |samples_l|.  Needs at
     least a**levels * b samples; raises NotEnoughSamples otherwise.  The gaps
     S_k - S_{k-1} are nonnegative and, for a sample law with a finite moment
-    of order 1/beta, shrink geometrically in k.
+    of order 1/beta, shrink geometrically in k.  a, b and levels must be
+    whole numbers and beta a finite number > 0; ValueError names the one
+    that is not.
     """
-    a, b, levels, beta = int(a), int(b), int(levels), float(beta)
+    a = read_number(int, "a", a)
+    b = read_number(int, "b", b)
+    levels = read_number(int, "levels", levels)
+    beta = read_number(float, "beta", beta)
     if a < 2 or b < 1 or levels < 0:
         raise ValueError("need a >= 2, b >= 1, levels >= 0")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
     needed = a**levels * b
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < needed:

@@ -801,6 +801,14 @@ def test_nonfinite_verify_numbers_exit_2(capsys, argv, flag):
     assert_one_error_line(code, err, f"{flag} must be finite")
 
 
+@pytest.mark.parametrize("value, words", [("1.5", "at most 1, got 1.5"), ("-3", "at least 0, got -3")])
+def test_threshold_outside_0_to_1_exits_2(capsys, value, words):
+    # 1.5 once exited 3 on a pass fraction of 1, and -3 exited 0 whatever the rows said
+    code, out, err = run_cli(capsys, *VERIFY_IDT, "--n-paths", "50", "--threshold", value)
+    assert out == ""
+    assert_one_error_line(code, err, "--threshold", words)
+
+
 def test_unestimable_rows_are_reported_not_fatal(capsys):
     # one ray's |cf| falls below the floor 5/sqrt(200): that row is marked
     # unestimable and fails, and the other rows are still checked

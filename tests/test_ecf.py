@@ -63,7 +63,7 @@ def normal_ensemble(mean, std, n, seed):
 
 def estimate_cf(ens, times, thetas):
     """The empirical CF at one point: the r = 1 end of a one-step ray."""
-    return estimate_log_cf(ens, times, thetas, r_steps=1)[-1]
+    return estimate_log_cf(ens, times, thetas, r_steps=1)
 
 
 def test_estimate_matches_gaussian_cf():
@@ -73,7 +73,7 @@ def test_estimate_matches_gaussian_cf():
         est = estimate_cf(ens, (1.0,), (theta,))
         want = cmath.exp(1j * 0.4 * theta - 0.72 * theta**2)
         assert abs(est.cf_mean - want) <= 4.0 * est.cf_se
-        assert est.times == (1.0,) and est.thetas == (theta,)
+        assert [f.name for f in dataclasses.fields(est)] == ["cf_mean", "cf_se", "logcf", "logcf_se"]
 
 
 def test_se_formula():
@@ -98,20 +98,17 @@ def test_log_cf_unwraps_past_principal_branch():
     # theta = 1; a principal-branch log would report about 4 - 2 pi
     n = 20_000
     ens = normal_ensemble(4.0, 1.0, n, 42)
-    ray = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
-    assert len(ray) == 16
-    top = ray[-1]
-    assert top.thetas == (1.0,)
+    top = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
     assert abs(top.logcf.imag - 4.0) <= 4.0 * top.logcf_se
     principal = cmath.log(top.cf_mean)
     assert abs((top.logcf.imag - principal.imag) - 2 * math.pi) < 1e-9
 
 
 def test_log_cf_ray_structure():
+    # the estimate is the ray's end r = 1, whose CF is the same at every r_steps
     ens = normal_ensemble(0.0, 1.0, 2000, 3)
-    ray = estimate_log_cf(ens, (1.0,), (1.5,), r_steps=4)
-    got = [est.thetas[0] for est in ray]
-    assert got == pytest.approx([0.375, 0.75, 1.125, 1.5])
+    top = estimate_log_cf(ens, (1.0,), (1.5,), r_steps=4)
+    assert_same_bits(top.cf_mean, estimate_cf(ens, (1.0,), (1.5,)).cf_mean)
     with pytest.raises(ValueError):
         estimate_log_cf(ens, (1.0,), (1.5,), r_steps=0)
 
@@ -158,25 +155,25 @@ def test_log_cf_rejects_a_phase_that_turns_past_pi_per_step():
     with pytest.raises(PhaseAmbiguous, match="--r-steps") as exc:
         estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
     assert exc.value.r_steps == 16 and exc.value.turns != 0
-    top = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=64)[-1]
+    top = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=64)
     assert abs(top.logcf.imag - 60.0) < 0.1
     # mean 30 turns it by 1.875 rad per step, above pi/2 but below pi: the
     # doubled ray agrees, and the estimate is the one of 16 steps
     ens = normal_ensemble(30.0, 0.1, 1000, 5)
-    ray = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
-    assert abs(ray[-1].logcf.imag - 30.0) < 0.1
+    top = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
+    assert abs(top.logcf.imag - 30.0) < 0.1
 
 
 @pytest.mark.parametrize("mean", [0.0, 0.3, -4.0, 30.0, -30.0])
 def test_log_cf_phases_are_np_unwraps(mean):
-    # the phases skip np.unwrap while every step is under pi; mean 30 steps
-    # by about 1.875 rad, which the doubled ray confirms
+    # the phase at r = 1 is the last of np.unwrap over the ray's means; mean
+    # 30 steps by about 1.875 rad, which the doubled ray confirms
     ens = normal_ensemble(mean, 0.1, 1000, 6)
-    ray = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
-    cfs = np.array([est.cf_mean for est in ray])
-    want = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))[1:]
-    assert_same_bits([est.logcf.imag for est in ray], want)
-    assert all(type(th) is float for est in ray for th in est.thetas)
+    est = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
+    cfs = _ray_terms(np.arange(1, 17) / 16, _projection(ens, (1.0,), (1.0,))).mean(axis=1)
+    want = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))[-1]
+    assert_same_bits(est.logcf.imag, want)
+    assert [type(v) for v in dataclasses.astuple(est)] == [complex, float, complex, float]
 
 
 def test_projection_has_the_bytes_of_matmul():
@@ -192,7 +189,7 @@ def test_projection_has_the_bytes_of_matmul():
 
 
 def exp_log_cf(w, r_steps):
-    """estimate_log_cf's (cf_mean, logcf) per ray position from np.exp(1j * x), or its LowMagnitude."""
+    """A ray's (cf_mean, logcf) per position from np.exp(1j * x), or estimate_log_cf's LowMagnitude."""
     rs = np.arange(1, r_steps + 1) / r_steps
     cfs = np.exp(1j * np.outer(rs, w)).mean(axis=1)
     mags = np.abs(cfs)
@@ -248,16 +245,15 @@ def test_ecf_bytes_equal_the_complex_exponential(name, times, thetas):
             estimate_log_cf(ens, times, thetas, r_steps=16)
         assert (exc.value.r, exc.value.magnitude, exc.value.floor) == (want.r, want.magnitude, want.floor)
     else:
-        ray = estimate_log_cf(ens, times, thetas, r_steps=16)
-        cfs = np.array([est.cf_mean for est in ray])
-        # the ends are the exponential's bytes, the positions between the
-        # powers of the first position's terms
-        assert_same_bits(cfs[[0, -1]], want[0][[0, -1]])
-        assert_same_bits(cfs[1:-1], power_terms(w, 16).mean(axis=1)[1:-1])
+        est = estimate_log_cf(ens, times, thetas, r_steps=16)
+        assert_same_bits(est.cf_mean, want[0][-1])
         if name in ("gaussian", "gamma"):
+            # the ray's positions between its ends, powers of the first
+            # position's terms, stay within k ulps of the exponential's
+            cfs = _ray_terms(np.arange(1, 17) / 16, w).mean(axis=1)
             k = np.arange(2, 16)
             assert (abs(cfs[1:-1] - want[0][1:-1]) <= 32 * k * np.finfo(float).eps).all()
-        top = ray[-1].logcf
+        top = est.logcf
         if name == "at 1e22" and any(thetas):
             # every path's W is 5e21 (or 2.5e21), so one ray step turns the
             # phase by about 3e20 rad, and an ulp of rs * W is a million:
@@ -869,8 +865,8 @@ def pointwise_rows(scaled_ens, base_ens, law, points, r_steps=16):
     rows = []
     for point in points:
         (_, sp), (a, bp) = law.terms(point)
-        lhs = estimate_log_cf(scaled_ens, sp.times, sp.thetas, r_steps)[-1]
-        base = estimate_log_cf(base_ens, bp.times, bp.thetas, r_steps)[-1]
+        lhs = estimate_log_cf(scaled_ens, sp.times, sp.thetas, r_steps)
+        base = estimate_log_cf(base_ens, bp.times, bp.thetas, r_steps)
         rhs = -a * base.logcf
         se = math.hypot(lhs.logcf_se, -a * base.logcf_se)
         diff = lhs.logcf - rhs
@@ -1063,4 +1059,4 @@ def test_non_finite_samples_are_reported_not_estimated():
         with pytest.raises(DilastabError, match="2 of 40 paths"):
             check_scaling(ens, DilativeLaw(1.0, 1.0, 2.0), marginal_points([1.0], [0.5]))
     # the finite column alone still estimates
-    assert estimate_log_cf(ens, (1.0,), (0.5,))[-1].logcf.imag == pytest.approx(0.5)
+    assert estimate_log_cf(ens, (1.0,), (0.5,)).logcf.imag == pytest.approx(0.5)

@@ -29,10 +29,26 @@ def test_grid_constructors():
     assert np.allclose(lin.points, [0.0, 0.25, 0.5, 0.75, 1.0])
     geo = TimeGrid.geometric(0.5, 8.0, 5)
     assert np.allclose(geo.points, [0.5, 1.0, 2.0, 4.0, 8.0])
+    # a whole float or numpy int is the count it holds
+    assert np.array_equal(TimeGrid.linear(0.0, 1.0, 5.0).points, lin.points)
+    assert np.array_equal(TimeGrid.geometric(0.5, 8.0, np.int64(5)).points, geo.points)
     with pytest.raises(ValueError):
         TimeGrid.geometric(0.0, 8.0, 5)
     with pytest.raises(ValueError):
         TimeGrid.geometric(-1.0, 8.0, 5)
+
+
+@pytest.mark.parametrize("build", [TimeGrid.linear, TimeGrid.geometric])
+@pytest.mark.parametrize(
+    "n, words",
+    [(2.7, "must be a number"), (True, "must be a number"), ("abc", "must be a number"),
+     (0, "must be >= 1, got 0"), (-3, "must be >= 1, got -3")],
+)
+def test_grid_constructors_refuse_a_count_below_1_or_not_whole(build, n, words):
+    # linear(0, 1, 2.7) once built 2 points and geometric(1, 2, True) 1, and
+    # a negative count failed inside np.linspace, in numpy's own words
+    with pytest.raises(ValueError, match=f"^n {words}"):
+        build(0.5, 1.0, n)
 
 
 def test_index_of_exact_and_tolerant():

@@ -118,6 +118,32 @@ def test_cascade_param_validation():
         cascade_partial_sums(samples, a=2, b=1, beta=0.0, levels=2)
     with pytest.raises(ValueError):
         cascade_partial_sums(samples, a=2, b=1, beta=1.0, levels=-1)
+    # whole floats and numpy ints read as the ints they hold
+    want = cascade_partial_sums(samples, a=2, b=1, beta=1.0, levels=2)
+    got = cascade_partial_sums(samples, a=2.0, b=np.int64(1), beta=1, levels=2.0)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "name, value, words",
+    [
+        ("a", 2.9, "a must be a number"),
+        ("b", 1.5, "b must be a number"),
+        ("levels", 3.6, "levels must be a number"),
+        ("levels", True, "levels must be a number"),
+        ("beta", None, "beta must be a number"),
+        ("beta", math.nan, "beta must be finite and > 0"),
+        ("beta", math.inf, "beta must be finite and > 0"),
+        ("beta", -1.0, "beta must be finite and > 0"),
+    ],
+)
+def test_cascade_refuses_a_truncated_or_non_finite_input(name, value, words):
+    # a = 2.9, b = 1.5, levels = 3.6 once gave the sums of a = 2, b = 1,
+    # levels = 3, levels = True ran level 1, and a nan or inf beta returned
+    # all-NaN sums
+    args = {"a": 2, "b": 1, "beta": 1.0, "levels": 3, name: value}
+    with pytest.raises(ValueError, match=f"^{words}"):
+        cascade_partial_sums(np.ones(64), **args)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.3, 2.0))
