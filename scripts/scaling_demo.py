@@ -1,9 +1,10 @@
 """Simulate one ensemble and verify every scaling law it should satisfy.
 
 The base process is checked against its dilative law, then the same paths
-are rewritten through the log-clock transform and its relabellings, and each
-representation is checked against the law it inherits.  All four reports
-must agree down to the z-scores, because the underlying draws are identical.
+are carried through each law's transform chain (law.chain: the log-clock
+transform and its relabellings) and each representation is checked against
+the law it inherits.  All four reports must agree down to the z-scores,
+because the underlying draws are identical.
 
 Usage: python scripts/scaling_demo.py [--paths N] [--seed S] [--T FACTOR]
 """
@@ -85,22 +86,15 @@ def main():
     ]
     flat_points = [TestPoint(p.times, mapped_thetas(p)) for p in points]
 
-    v_ens = apply_transforms(ens, params, ("lamperti",))
-    z_ens = apply_transforms(v_ens, params, ("time_stable",))
-    d_ens = apply_transforms(v_ens, params, ("idt",))
-
-    print_report(
-        "dilative", check_scaling(ens, DilativeLaw(1.0, 1.0, args.T), points)
+    laws = (
+        (DilativeLaw(1.0, 1.0, args.T), points),
+        (TranslativeLaw(1.0, math.log(args.T)), log_points),
+        (TimeStableLaw(1.0, args.T), flat_points),
+        (IdtLaw(args.T), flat_points),
     )
-    print_report(
-        "translative",
-        check_scaling(v_ens, TranslativeLaw(1.0, math.log(args.T)), log_points),
-    )
-    print_report(
-        "time_stable",
-        check_scaling(z_ens, TimeStableLaw(1.0, args.T), flat_points),
-    )
-    print_report("idt", check_scaling(d_ens, IdtLaw(args.T), flat_points))
+    for law, law_points in laws:
+        law_ens = apply_transforms(ens, params, law.chain)
+        print_report(law.kind, check_scaling(law_ens, law, law_points))
 
 
 if __name__ == "__main__":

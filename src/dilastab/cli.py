@@ -114,8 +114,8 @@ _VERIFY = ("verify",)
 _INPUTS = (
     Input("--config", help="JSON configuration file"),
     Input("--driver", dict, GaussianDriver(), "driver", help="driver description as a JSON object"),
-    Input("--alpha", float, 1.0, "alpha"),
-    Input("--delta", float, 1.0, "delta"),
+    Input("--alpha", float, 1.0, "alpha", _FINITE),
+    Input("--delta", float, 1.0, "delta", _FINITE),
     Input("--t-min", float, 0.5, "grid.t_min", _FINITE),
     Input("--t-max", float, 2.0, "grid.t_max", _FINITE),
     Input("--points", int, 5, "grid.points", {"at least": 1, "at most": MAX_COUNT}),

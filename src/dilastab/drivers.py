@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .validation import read_number
+from .validation import _Parameters, read_number
 
 __all__ = [
     "LevyDriver",
@@ -43,20 +42,6 @@ __all__ = [
     "driver_to_dict",
     "driver_from_dict",
 ]
-
-
-class _Parameters:
-    """The check shared by every driver and jump law: all numbers finite.
-
-    Each law's own range checks follow in its _check().
-    """
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        self._check()
 
 
 @dataclass(frozen=True)

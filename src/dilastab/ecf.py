@@ -59,7 +59,7 @@ from .integrator import SamplePath, TimeGrid
 # apply_transforms is looked up here by simulate_ensemble (and by bench/spans.py)
 from .processes import REFINE, TAIL_TOL, DilationParams, _chain, apply_transforms
 from .processes import check_memory, plan_dilative
-from .validation import read_number
+from .validation import _Parameters, read_number
 
 __all__ = [
     "EcfEstimate",
@@ -335,20 +335,24 @@ def increment_pair(t1, t2, theta, ratio=-0.5):
     return TestPoint((float(t1), float(t2)), (float(theta), float(ratio * theta)))
 
 
-class ScalingLaw:
+class ScalingLaw(_Parameters):
     """A scaling law as a linear relation among log-CFs: sum_k a_k Psi(point_k) = 0.
 
     terms(point) gives its terms at a test point, ((1.0, scaled),
     (-multiplier, base)).  kind names the law, and chain is the transform
-    chain that carries X to the representation the law holds for.
+    chain that carries X to the representation the law holds for.  Every
+    field must be finite, and those named in positive > 0.
     """
 
     chain = ()
+    # a power of a nonpositive factor is complex, and a log of it undefined
+    positive = ()
 
-    def _check_positive(self, name):
-        # a power of a nonpositive factor is complex, and a log of it undefined
-        if not getattr(self, name) > 0:
-            raise ValueError(f"the {self.kind} law needs {name} > 0, got {getattr(self, name)!r}")
+    def _check(self):
+        for name in self.positive:
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"the {self.kind} law needs {name} > 0, got {value!r}")
 
     def to_dict(self):
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -363,9 +367,7 @@ class DilativeLaw(ScalingLaw):
     T: float
 
     kind = "dilative"
-
-    def __post_init__(self):
-        self._check_positive("T")
+    positive = ("T",)
 
     def terms(self, point):
         scaled = TestPoint(tuple(self.T * t for t in point.times), point.thetas)
@@ -398,11 +400,12 @@ class TimeStableLaw(ScalingLaw):
 
     kind = "time_stable"
     chain = ("lamperti", "time_stable")
+    positive = ("n",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.delta == 0:
             raise DegenerateDelta("time stability needs delta != 0")
-        self._check_positive("n")
+        super()._check()
 
     def terms(self, point):
         factor = self.n ** (1.0 / self.delta)
@@ -418,9 +421,7 @@ class IdtLaw(ScalingLaw):
 
     kind = "idt"
     chain = ("lamperti", "idt")
-
-    def __post_init__(self):
-        self._check_positive("n")
+    positive = ("n",)
 
     def terms(self, point):
         scaled = TestPoint(tuple(self.n * t for t in point.times), point.thetas)

@@ -81,7 +81,8 @@ class TimeGrid:
         """Index of the grid point equal to t, tolerating a few ulp of drift.
 
         A point equal to t wins; otherwise the nearer of t's two neighbours
-        matches if it lies within _MATCH_RTOL * max(1, |p|, |t|) of t.
+        matches if it lies within _MATCH_RTOL * max(1, |p|, |t|) of t, by
+        math.isclose, which matches no point to an infinite t.
         """
         pts = self.points
         t = float(t)
@@ -89,7 +90,7 @@ class TimeGrid:
         if i < pts.size and pts[i] == t:
             return i
         j = min((j for j in (i - 1, i) if 0 <= j < pts.size), key=lambda j: abs(pts[j] - t))
-        if abs(pts[j] - t) <= _MATCH_RTOL * max(1.0, abs(pts[j]), abs(t)):
+        if math.isclose(pts[j], t, rel_tol=_MATCH_RTOL, abs_tol=_MATCH_RTOL):
             return j
         raise OffGrid(f"time {t!r} is not a grid point")
 

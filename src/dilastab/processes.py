@@ -24,10 +24,12 @@ In the boundary case alpha = delta/2 (H = 0, delta > 0) the integral
 degenerates and X is instead simulated directly as L(t**delta / (e**delta -
 1)).
 
-The transform family, TRANSFORMS, applied by apply_transforms:
+The transform family, TRANSFORMS, applied by apply_transforms, the one map
+of paths from X to V, Z and D (ou_from_integral is its lamperti step):
 
   * lamperti     V_u = e^(-H u) X_{e^u}; V has the translative scaling
-                 Psi_{. + T} = e^(delta T) Psi_. and solves a wide-sense
+                 Psi_{. + T} = e^(delta T) Psi_., equals the moving average
+                 integral_{-inf}^u e^((s - u) H) dY_s, and solves a wide-sense
                  Ornstein-Uhlenbeck equation with rate lambda = delta/2 - alpha
                  driven by Y.  lamperti_inverse maps V back to X.
   * time_stable  Z_s = V_{log s}: n-fold time scaling s -> n**(1/delta) s
@@ -54,7 +56,7 @@ from .errors import (
 )
 from .integrator import SamplePath, TimeGrid, _partial_sums
 from .timechange import tau, tau_density
-from .validation import DEGENERATE_EQUAL, admissibility
+from .validation import DEGENERATE_EQUAL, admissibility, read_number
 
 __all__ = [
     "MAX_COUNT",
@@ -261,9 +263,11 @@ class SimulationPlan:
         increments, with no copy, and the block is weighed and summed at
         once.  Draws or weighted sums that leave the float range raise
         ValueError naming the driver, alpha and delta, whatever the caller's
-        errstate.
+        errstate, and an n_rows that is no whole number >= 0 one naming it.
         """
-        n_rows, k = int(n_rows), self.durations.size
+        n_rows, k = read_number(int, "n_rows", n_rows), self.durations.size
+        if n_rows < 0:
+            raise ValueError(f"n_rows must be >= 0, got {n_rows!r}")
         values = np.empty((n_rows, self.out_index.size))
         first = int(self._at_start)
         values[:, :first] = 0.0
@@ -457,31 +461,27 @@ def ou_evolve(v0, y, ou_rate, a, b):
 
 
 def ou_from_integral(spec, params, out_log_times, rng, refine=REFINE, tail_tol=TAIL_TOL):
-    """Simulate the OU-type transform directly from its moving-average form.
+    """V_t = integral_{-inf}^t e^((u - t) H) dY_u, the moving-average form, on a log-time grid.
 
-    V_t = integral_{-inf}^t e^((u - t) H) dY_u on the given (real) log-time
-    grid, built from one driver realisation shared across all output times;
-    equal to the transform of a simulate_dilative path drawn from the same
-    stream, up to rounding.  Requires delta != 0; draws that leave the float
-    range raise ValueError naming the driver, alpha and delta, and weights
-    e^(-H u) that take V out of it one naming alpha, delta and the times,
-    whatever the caller's errstate.
+    V is the lamperti transform of X: this is the lamperti step of the
+    simulate_dilative path drawn from rng at the times e^t, on the caller's
+    grid, so it equals apply_transforms on that path up to the rounding of
+    t -> e^t -> t.  Requires delta != 0.  Log times without strictly
+    increasing positive float times e^t raise ValueError naming them; the
+    path and its transform raise their own, whatever the caller's errstate.
     """
     if params.delta == 0:
         raise DegenerateDelta("the moving-average form needs delta != 0")
-    u_out = out_log_times.points
-    plan = plan_dilative(spec, params, u_out, refine=refine, tail_tol=tail_tol)
-    x = plan.rows(1, lambda n: rng)[0]
-    with np.errstate(all="ignore"):  # inf and nan are looked for below
-        weight = TRANSFORMS["lamperti"].weight(np.exp(u_out), u_out, params.hurst)  # e^(-H u)
-        values = weight * x
-    if not np.isfinite(values).all():
+    u = out_log_times.points
+    with np.errstate(all="ignore"):  # e^t under- or overflows below about -745 or above 709.78
+        times = np.exp(u)
+    if not (times[0] > 0 and times[-1] < math.inf and (np.diff(times) > 0).all()):
         raise ValueError(
-            f"alpha = {params.alpha!r} and delta = {params.delta!r} take the weights "
-            "e^(-H u) or V out of the float range for log times in "
-            f"[{u_out[0]:.6g}, {u_out[-1]:.6g}]"
+            f"log times in [{u[0]:.6g}, {u[-1]:.6g}] have no strictly increasing "
+            "positive float times e^t for X"
         )
-    return SamplePath(out_log_times, values, role="V")
+    x = simulate_dilative(spec, params, TimeGrid(times), rng, refine, tail_tol)
+    return SamplePath(out_log_times, apply_transforms(x, params, ("lamperti",)).values, "V")
 
 
 def _log_clock(pts, delta):

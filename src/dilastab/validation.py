@@ -1,4 +1,4 @@
-"""Admissibility of scaling parameters, convergence diagnostics, the one number reader.
+"""Admissibility, convergence diagnostics, the one number reader and the finite-fields check.
 
 The random-integral construction of an additive dilatively stable process
 converges under sufficient conditions that split by the sign of delta:
@@ -27,7 +27,8 @@ level gaps S_k - S_{k-1} shrink geometrically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -152,6 +153,17 @@ def read_number(kind, name, value):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise error from None
+
+
+class _Parameters:
+    """The check of every driver, jump law and scaling law: all numbers finite, then _check()."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        self._check()
 
 
 def cascade_partial_sums(samples, a, b, beta, levels):

@@ -461,8 +461,16 @@ def test_verify_rejects_ensembles_below_the_cf_floor(capsys):
 @pytest.mark.parametrize("flag", ["--alpha", "--delta"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_nonfinite_parameters_exit_2(capsys, flag, value):
-    code, _, err = run_cli(capsys, "simulate", *SMALL, f"{flag}={value}")
-    assert_one_error_line(code, err, "must be finite", f"{flag[2:]} = {value}")
+    # the table's line for every command: verify once blamed --T or --n, and
+    # simulate gave the admissibility verdict
+    for command in (
+        ("simulate", *SMALL),
+        ("verify", "--law", "dilative", "--T", "2", "--times", "1", "--thetas", "0.5", "--n-paths", "30"),
+        ("verify", "--law", "idt", "--n", "2", "--times", "1", "--thetas", "0.5", "--n-paths", "30"),
+        ("oracle", "--times", "1", "--thetas", "0.5"),
+    ):
+        code, _, err = run_cli(capsys, *command, f"{flag}={value}")
+        assert_one_error_line(code, err, f"{flag[2:]} must be finite, got {value} (from {flag})")
 
 
 @pytest.mark.parametrize(

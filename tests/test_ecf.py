@@ -562,6 +562,23 @@ def test_law_mappings():
         json.dumps(d)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda v: DilativeLaw(v, 1.0, 2.0), "alpha"),
+        (lambda v: TranslativeLaw(1.0, v), "T"),
+        (lambda v: TimeStableLaw(v, 2.0), "delta"),
+        (lambda v: IdtLaw(v), "n"),
+    ],
+    ids=["dilative", "translative", "time_stable", "idt"],
+)
+def test_laws_refuse_a_non_finite_field(build, field, value):
+    # each of these once built a law; IdtLaw(inf) checked to an rhs of -inf
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        build(value)
+
+
 def test_simulate_ensemble_refuses_an_unknown_transform_before_planning(monkeypatch):
     import dilastab.ecf as ecf_module
 

@@ -78,6 +78,18 @@ def test_index_of_prefers_an_exact_match_then_the_nearer_neighbour():
     assert near.index_of(1.0 - ulp) == 0
 
 
+def test_index_of_matches_no_point_to_an_infinite_time():
+    # the tolerance _MATCH_RTOL * max(1, |p|, |t|) was infinite there, so
+    # inf matched the last point and -inf the first
+    grid = TimeGrid(np.array([0.5, 1.0, 2.0]))
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(OffGrid):
+            grid.index_of(t)
+        assert not grid.contains(t)
+        with pytest.raises(OffGrid):
+            SamplePath(grid, np.array([1.0, 2.0, 3.0])).value_at(t)
+
+
 def test_contains():
     assert DYADIC_GRID.contains(1.0)
     assert not DYADIC_GRID.contains(3.0)

@@ -223,6 +223,19 @@ def test_rows_sum_blocks_as_each_row_alone(case):
             assert (got[:, 0] == 0.0).all()
 
 
+@pytest.mark.parametrize(
+    "n_rows, words",
+    [(2.7, "n_rows must be a number (int), got 2.7"), (True, "got True"), (-1, "n_rows must be >= 0")],
+)
+def test_rows_reads_n_rows_as_a_whole_count(n_rows, words):
+    # 2.7 once drew 2 rows, True 1, and -1 failed in numpy naming no input
+    plan = plan_dilative(GaussianDriver(), UNIT, np.log([0.5, 1.0, 2.0]))
+    with pytest.raises(ValueError, match=re.escape(words)):
+        plan.rows(n_rows, lambda n: np.random.default_rng(n))
+    assert plan.rows(2.0, np.random.default_rng).shape == (2, 3)
+    assert plan.rows(np.int64(2), np.random.default_rng).shape == (2, 3)
+
+
 def test_an_ensemble_is_a_prefix_of_a_larger_one_across_blocks():
     times = (0.5, 1.0, 2.0)
     plan = plan_dilative(GaussianDriver(), UNIT, np.log(times))
@@ -393,16 +406,34 @@ def test_ou_from_integral_matches_transform():
 @pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
 def test_ou_from_integral_names_a_weight_that_overflows(errstate):
     # e^(-H u) = e^799 at u = -2 times X = 0 at the truncation point: one
-    # ValueError naming alpha and delta, where V was [nan, -3.9e-23]
+    # ValueError naming alpha and delta, where V was [nan, -3.9e-23]; it is
+    # apply_transforms' line for the lamperti step at the times e^u
     grid = TimeGrid(np.array([-2.0, 0.0]))
     params = DilationParams(400.0, 1.0)
     with np.errstate(all=errstate), warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="float range") as exc:
             ou_from_integral(GaussianDriver(), params, grid, np.random.default_rng(0))
-    message = str(exc.value)
-    assert message.startswith("alpha = 400.0 and delta = 1.0 ")
-    assert "log times in [-2, 0]" in message
+    assert str(exc.value) == (
+        "the lamperti transform at alpha = 400.0 and delta = 1.0 takes times in "
+        "[0.135335, 1] or the values on them out of the float range"
+    )
+
+
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize(
+    "log_times, shown",
+    [([-800.0, 0.0], "[-800, 0]"), ([0.0, 710.0], "[0, 710]"), ([-1000.0, 1000.0], "[-1000, 1000]")],
+    ids=["underflow", "overflow", "both"],
+)
+def test_ou_from_integral_refuses_log_times_with_no_float_time(errstate, log_times, shown):
+    # X has no float time e^t there; at alpha = delta = 1 such grids were simulated
+    grid = TimeGrid(np.array(log_times))
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            ou_from_integral(GaussianDriver(), UNIT, grid, np.random.default_rng(0))
+    assert str(exc.value).startswith(f"log times in {shown} ")
 
 
 def test_ou_from_integral_rejects_zero_delta():
