@@ -404,21 +404,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser():
-    """Every flag of _INPUTS, its value left as text for _load_config to check."""
+_COMMANDS = {
+    "simulate": ("write an ensemble as CSV", cmd_simulate),
+    "verify": ("check one scaling law and write a JSON report", cmd_verify),
+    "oracle": ("write the closed-form log-CF as CSV", cmd_oracle),
+}
+
+
+def build_parser(command=None):
+    """The flags of _INPUTS, each value left as text for _load_config to check.
+
+    Builds the flags of the one subcommand named, or of every subcommand
+    when command is None; the choices, help and errors of the top level name
+    only the subcommands built.
+    """
     parser = _Parser(
         prog="dilastab",
         description="simulate dilatively stable processes and verify their scaling laws",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text, func in (
-        ("simulate", "write an ensemble as CSV", cmd_simulate),
-        ("verify", "check one scaling law and write a JSON report", cmd_verify),
-        ("oracle", "write the closed-form log-CF as CSV", cmd_oracle),
-    ):
-        cmd = sub.add_parser(command, help=text)
-        for row in (row for row in _INPUTS if command in row.commands):
-            text = row.help.get(command) if isinstance(row.help, dict) else row.help
+    for name, (text, func) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        cmd = sub.add_parser(name, help=text)
+        for row in (row for row in _INPUTS if name in row.commands):
+            text = row.help.get(name) if isinstance(row.help, dict) else row.help
             action = {bool: "store_true", list: "append"}.get(row.kind, "store")
             choices = row.bound.get("one of")
             shown = {"metavar": "{" + ",".join(choices) + "}"} if choices else {}
@@ -454,8 +464,11 @@ def _join_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_values(sys.argv[1:] if argv is None else argv)
+    # a subcommand comes first, and the flags after it are its own; without
+    # one (--help, a typo, nothing) every subcommand is built for the message
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(named).parse_args(argv)
     try:
         # numpy raises where it would warn on stderr and go on with inf or nan
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -12,9 +12,11 @@ log-CF estimates stop being meaningful at the available sample size, and
 (PhaseAmbiguous) when doubling its steps moves the unwrapped phase at r = 1
 by whole turns.
 
-The per-path terms of a ray are one (R, N) complex array (_ray_terms): the
-rows at r = 1/R and r = 1 are exact, and those between are powers of the
-first, which only steer the unwrapping and the floor check.
+A ray is streamed (_ray_means): its per-path terms at r = 1/R and r = 1 are
+exact, each position between is formed in a complex N-vector as the one
+before it times the first, and only the R means are kept, so a ray takes
+O(N) memory whatever R is.  The positions r < 1 only steer the
+unwrapping and the floor check.
 
 A scaling law is a linear relation among log-CFs: its terms (a_k, point_k)
 at a test point, a_1 = 1, satisfy sum_k a_k Psi(point_k) = 0.  The four
@@ -84,6 +86,10 @@ __all__ = [
 
 # the default count of positions along a log-CF ray
 R_STEPS = 16
+# float64s that a ray holds at once: per position its complex mean and
+# np.unwrap's temporaries, per path the projection W, the two exact complex end
+# vectors and the two complex vectors of the running power
+_FLOATS_PER_POSITION, _FLOATS_PER_PATH = 11, 9
 
 
 def _path_rng(master_seed, n):
@@ -165,7 +171,7 @@ def _cf_terms(rs, w):
     cos fills the real parts and sin the imaginary parts, which equals
     np.exp(1j * np.outer(rs, w)) bit for bit wherever rs[j] * w is finite
     (NaN elsewhere) at half its cost: exp also forms the complex product
-    1j * x and exponentiates its zero real part.  _ray_terms calls it for a
+    1j * x and exponentiates its zero real part.  _ray_means calls it for a
     ray's first and last rows only.
     """
     x = np.outer(rs, w)
@@ -177,23 +183,30 @@ def _cf_terms(rs, w):
     return terms
 
 
-def _ray_terms(rs, w):
-    """The per-path CF terms of the ray rs = (1..R)/R: row k is exp(1j * rs[k] * w).
+def _ray_means(rs, w):
+    """The CF means of the ray rs = (1..R)/R, and the exact terms at its end r = 1.
 
-    The first and last rows are _cf_terms' exact ones.  Each row between is
-    the row before it times the first, as e^(i k w/R) = (e^(i w/R))^k, and
-    NaN where w is.  Row k carries the roundings of k - 1 complex products,
-    about k ulps, where np.exp(1j * rs[k] * w) carries the rounding of
-    rs[k] * w: the two differ widely only where |w| is so large (1e22)
-    that an ulp of rs[k] * w is a turn or more.
+    Mean k is that of the per-path terms exp(1j * rs[k] * w), formed one
+    position at a time in two complex N-vectors, so a ray holds its R means
+    and a few N-vectors whatever R is.  The terms at r = 1/R and r = 1 are
+    _cf_terms' exact ones.  Each position between is the one before it
+    times the first, as e^(i k w/R) = (e^(i w/R))^k, and NaN where w is.
+    Position k carries the roundings of k - 1 complex products, about k
+    ulps, where np.exp(1j * rs[k] * w) carries the rounding of rs[k] * w:
+    the two differ widely only where |w| is so large (1e22) that an ulp of
+    rs[k] * w is a turn or more.  Each mean is row.sum() / N, the bytes that
+    .mean(axis=1) gives on the (R, N) array of every position's terms.
     """
-    terms = np.empty((rs.size, w.size), dtype=complex)
-    ends = slice(None, None, max(rs.size - 1, 1))  # the first and last rows, or the one
-    terms[ends] = _cf_terms(rs[ends], w)
-    first = terms[0]
-    for before, row in zip(terms[:-2], terms[1:-1]):
-        np.multiply(before, first, out=row)
-    return terms
+    ends = _cf_terms(rs[:: max(rs.size - 1, 1)], w)  # the first and last positions, or the one
+    first, last = ends[0], ends[-1]
+    sums = np.empty(rs.size, dtype=complex)
+    sums[0], sums[-1] = first.sum(), last.sum()
+    # out of place, in turn: numpy rounds an in-place product of one element differently
+    powers, row = np.empty((2, w.size), dtype=complex), first
+    for k in range(1, rs.size - 1):
+        row = np.multiply(row, first, out=powers[k % 2])
+        sums[k] = row.sum()
+    return sums / w.size, last
 
 
 def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
@@ -202,13 +215,14 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     Returns one EcfEstimate of Python numbers, its phase the last of
     np.unwrap over the positions r = k/r_steps, k = 1..r_steps, from 0 at
     r = 0.  Its CF has the bytes of the mean of np.exp(1j * W); the positions
-    r < 1 (see _ray_terms) only steer the unwrapping and the checks.  Aborts
+    r < 1 (see _ray_means) only steer the unwrapping and the checks.  Aborts
     with LowMagnitude at the first position whose CF magnitude falls below
     max(0.1, 5/sqrt(N)).  When a step of the unwrapped phase exceeds pi/2,
     the phase at r = 1 is unwrapped again over 2 * r_steps positions, and
     PhaseAmbiguous is raised if the two differ by a turn or more.  r_steps
     must be a whole number of at least 1, and the ensemble must hold at
-    least one path (a 1-d path is one); a ray whose terms would exceed
+    least one path (a 1-d path is one); a ray whose means and per-path
+    vectors (O(r_steps + n_paths) floats, not their product) would exceed
     physical memory raises MemoryError before they are allocated, and
     non-finite sums sum_j theta_j X(t_j) raise DilastabError before any cos
     or sin.
@@ -224,10 +238,14 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     if bad:
         point = f"times {list(map(float, times))}, thetas {list(map(float, theta_direction))}"
         raise DilastabError(f"{bad} of {n} paths have a non-finite sum theta_j X(t_j) at {point}")
-    check_memory(2 * r_steps * n, f"r_steps = {r_steps} ray positions of n_paths = {n} paths")
+    per_path = _FLOATS_PER_PATH * n
+    check_memory(
+        _FLOATS_PER_POSITION * r_steps + per_path,
+        f"r_steps = {r_steps} ray positions of n_paths = {n} paths",
+    )
     floor = max(0.1, 5.0 / math.sqrt(n))
     rs = np.arange(1, r_steps + 1) / r_steps
-    cfs = _ray_terms(rs, w).mean(axis=1)
+    cfs = _ray_means(rs, w)[0]
     mags = np.abs(cfs)
     low = np.nonzero(mags < floor)[0]
     if low.size:
@@ -235,8 +253,12 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
         raise LowMagnitude(float(rs[i]), float(mags[i]), floor)
     phases = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))
     if (np.abs(np.diff(phases)) > math.pi / 2).any():
-        check_memory(4 * r_steps * n, f"{2 * r_steps} ray positions of n_paths = {n} paths")
-        fine = _ray_terms(np.arange(1, 2 * r_steps + 1) / (2 * r_steps), w).mean(axis=1)
+        # the doubled ray beside the first one's means, magnitudes and phases
+        check_memory(
+            (4 + 2 * _FLOATS_PER_POSITION) * r_steps + per_path,
+            f"{2 * r_steps} ray positions of n_paths = {n} paths",
+        )
+        fine = _ray_means(np.arange(1, 2 * r_steps + 1) / (2 * r_steps), w)[0]
         # both rays end in the same r = 1 CF, so the phases differ by whole turns
         turns = round((np.unwrap(np.angle(fine))[-1] - phases[-1]) / (2 * math.pi))
         if turns:

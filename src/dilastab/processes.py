@@ -561,13 +561,19 @@ def apply_transforms(path, params, transforms):
 
     Each transform is a time map and a weight shared by every path, so an
     ensemble is mapped as one matrix and a single path is the one-row case.
-    Returns a SamplePath with the new grid, values and role.  A step that
+    Returns a SamplePath with the new grid, values and role; a non-empty
+    chain's values never share memory with path's.  A weighted step makes a
+    new matrix, and a relabel-only step (a transform without a weight)
+    copies the values only while they are still path's: a matrix the chain
+    made itself is relabelled as it is, reversed as a view where the clock
+    runs backwards.  An empty chain returns path's values.  A step that
     takes finite values to a non-finite time or value raises ValueError
     naming the transform, alpha, delta and the times it was given, whatever
     the caller's errstate; values that are already non-finite are carried on.
     A bare string of names or an unknown name raises ValueError.
     """
     grid, values, role = path.grid, path.values, path.role
+    own = False  # whether values were made by the chain, not handed in
     for name in _chain(transforms):
         step = TRANSFORMS[name]
         if step.source is not None and role != step.source:
@@ -580,7 +586,7 @@ def apply_transforms(path, params, transforms):
                 # points and columns together
                 pts, new, values = pts[::-1], new[::-1], values[..., ::-1]
             if step.weight is None:
-                out = values.copy()
+                out = values if own else values.copy()
             else:
                 out = step.weight(pts, new, params.hurst) * values
         if not (np.isfinite(new).all() and np.isfinite(out).all()) and np.isfinite(values).all():
@@ -589,7 +595,7 @@ def apply_transforms(path, params, transforms):
                 f"takes times in [{grid.points[0]:.6g}, {grid.points[-1]:.6g}] or the values "
                 "on them out of the float range"
             )
-        grid, values, role = TimeGrid(new), out, step.role
+        grid, values, role, own = TimeGrid(new), out, step.role, True
     return SamplePath(grid, values, role)
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -565,15 +566,15 @@ def test_oversized_r_steps_exit_2_before_simulating(capsys, monkeypatch, r_steps
 
 def test_a_ray_over_physical_memory_exits_2_before_allocating(capsys, monkeypatch):
     # 10**8 ray positions of 30 paths once asked numpy for 22.4 GiB, and its
-    # error named no input
+    # error named no input; a streamed ray needs its 10**8 complex means
     def allocate(*args, **kwargs):
         raise AssertionError("a ray over the memory figure reached the allocation")
 
     monkeypatch.setattr(processes, "_physical_memory", lambda: 2**30)
-    monkeypatch.setattr(ecf, "_ray_terms", allocate)
+    monkeypatch.setattr(ecf, "_ray_means", allocate)
     code, out, err = run_cli(capsys, *SMALL_VERIFY, "--r-steps", "100000000")
     assert out == ""
-    words = ("not enough memory", "r_steps = 100000000", "n_paths = 30 paths", "44.7 GiB", "the 1 GiB")
+    words = ("not enough memory", "r_steps = 100000000", "n_paths = 30 paths", "8.2 GiB", "the 1 GiB")
     assert_one_error_line(code, err, *words)
 
 
@@ -1241,6 +1242,31 @@ def test_help_still_prints_usage(capsys):
     code, out, err = run_cli(capsys, "verify", "--help")
     assert code == 0 and err == ""
     assert out.startswith("usage: dilastab verify [-h]")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "oracle"])
+def test_main_builds_the_flags_of_the_named_subcommand_only(capsys, monkeypatch, command):
+    # every command once built all three subcommands' parsers, about 1.9 ms
+    calls = collections.Counter()
+    add_argument = cli._Parser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls[self.prog] += 1
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_argument", counted)
+    # each parser adds its own -h
+    flags = {
+        f"dilastab {name}": 1 + sum(name in row.commands for row in cli._INPUTS)
+        for name in ("simulate", "verify", "oracle")
+    }
+    assert run_cli(capsys, command, "--help")[0] == 0
+    assert calls == {"dilastab": 1, f"dilastab {command}": flags[f"dilastab {command}"]}
+    # without a subcommand named first, every one is built for the message
+    for argv in (["--help"], [], ["bogus", command]):
+        calls.clear()
+        run_cli(capsys, *argv)
+        assert calls == {"dilastab": 1, **flags}
 
 
 VERIFY_ONE_POINT = ("verify", "--n-paths", "30", "--times", "1", "--thetas", "1")

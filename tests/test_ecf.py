@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,7 +49,8 @@ from dilastab import (
     simulate_ensemble,
 )
 from dilastab._seeds import BLOCK, _block_seeds
-from dilastab.ecf import _cf_terms, _projection, _ray_terms
+from dilastab import ecf
+from dilastab.ecf import _cf_terms, _projection, _ray_means
 from dilastab.processes import pull_back
 from dilastab.validation import CONDITION_A, CONDITION_B, admissibility
 
@@ -170,7 +172,7 @@ def test_log_cf_phases_are_np_unwraps(mean):
     # 30 steps by about 1.875 rad, which the doubled ray confirms
     ens = normal_ensemble(mean, 0.1, 1000, 6)
     est = estimate_log_cf(ens, (1.0,), (1.0,), r_steps=16)
-    cfs = _ray_terms(np.arange(1, 17) / 16, _projection(ens, (1.0,), (1.0,))).mean(axis=1)
+    cfs, _ = _ray_means(np.arange(1, 17) / 16, _projection(ens, (1.0,), (1.0,)))
     want = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))[-1]
     assert_same_bits(est.logcf.imag, want)
     assert [type(v) for v in dataclasses.astuple(est)] == [complex, float, complex, float]
@@ -250,7 +252,7 @@ def test_ecf_bytes_equal_the_complex_exponential(name, times, thetas):
         if name in ("gaussian", "gamma"):
             # the ray's positions between its ends, powers of the first
             # position's terms, stay within k ulps of the exponential's
-            cfs = _ray_terms(np.arange(1, 17) / 16, w).mean(axis=1)
+            cfs, _ = _ray_means(np.arange(1, 17) / 16, w)
             k = np.arange(2, 16)
             assert (abs(cfs[1:-1] - want[0][1:-1]) <= 32 * k * np.finfo(float).eps).all()
         top = est.logcf
@@ -279,13 +281,17 @@ EDGE_W = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e22, -1e22, np.nan])
 def test_ray_terms_are_exact_at_the_ends_and_powers_between(r_steps, w):
     w = np.array(w)
     rs = np.arange(1, r_steps + 1) / r_steps
-    got = _ray_terms(rs, w)
-    assert got.shape == (r_steps, w.size)
+    cfs, last = _ray_means(rs, w)
     finite = ~np.isnan(w)
-    # the exponential's bytes at both ends, its powers between
-    assert_same_bits(got[:, finite], power_terms(w[finite], r_steps))
-    # a NaN projection spoils its own path's terms and no other's
-    assert np.isnan(got[:, ~finite]).all()
+    if finite.all():
+        # the means of the exponential's bytes at both ends, of its powers between
+        assert_same_bits(cfs, power_terms(w, r_steps).mean(axis=1))
+    else:
+        # a NaN projection spoils every mean
+        assert np.isnan(cfs).all()
+    # the exact per-path terms at r = 1, NaN where the projection is
+    assert_same_bits(last[finite], np.exp(1j * w[finite]))
+    assert np.isnan(last[~finite]).all()
 
 
 def test_ray_terms_evaluate_cos_and_sin_at_the_ends_only(monkeypatch):
@@ -325,13 +331,47 @@ def test_check_scaling_on_a_wrapping_ray_matches_all_cos_sin_rows(monkeypatch):
     law = DilativeLaw(1.0, 1.0, 2.0)
     points = marginal_points((0.5, 1.0, 2.0), (0.5, 0.7)) + [increment_pair(0.5, 1.0, 1.0)]
     got = check_scaling(ens, law, points).rows
-    monkeypatch.setattr(ecf_module, "_ray_terms", all_cos_sin_terms)
+    monkeypatch.setattr(
+        ecf_module, "_ray_means", lambda rs, w: (all_cos_sin_terms(rs, w).mean(axis=1), None)
+    )
     want = check_scaling(ens, law, points).rows
     assert max(row.lhs.imag for row in got) > 40
     assert all(row.passed for row in got)
     for a, b in zip(got, want):
         for x, y in [(a.lhs, b.lhs), (a.rhs, b.rhs), (a.z_real, b.z_real), (a.z_imag, b.z_imag)]:
             assert x == pytest.approx(y, rel=1e-12, abs=1e-12)
+
+
+def ray_peak(ens, r_steps):
+    """The tracemalloc peak of one estimate_log_cf at theta 1, in bytes."""
+    tracemalloc.start()
+    try:
+        estimate_log_cf(ens, (1.0,), (1.0,), r_steps=r_steps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ray_memory_does_not_grow_with_r_steps():
+    # a ray streams its positions: the (r_steps, n_paths) complex terms it
+    # once held made the peak at 256 steps about 13 times that at 16
+    ens = normal_ensemble(0.0, 0.1, 4000, 15)
+    assert ray_peak(ens, 256) < 1.25 * ray_peak(ens, 16)
+
+
+@pytest.mark.parametrize(
+    "n_paths, r_steps, mean",
+    [(4000, 1, 0.0), (4000, 16, 0.0), (4000, 16, 30.0), (30, 20000, 0.0), (30, 20000, 4e4)],
+)
+def test_floats_per_position_and_path_bound_a_ray(n_paths, r_steps, mean):
+    # check_memory guards these floats before a ray; a mean of 30 or 4e4
+    # turns the phase by about 2 rad per step, so the doubled ray runs too
+    ens = normal_ensemble(mean, 1e-3, n_paths, 16)
+    doubled = mean != 0.0
+    per_position = 4 + 2 * ecf._FLOATS_PER_POSITION if doubled else ecf._FLOATS_PER_POSITION
+    floats = per_position * r_steps + ecf._FLOATS_PER_PATH * n_paths
+    # a few KiB of array headers and Python objects do not grow with either
+    assert ray_peak(ens, r_steps) <= 8 * floats + 2**14
 
 
 @pytest.mark.parametrize("r_steps", [16, 16.0, np.int64(16), np.float64(16.0)])

@@ -471,6 +471,36 @@ def test_reparam_idt():
         apply_transforms(v, DilationParams(1.0, 0.0), ("idt",))
 
 
+def applicable_chains(role, longest=2):
+    """Every chain of 1 to `longest` TRANSFORMS names whose steps accept the role before them."""
+    chains, frontier = [], [((), role)]
+    for _ in range(longest):
+        frontier = [
+            (chain + (name,), step.role)
+            for chain, before in frontier
+            for name, step in TRANSFORMS.items()
+            if step.source in (None, before)
+        ]
+        chains += [chain for chain, _ in frontier]
+    return chains
+
+
+@pytest.mark.parametrize("delta", [1.0, -0.5])
+@pytest.mark.parametrize("role", ["X", "V"])
+def test_no_chain_output_shares_memory_with_its_input(role, delta):
+    # a relabel-only step copies the values it is handed and relabels the
+    # chain's own matrix in place (as a reversed view where delta < 0)
+    params = DilationParams(1.0, delta)
+    grid = TimeGrid(np.array([1.5, 2.0, 2.5, 3.0]))
+    chains = applicable_chains(role)
+    assert len(chains) == {"X": 8, "V": 14}[role]
+    for chain in chains:
+        path = SamplePath(grid, np.arange(8.0).reshape(2, 4), role=role)
+        out = apply_transforms(path, params, chain)
+        assert not np.shares_memory(out.values, path.values), chain
+        assert np.array_equal(path.values, np.arange(8.0).reshape(2, 4)), chain
+
+
 @pytest.mark.parametrize("transforms", ["lamperti", "idt", ""])
 def test_apply_transforms_and_pull_back_refuse_a_bare_string(transforms):
     # "lamperti" was read letter by letter and refused as unknown transform 'l';
