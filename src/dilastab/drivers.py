@@ -60,8 +60,11 @@ class GaussianJumps(_Parameters):
     def cf(self, th):
         return np.exp(1j * self.mean * th - 0.5 * self.variance * th**2)
 
-    def draw_sums(self, counts, rng, out):
+    def draw(self, counts, rng, out):
         rng.standard_normal(out=out)
+
+    def finish(self, counts, out):
+        # counts * mean + sqrt(counts * variance) * z
         part = np.multiply(counts, self.variance)
         out *= np.sqrt(part, out=part)
         out += np.multiply(counts, self.mean, out=part)
@@ -87,8 +90,12 @@ class TwoPointJumps(_Parameters):
     def variance(self):
         return self.magnitude**2
 
-    def draw_sums(self, counts, rng, out):
-        np.multiply(2.0, rng.binomial(counts, 0.5), out=out)
+    def draw(self, counts, rng, out):
+        out[...] = rng.binomial(counts, 0.5)
+
+    def finish(self, counts, out):
+        # magnitude * (2.0 * ups - counts)
+        out *= 2.0
         out -= counts
         out *= self.magnitude
 
@@ -102,13 +109,23 @@ class LevyDriver(_Parameters):
     Each driver defines _exponent(th), the Levy exponent at a float array
     th; _cells(dts), the tuple of per-cell arrays its law takes from an
     array of durations (a location and a scale, a Poisson mean, a gamma
-    shape); draw(cells, rng, out), which writes its increments over those
-    cells into the float array out, with the variates listed in
-    sample_increments; mean_rate() = E L(1); and variance_rate() = Var L(1),
-    possibly infinite.  The cells depend on the durations alone, so a
-    SimulationPlan computes them once for all its paths; draw neither keeps
-    nor writes them, and computes each increment with the float operations
-    of the expression its comment gives, in place where it can.
+    shape); mean_rate() = E L(1); variance_rate() = Var L(1), possibly
+    infinite; and its increments over those cells, drawn in two steps into
+    a block with one row per path (SimulationPlan.rows), with the variates
+    listed in sample_increments:
+      * draw(cells, rng, out, aux), the per-path step, makes only the
+        generator calls, in that table's order.  It writes the last variate
+        kind into out, the path's row of the increments block, and, where
+        the law draws two kinds (auxiliary is then true), the first into
+        aux, the path's row of the auxiliary block: the stable uniforms, or
+        the compound Poisson counts as float64.
+      * finish(cells, out, aux), the per-block step, maps all the rows of
+        the blocks to increments at once, in place, with the float
+        operations of the expression its comment gives, in that order.
+    empty_blocks(shape) makes the two blocks.  The cells depend on the
+    durations alone, so a SimulationPlan computes them once for all its
+    paths; neither step keeps nor writes them, and finish broadcasts them
+    over a block's rows.
     max_moment_order(), the supremum of the finite absolute moment orders of
     L(1), is infinite unless the driver says otherwise.  A driver refuses, naming itself, a
     mean or variance of L(1) that its law makes finite but that leaves the
@@ -119,6 +136,7 @@ class LevyDriver(_Parameters):
     """
 
     stable_part = None
+    auxiliary = False
     # the largest |per-cell constant| draw takes
     cell_limit = np.finfo(float).max
 
@@ -160,6 +178,15 @@ class LevyDriver(_Parameters):
             )
         return cells
 
+    def empty_blocks(self, shape):
+        """The empty increments block of this shape and its auxiliary block.
+
+        The auxiliary block has the same shape where the driver is
+        auxiliary, and else no cells in its last axis: an empty row for
+        each row of the increments block.
+        """
+        return np.empty(shape), np.empty(shape if self.auxiliary else shape[:-1] + (0,))
+
     def max_moment_order(self):
         return math.inf
 
@@ -183,10 +210,12 @@ class GaussianDriver(LevyDriver):
     def _cells(self, dts):
         return self.drift * dts, np.sqrt(self.variance * dts)
 
-    def draw(self, cells, rng, out):
+    def draw(self, cells, rng, out, aux):
+        rng.standard_normal(out=out)
+
+    def finish(self, cells, out, aux):
         # loc + scale * z
         loc, scale = cells
-        rng.standard_normal(out=out)
         out *= scale
         out += loc
 
@@ -224,22 +253,35 @@ class SymmetricStableDriver(LevyDriver):
             return (np.sqrt(2.0 * self.scale * dts),)
         return ((self.scale * dts) ** (1.0 / self.index),)
 
-    def draw(self, cells, rng, out):
+    @property
+    def auxiliary(self):
+        return self.index < 2.0
+
+    def draw(self, cells, rng, out, aux):
+        if self.index == 2.0:
+            rng.standard_normal(out=out)
+            return
+        rng.random(out=aux)  # u, mapped onto (-pi/2, pi/2) by finish
+        rng.standard_exponential(out=out)  # w, drawn but unused at p = 1
+
+    def finish(self, cells, out, aux):
         (scale,) = cells
         p = self.index
         if p == 2.0:
             # 0.0 + scale * z: 0.0 + keeps rng.normal(0.0, scale)'s +0.0
             # where the product is -0.0
-            rng.standard_normal(out=out)
             out *= scale
             out += 0.0
             return
+        # u = low + (high - low) * r, rng.uniform(low, high)'s own formula
+        low, high = -math.pi / 2, math.pi / 2
+        u = aux
+        u *= high - low
+        u += low
         # Chambers-Mallows-Stuck in the symmetric case; CF is exp(-|theta|**p):
         # scale * draws, with draws = tan(u) at p = 1 and else
         # sin(pu) / cos(u) ** (1 / p) * (cos(u - pu) / w) ** ((1 - p) / p);
         # x **= y takes the same fast paths as x ** y
-        u = rng.uniform(-math.pi / 2, math.pi / 2, out.shape)
-        rng.standard_exponential(out=out)  # w, drawn but unused at p = 1
         if p == 1.0:
             np.tan(u, out=out)
         else:
@@ -276,10 +318,12 @@ class CompoundPoissonDriver(LevyDriver):
 
     A jump law (one of JUMP_KINDS) has a mean and a variance, as fields or
     properties; cf(th), the characteristic function of one jump at an array
-    th; and draw_sums(counts, rng, out), which writes the sums of counts[i]
-    independent jumps, one per cell, into out.  Gaussian jumps sum to
-    counts * mean + sqrt(counts * variance) * z, two-point ones to
-    magnitude * (2.0 * ups - counts) with ups ~ binomial(counts, 1/2).
+    th; and the sums of counts[i] independent jumps, one per cell, in the
+    driver's two steps: draw(counts, rng, out) writes one path's variates
+    into out from its integer counts, and finish(counts, out) maps a block
+    of them to the sums in place, with the counts as float64.  Gaussian
+    jumps sum to counts * mean + sqrt(counts * variance) * z, two-point ones
+    to magnitude * (2.0 * ups - counts) with ups ~ binomial(counts, 1/2).
     """
 
     rate: float = 1.0
@@ -288,6 +332,7 @@ class CompoundPoissonDriver(LevyDriver):
     )
 
     kind = "compound_poisson"
+    auxiliary = True
     # numpy's Generator.poisson refuses a larger mean (numpy/random/_generator.pyx)
     cell_limit = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
@@ -303,9 +348,18 @@ class CompoundPoissonDriver(LevyDriver):
     def _cells(self, dts):
         return (self.rate * dts,)
 
-    def draw(self, cells, rng, out):
+    def draw(self, cells, rng, out, aux):
         (lam,) = cells
-        self.jumps.draw_sums(rng.poisson(lam), rng, out)
+        # the integer counts live in out's bytes until the jumps' variates
+        # replace them, so no array beyond the blocks outlives the poisson
+        # call; aux keeps them as float64, as numpy casts them to multiply
+        counts = out.view(np.int64)
+        counts[...] = rng.poisson(lam)
+        aux[...] = counts
+        self.jumps.draw(counts, rng, out)
+
+    def finish(self, cells, out, aux):
+        self.jumps.finish(aux, out)
 
     def mean_rate(self):
         return self.rate * self.jumps.mean
@@ -333,10 +387,12 @@ class GammaDriver(LevyDriver):
     def _cells(self, dts):
         return (self.shape * dts,)
 
-    def draw(self, cells, rng, out):
-        # standard_gamma(shape) * (1.0 / rate)
+    def draw(self, cells, rng, out, aux):
         (shape,) = cells
         rng.standard_gamma(shape, out=out)
+
+    def finish(self, cells, out, aux):
+        # standard_gamma(shape) * (1.0 / rate)
         out *= 1.0 / self.rate
 
     def mean_rate(self):
@@ -355,21 +411,24 @@ DRIVER_KINDS = {
 }
 
 
-def sample_increments(spec, durations, rng, cells=None, out=None):
+def sample_increments(spec, durations, rng, cells=None, out=None, aux=None):
     """Draw independent increments of L over intervals of the given lengths.
 
     Vectorised over durations; a duration of 0 yields exactly 0.0.  cells
     are spec.cells(durations), which the driver computes and checks here
     when not given: a SimulationPlan does so once for all its paths, as
-    they depend on the durations alone.  out, when given, is the
-    C-contiguous float64 array of the durations' shape (one value for a
-    scalar duration) that the increments are written to and that is
-    returned, such as one row of a block (SimulationPlan.rows); else a new
-    array is.  Each driver then draws one standard variate of each kind per
-    duration (cell), all k cells of a kind at once, and maps them with the
-    float operations of numpy's own location-scale samplers, into out
-    wherever numpy takes an out.  The variates drawn, and their order,
-    therefore fix the output bytes for a seed, whether or not out is given:
+    they depend on the durations alone.  Without out, both of the driver's
+    steps run on a new array of the durations' shape (one value for a
+    scalar duration), the one-row block, and the finished increments are
+    returned.  With out, only the per-path step runs: out and aux are a
+    path's rows of the blocks of spec.empty_blocks, such as SimulationPlan.rows
+    passes, the variates are written there and out is returned, and the
+    caller maps the whole block with spec.finish(cells, block, aux_block).
+    Each driver draws one standard variate of each kind per duration
+    (cell), all k cells of a kind at once, and maps them with the float
+    operations of numpy's own samplers (location-scale, uniform).  The
+    variates drawn, and their order, therefore fix the output bytes for a
+    seed, whether a path is drawn alone or in a block:
 
     ===========================  =============================================
     driver                       variates, in order
@@ -386,9 +445,12 @@ def sample_increments(spec, durations, rng, cells=None, out=None):
     dts = np.asarray(durations, dtype=float)
     if cells is None:
         cells = spec.cells(dts.reshape(1) if dts.ndim == 0 else dts)
-    if out is None:
-        out = np.empty(dts.shape or 1)
-    spec.draw(cells, rng, out)
+    if out is not None:
+        spec.draw(cells, rng, out, aux)
+        return out
+    out, aux = spec.empty_blocks(dts.shape or (1,))
+    spec.draw(cells, rng, out, aux)
+    spec.finish(cells, out, aux)
     return float(out[0]) if dts.ndim == 0 else out
 
 

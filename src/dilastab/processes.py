@@ -86,11 +86,12 @@ TAIL_TOL = 1e-4
 
 # float64 arrays of a plan's length alive at once while it is built and
 # rows(1) draws and sums one path into its block: the plan holds durations,
-# weights and the driver's cells, and a draw its variates and temporaries.
+# weights and the driver's cells, and a draw its blocks of variates (two where
+# the driver is auxiliary) and the temporaries of its calls and formulas.
 # The peak of tracemalloc over plan_dilative and rows(1), in floats per cell,
 # at alpha = delta = 1, times 0.5, 1 and 2 and refine 20000 (119k-202k cells):
-#   Gaussian (both tested)   6.13    compound Poisson, Gaussian jumps   6.04
-#   stable 1.5               7.00    compound Poisson, two-point jumps  6.05
+#   Gaussian (both tested)   6.13    compound Poisson, Gaussian jumps   6.01
+#   stable 1.5               7.00    compound Poisson, two-point jumps  6.01
 #   stable 1                 5.13    gamma                              5.13
 #   stable 2                 5.13
 # plus about 3 KiB of array headers and Python objects, whatever the cells
@@ -222,7 +223,7 @@ class SimulationPlan:
     X at output time j sums weights[i] times the driver's increment over the
     clock increment durations[i] for the cells i < out_index[j].  The
     driver's per-cell constants spec.cells(durations) are computed once, when
-    the plan is built.  Every run(rng, out) consumes the generator
+    the plan is built.  Every run(rng, out, aux) consumes the generator
     identically, so path n of an ensemble is reproducible from its derived
     stream alone.
     """
@@ -240,14 +241,15 @@ class SimulationPlan:
         self._at_start = bool(self.out_index[0] == 0)
         self._take = self.out_index[int(self._at_start) :] - 1
 
-    def run(self, rng, out=None):
-        """One path's driver increments over the plan's cells, drawn from rng.
+    def run(self, rng, out=None, aux=None):
+        """One path's draw over the plan's cells from rng: sample_increments.
 
-        They are written into out, a C-contiguous float array of one value
-        per cell, when it is given (rows passes each path its row of the
-        block), and into a new array otherwise; the array is returned.
+        Without out, its finished increments, in a new array.  rows passes
+        out and aux, the path's rows of its two blocks (one value per cell
+        where the driver is auxiliary), and run then writes only the path's
+        variates there, for rows to map block by block; out is returned.
         """
-        return sample_increments(self.spec, self.durations, rng, self.cells, out)
+        return sample_increments(self.spec, self.durations, rng, self.cells, out, aux)
 
     def rows(self, n_rows, rng_of):
         """Draw n_rows paths into one (n_rows, outputs) matrix.
@@ -259,11 +261,15 @@ class SimulationPlan:
         draws are Python-bound and hold the interpreter lock, so they run
         serially: on a 2-core machine one pool task per path on 2 threads had
         made 1000 gamma paths of 710 cells about 4 times slower.  Each path
-        is drawn straight into its row of a block of at most _BLOCK_FLOATS
-        increments, with no copy, and the block is weighed and summed at
-        once.  Draws or weighted sums that leave the float range raise
-        ValueError naming the driver, alpha and delta, whatever the caller's
-        errstate, and an n_rows that is no whole number >= 0 one naming it.
+        makes only its generator calls (run), straight into its row of a
+        block of at most _BLOCK_FLOATS increments and, where the driver is
+        auxiliary, of a second block as large, with no copy.  The driver's
+        formulas (spec.finish) then map the whole block at once, since per
+        path numpy's per-call overhead outweighs their arithmetic, and the
+        block is weighed and summed at once.  Draws or weighted sums that
+        leave the float range raise ValueError naming the driver, alpha and
+        delta, whatever the caller's errstate, and an n_rows that is no
+        whole number >= 0 one naming it.
         """
         n_rows, k = read_number(int, "n_rows", n_rows), self.durations.size
         if n_rows < 0:
@@ -272,14 +278,15 @@ class SimulationPlan:
         first = int(self._at_start)
         values[:, :first] = 0.0
         block = max(1, _BLOCK_FLOATS // max(k, 1))
-        buffer = np.empty((min(block, n_rows), k))
+        buffer, aux = self.spec.empty_blocks((min(block, n_rows), k))
         with np.errstate(all="ignore"):  # inf and nan are looked for after the loop
             for start in range(0, n_rows, block):
                 stop = min(start + block, n_rows)
-                # the rows of the buffer, each a view that run draws into
-                for n, row in zip(range(start, stop), buffer):
-                    self.run(rng_of(n), row)
+                # the rows of the two blocks, each a view that run draws into
+                for n, row, aux_row in zip(range(start, stop), buffer, aux):
+                    self.run(rng_of(n), row, aux_row)
                 inc = buffer[: stop - start]
+                self.spec.finish(self.cells, inc, aux[: stop - start])
                 inc *= self.weights
                 inc.cumsum(axis=1, out=inc)
                 values[start:stop, first:] = inc[:, self._take]

@@ -175,7 +175,8 @@ def per_path_increments(spec, dts, rng):
 def test_shared_cells_draw_like_the_per_path_formulas(spec):
     # every driver and jump kind, with the cells computed by the call, with
     # one set of cells passed to every call, as a plan passes them, and drawn
-    # into one row of a larger block, as SimulationPlan.rows draws
+    # into one row of larger blocks and mapped by the block step, as
+    # SimulationPlan.rows draws
     dts = np.array([0.0, 0.1, 2.5, 0.0, 1e-9, 7.0] * 50)
     rng, shared, into, ref = (np.random.default_rng(8) for _ in range(4))
     cells = spec.cells(dts)
@@ -183,11 +184,31 @@ def test_shared_cells_draw_like_the_per_path_formulas(spec):
         want = per_path_increments(spec, dts, ref).tobytes()
         assert sample_increments(spec, dts, rng).tobytes() == want
         assert sample_increments(spec, dts, shared, cells).tobytes() == want
-        block = np.zeros((3, dts.size))
-        row = sample_increments(spec, dts, into, cells, block[i])
-        assert row.base is block and block[i].tobytes() == want
+        block, aux = (np.zeros_like(b) for b in spec.empty_blocks((3, dts.size)))
+        assert aux.shape == ((3, dts.size) if spec.auxiliary else (3, 0))
+        row = sample_increments(spec, dts, into, cells, block[i], aux[i])
+        assert row.base is block
+        spec.finish(cells, block[i : i + 1], aux[i : i + 1])
+        assert block[i].tobytes() == want
         others = np.delete(block, i, axis=0)
         assert not others.any() and not np.signbit(others).any()
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 7])
+@pytest.mark.parametrize("spec", ALL_DRIVERS, ids=lambda s: type(s).__name__ + repr(s))
+def test_one_block_step_maps_every_row_like_its_path_alone(spec, n_rows):
+    # each path makes only its generator calls, into its rows of the two
+    # blocks; one block step then gives every row the bytes of its path's
+    # per-path formulas, signed zeros included
+    dts = np.array([0.0, 0.1, 2.5, 0.0, 1e-9, 7.0] * 50)
+    cells = spec.cells(dts)
+    block, aux = spec.empty_blocks((n_rows, dts.size))
+    for n, (row, aux_row) in enumerate(zip(block, aux)):
+        sample_increments(spec, dts, np.random.default_rng([n_rows, n]), cells, row, aux_row)
+    spec.finish(cells, block, aux)
+    for n in range(n_rows):
+        want = per_path_increments(spec, dts, np.random.default_rng([n_rows, n]))
+        assert block[n].tobytes() == want.tobytes()
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from dilastab import (
     SimulationPlan,
     SymmetricStableDriver,
     TimeGrid,
+    TwoPointJumps,
     apply_transforms,
     driver_to_dict,
     extract_background,
@@ -38,7 +39,7 @@ from dilastab import (
     simulate_ensemble,
     tau,
 )
-from dilastab import processes
+from dilastab import ecf, processes
 from dilastab.processes import _truncation_point, pull_back
 from dilastab.timechange import tau_density
 from test_drivers import ALL_DRIVERS
@@ -245,6 +246,45 @@ def test_an_ensemble_is_a_prefix_of_a_larger_one_across_blocks():
     for m in (1, block - 1, block, block + 1, 2 * block + 3, n):
         small = simulate_ensemble(GaussianDriver(), UNIT, times, m, master_seed=5).values
         assert small.tobytes() == big[:m].tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SymmetricStableDriver(1.5, 1.0),
+        GaussianDriver(),
+        GammaDriver(1.0, 1.0),
+        CompoundPoissonDriver(1.5, TwoPointJumps(0.8)),
+    ],
+    ids=repr,
+)
+def test_an_ensemble_draws_each_path_through_run_sample_increments_and_derive_rng(
+    monkeypatch, spec
+):
+    # the benchmark's traced run counts these calls, and its smoke test wants
+    # one of run and derive_rng per path; sample_increments is counted by the
+    # durations it is given, so each call must get all of the plan's
+    plans, seeds, durations = [], [], []
+
+    def run(self, *args, run=SimulationPlan.run):
+        plans.append(self)
+        return run(self, *args)
+
+    def derive_rng(*args, derive=ecf.derive_rng):
+        seeds.append(args)
+        return derive(*args)
+
+    def sample(spec, dts, *args, sample=processes.sample_increments):
+        durations.append(dts)
+        return sample(spec, dts, *args)
+
+    monkeypatch.setattr(SimulationPlan, "run", run)
+    monkeypatch.setattr(ecf, "derive_rng", derive_rng)
+    monkeypatch.setattr(processes, "sample_increments", sample)
+    simulate_ensemble(spec, UNIT, np.geomspace(0.5, 8.0, 8), 300, master_seed=3)
+    assert seeds == [(3, n) for n in range(300)]
+    assert len(plans) == len(durations) == 300 and all(plan is plans[0] for plan in plans)
+    assert all(np.array_equal(d, plans[0].durations) for d in durations)
 
 
 @pytest.mark.parametrize(
