@@ -111,21 +111,18 @@ class LevyDriver(_Parameters):
     array of durations (a location and a scale, a Poisson mean, a gamma
     shape); mean_rate() = E L(1); variance_rate() = Var L(1), possibly
     infinite; and its increments over those cells, drawn in two steps into
-    a block with one row per path (SimulationPlan.rows), with the variates
-    listed in sample_increments:
-      * draw(cells, rng, out, aux), the per-path step, makes only the
-        generator calls, in that table's order.  It writes the last variate
-        kind into out, the path's row of the increments block, and, where
-        the law draws two kinds (auxiliary is then true), the first into
-        aux, the path's row of the auxiliary block: the stable uniforms, or
-        the compound Poisson counts as float64.
-      * finish(cells, out, aux), the per-block step, maps all the rows of
-        the blocks to increments at once, in place, with the float
-        operations of the expression its comment gives, in that order.
-    empty_blocks(shape) makes the two blocks.  The cells depend on the
-    durations alone, so a SimulationPlan computes them once for all its
-    paths; neither step keeps nor writes them, and finish broadcasts them
-    over a block's rows.
+    a (kinds, rows, k) block of variates with one row per path
+    (SimulationPlan.rows), kinds being the number of variate kinds listed
+    for it in sample_increments:
+      * draw(cells, rng, out), the per-path step, makes only the generator
+        calls, in that table's order, and writes variate kind j into out[j]
+        of the path's (kinds, k) view of the block.
+      * finish(cells, out), the per-block step, maps a whole block at once,
+        in place, with the float operations of the expression its comment
+        gives, in that order, and returns the increments, out[-1].
+    The cells depend on the durations alone, so a SimulationPlan computes
+    them once for all its paths; neither step keeps nor writes them, and
+    finish broadcasts them over a block's rows.
     max_moment_order(), the supremum of the finite absolute moment orders of
     L(1), is infinite unless the driver says otherwise.  A driver refuses, naming itself, a
     mean or variance of L(1) that its law makes finite but that leaves the
@@ -136,7 +133,7 @@ class LevyDriver(_Parameters):
     """
 
     stable_part = None
-    auxiliary = False
+    kinds = 1
     # the largest |per-cell constant| draw takes
     cell_limit = np.finfo(float).max
 
@@ -178,15 +175,6 @@ class LevyDriver(_Parameters):
             )
         return cells
 
-    def empty_blocks(self, shape):
-        """The empty increments block of this shape and its auxiliary block.
-
-        The auxiliary block has the same shape where the driver is
-        auxiliary, and else no cells in its last axis: an empty row for
-        each row of the increments block.
-        """
-        return np.empty(shape), np.empty(shape if self.auxiliary else shape[:-1] + (0,))
-
     def max_moment_order(self):
         return math.inf
 
@@ -210,14 +198,16 @@ class GaussianDriver(LevyDriver):
     def _cells(self, dts):
         return self.drift * dts, np.sqrt(self.variance * dts)
 
-    def draw(self, cells, rng, out, aux):
-        rng.standard_normal(out=out)
+    def draw(self, cells, rng, out):
+        rng.standard_normal(out=out[0])
 
-    def finish(self, cells, out, aux):
+    def finish(self, cells, out):
         # loc + scale * z
         loc, scale = cells
-        out *= scale
-        out += loc
+        z = out[0]
+        z *= scale
+        z += loc
+        return z
 
     @property
     def stable_part(self):
@@ -254,28 +244,29 @@ class SymmetricStableDriver(LevyDriver):
         return ((self.scale * dts) ** (1.0 / self.index),)
 
     @property
-    def auxiliary(self):
-        return self.index < 2.0
+    def kinds(self):
+        return 1 if self.index == 2.0 else 2
 
-    def draw(self, cells, rng, out, aux):
+    def draw(self, cells, rng, out):
         if self.index == 2.0:
-            rng.standard_normal(out=out)
+            rng.standard_normal(out=out[0])
             return
-        rng.random(out=aux)  # u, mapped onto (-pi/2, pi/2) by finish
-        rng.standard_exponential(out=out)  # w, drawn but unused at p = 1
+        rng.random(out=out[0])  # u, mapped onto (-pi/2, pi/2) by finish
+        rng.standard_exponential(out=out[1])  # w, drawn but unused at p = 1
 
-    def finish(self, cells, out, aux):
+    def finish(self, cells, out):
         (scale,) = cells
         p = self.index
         if p == 2.0:
             # 0.0 + scale * z: 0.0 + keeps rng.normal(0.0, scale)'s +0.0
             # where the product is -0.0
-            out *= scale
-            out += 0.0
-            return
+            z = out[0]
+            z *= scale
+            z += 0.0
+            return z
         # u = low + (high - low) * r, rng.uniform(low, high)'s own formula
         low, high = -math.pi / 2, math.pi / 2
-        u = aux
+        u, w = out
         u *= high - low
         u += low
         # Chambers-Mallows-Stuck in the symmetric case; CF is exp(-|theta|**p):
@@ -283,19 +274,20 @@ class SymmetricStableDriver(LevyDriver):
         # sin(pu) / cos(u) ** (1 / p) * (cos(u - pu) / w) ** ((1 - p) / p);
         # x **= y takes the same fast paths as x ** y
         if p == 1.0:
-            np.tan(u, out=out)
+            np.tan(u, out=w)
         else:
             pu = p * u
             root = np.cos(u)
             root **= 1.0 / p
             u -= pu
             np.cos(u, out=u)
-            u /= out
+            u /= w
             u **= (1.0 - p) / p
             np.sin(pu, out=pu)
             pu /= root
-            np.multiply(pu, u, out=out)
-        out *= scale
+            np.multiply(pu, u, out=w)
+        w *= scale
+        return w
 
     @property
     def stable_part(self):
@@ -332,7 +324,7 @@ class CompoundPoissonDriver(LevyDriver):
     )
 
     kind = "compound_poisson"
-    auxiliary = True
+    kinds = 2
     # numpy's Generator.poisson refuses a larger mean (numpy/random/_generator.pyx)
     cell_limit = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
@@ -348,18 +340,20 @@ class CompoundPoissonDriver(LevyDriver):
     def _cells(self, dts):
         return (self.rate * dts,)
 
-    def draw(self, cells, rng, out, aux):
+    def draw(self, cells, rng, out):
         (lam,) = cells
-        # the integer counts live in out's bytes until the jumps' variates
-        # replace them, so no array beyond the blocks outlives the poisson
-        # call; aux keeps them as float64, as numpy casts them to multiply
-        counts = out.view(np.int64)
+        # the integer counts live in out[1]'s bytes until the jumps' variates
+        # replace them, so no array beyond the block outlives the poisson
+        # call; out[0] keeps them as float64, as numpy casts them to multiply
+        counts = out[1].view(np.int64)
         counts[...] = rng.poisson(lam)
-        aux[...] = counts
-        self.jumps.draw(counts, rng, out)
+        out[0] = counts
+        self.jumps.draw(counts, rng, out[1])
 
-    def finish(self, cells, out, aux):
-        self.jumps.finish(aux, out)
+    def finish(self, cells, out):
+        counts, sums = out
+        self.jumps.finish(counts, sums)
+        return sums
 
     def mean_rate(self):
         return self.rate * self.jumps.mean
@@ -387,13 +381,15 @@ class GammaDriver(LevyDriver):
     def _cells(self, dts):
         return (self.shape * dts,)
 
-    def draw(self, cells, rng, out, aux):
+    def draw(self, cells, rng, out):
         (shape,) = cells
-        rng.standard_gamma(shape, out=out)
+        rng.standard_gamma(shape, out=out[0])
 
-    def finish(self, cells, out, aux):
+    def finish(self, cells, out):
         # standard_gamma(shape) * (1.0 / rate)
-        out *= 1.0 / self.rate
+        g = out[0]
+        g *= 1.0 / self.rate
+        return g
 
     def mean_rate(self):
         return self.shape / self.rate
@@ -411,24 +407,25 @@ DRIVER_KINDS = {
 }
 
 
-def sample_increments(spec, durations, rng, cells=None, out=None, aux=None):
+def sample_increments(spec, durations, rng, cells=None, out=None):
     """Draw independent increments of L over intervals of the given lengths.
 
     Vectorised over durations; a duration of 0 yields exactly 0.0.  cells
     are spec.cells(durations), which the driver computes and checks here
-    when not given: a SimulationPlan does so once for all its paths, as
-    they depend on the durations alone.  Without out, both of the driver's
-    steps run on a new array of the durations' shape (one value for a
-    scalar duration), the one-row block, and the finished increments are
-    returned.  With out, only the per-path step runs: out and aux are a
-    path's rows of the blocks of spec.empty_blocks, such as SimulationPlan.rows
-    passes, the variates are written there and out is returned, and the
-    caller maps the whole block with spec.finish(cells, block, aux_block).
-    Each driver draws one standard variate of each kind per duration
-    (cell), all k cells of a kind at once, and maps them with the float
-    operations of numpy's own samplers (location-scale, uniform).  The
+    when not given: a SimulationPlan does so once for all its paths, as they
+    depend on the durations alone.  Without out, both of the driver's steps
+    run on a new (spec.kinds, *durations.shape) array (one value per kind
+    for a scalar duration), the one-row block, and the finished increments
+    are returned.  With out, only the per-path step runs: out is a path's
+    (spec.kinds, k) view of a (spec.kinds, rows, k) block, such as
+    SimulationPlan.rows passes, the variates are written there and out[-1]
+    is returned; the caller maps the whole block with spec.finish(cells,
+    block).  Each driver draws one standard variate of each kind per
+    duration (cell), all k cells of a kind at once, and maps them with the
+    float operations of numpy's own samplers (location-scale, uniform).  The
     variates drawn, and their order, therefore fix the output bytes for a
-    seed, whether a path is drawn alone or in a block:
+    seed, whether a path is drawn alone or in a block; spec.kinds is the
+    number of kinds:
 
     ===========================  =============================================
     driver                       variates, in order
@@ -446,12 +443,12 @@ def sample_increments(spec, durations, rng, cells=None, out=None, aux=None):
     if cells is None:
         cells = spec.cells(dts.reshape(1) if dts.ndim == 0 else dts)
     if out is not None:
-        spec.draw(cells, rng, out, aux)
-        return out
-    out, aux = spec.empty_blocks(dts.shape or (1,))
-    spec.draw(cells, rng, out, aux)
-    spec.finish(cells, out, aux)
-    return float(out[0]) if dts.ndim == 0 else out
+        spec.draw(cells, rng, out)
+        return out[-1]
+    out = np.empty((spec.kinds,) + (dts.shape or (1,)))
+    spec.draw(cells, rng, out)
+    increments = spec.finish(cells, out)
+    return float(increments[0]) if dts.ndim == 0 else increments
 
 
 def driver_to_dict(spec):

@@ -86,8 +86,8 @@ TAIL_TOL = 1e-4
 
 # float64 arrays of a plan's length alive at once while it is built and
 # rows(1) draws and sums one path into its block: the plan holds durations,
-# weights and the driver's cells, and a draw its blocks of variates (two where
-# the driver is auxiliary) and the temporaries of its calls and formulas.
+# weights and the driver's cells, and a draw its block of variates (spec.kinds
+# rows of cells) and the temporaries of its calls and formulas.
 # The peak of tracemalloc over plan_dilative and rows(1), in floats per cell,
 # at alpha = delta = 1, times 0.5, 1 and 2 and refine 20000 (119k-202k cells):
 #   Gaussian (both tested)   6.13    compound Poisson, Gaussian jumps   6.01
@@ -166,12 +166,15 @@ def _log_over(numerator, moment, q):
 
 
 def _truncation_point(spec, params, tail_tol):
-    """Log-time u_min below which the neglected tail scale is < tail_tol.
+    """Log-time u_min below which the neglected tail is < tail_tol.
 
     With q = params.q = tau'(0) and r(p) = params.rate(p), the
     tail integral_{-inf}^u e^(s H) dL(tau(s)) has stable scale
-    (c q e^(r(p) u) / r(p))**(1/p) when the driver's stable_part is (p, c)
-    with p < 2, and otherwise mean mean_rate q e^(r(1) u) / r(1) and
+    s = (c q e^(r(p) u) / r(p))**(1/p) when the driver's stable_part is
+    (p, c) with p < 2; its log-CF at |theta| = 1, s**p, stays below
+    tail_tol**max(p, 1), and so s and s**p below tail_tol <= 1 (s alone
+    would leave s**p up to tail_tol**p below index 1).  Otherwise it has
+    mean mean_rate q e^(r(1) u) / r(1) and
     variance variance_rate q e^(r(2) u) / r(2), between which the tolerance
     is split evenly in the second-moment sense.  Returns None when the
     driver is deterministic zero, and nan when q leaves the float range.
@@ -183,7 +186,7 @@ def _truncation_point(spec, params, tail_tol):
         p, c = spec.stable_part
         # admissible parameter regimes force p*H + delta > 0
         rate = params.rate(p)
-        return _log_over(tail_tol**p * rate, c, q) / rate
+        return _log_over(tail_tol ** max(p, 1.0) * rate, c, q) / rate
     m1, m2 = spec.mean_rate(), spec.variance_rate()
     bounds = []
     if m2 > 0:
@@ -223,7 +226,7 @@ class SimulationPlan:
     X at output time j sums weights[i] times the driver's increment over the
     clock increment durations[i] for the cells i < out_index[j].  The
     driver's per-cell constants spec.cells(durations) are computed once, when
-    the plan is built.  Every run(rng, out, aux) consumes the generator
+    the plan is built.  Every run(rng, out) consumes the generator
     identically, so path n of an ensemble is reproducible from its derived
     stream alone.
     """
@@ -241,15 +244,14 @@ class SimulationPlan:
         self._at_start = bool(self.out_index[0] == 0)
         self._take = self.out_index[int(self._at_start) :] - 1
 
-    def run(self, rng, out=None, aux=None):
+    def run(self, rng, out=None):
         """One path's draw over the plan's cells from rng: sample_increments.
 
-        Without out, its finished increments, in a new array.  rows passes
-        out and aux, the path's rows of its two blocks (one value per cell
-        where the driver is auxiliary), and run then writes only the path's
-        variates there, for rows to map block by block; out is returned.
+        Without out, its finished increments, in a new array.  Given out, the
+        path's (spec.kinds, k) view of the block of variates rows maps, it
+        writes only the path's variates there and returns out[-1].
         """
-        return sample_increments(self.spec, self.durations, rng, self.cells, out, aux)
+        return sample_increments(self.spec, self.durations, rng, self.cells, out)
 
     def rows(self, n_rows, rng_of):
         """Draw n_rows paths into one (n_rows, outputs) matrix.
@@ -261,15 +263,15 @@ class SimulationPlan:
         draws are Python-bound and hold the interpreter lock, so they run
         serially: on a 2-core machine one pool task per path on 2 threads had
         made 1000 gamma paths of 710 cells about 4 times slower.  Each path
-        makes only its generator calls (run), straight into its row of a
-        block of at most _BLOCK_FLOATS increments and, where the driver is
-        auxiliary, of a second block as large, with no copy.  The driver's
-        formulas (spec.finish) then map the whole block at once, since per
-        path numpy's per-call overhead outweighs their arithmetic, and the
-        block is weighed and summed at once.  Draws or weighted sums that
-        leave the float range raise ValueError naming the driver, alpha and
-        delta, whatever the caller's errstate, and an n_rows that is no
-        whole number >= 0 one naming it.
+        makes only its generator calls (run), straight into its view of a
+        (spec.kinds, rows, k) block of variates, at most _BLOCK_FLOATS per
+        kind, with no copy.  The driver's formulas (spec.finish) then map the
+        whole block at once, since per path numpy's per-call overhead
+        outweighs their arithmetic, and the increments they return are
+        weighed and summed at once.  Draws or weighted sums that leave the
+        float range raise ValueError naming the driver, alpha and delta,
+        whatever the caller's errstate, and an n_rows that is no whole
+        number >= 0 one naming it.
         """
         n_rows, k = read_number(int, "n_rows", n_rows), self.durations.size
         if n_rows < 0:
@@ -278,15 +280,14 @@ class SimulationPlan:
         first = int(self._at_start)
         values[:, :first] = 0.0
         block = max(1, _BLOCK_FLOATS // max(k, 1))
-        buffer, aux = self.spec.empty_blocks((min(block, n_rows), k))
+        variates = np.empty((self.spec.kinds, min(block, n_rows), k))
+        paths = list(variates.swapaxes(0, 1))  # each row's (kinds, k) view, for run
         with np.errstate(all="ignore"):  # inf and nan are looked for after the loop
             for start in range(0, n_rows, block):
                 stop = min(start + block, n_rows)
-                # the rows of the two blocks, each a view that run draws into
-                for n, row, aux_row in zip(range(start, stop), buffer, aux):
-                    self.run(rng_of(n), row, aux_row)
-                inc = buffer[: stop - start]
-                self.spec.finish(self.cells, inc, aux[: stop - start])
+                for n, path in zip(range(start, stop), paths):
+                    self.run(rng_of(n), path)
+                inc = self.spec.finish(self.cells, variates[:, : stop - start])
                 inc *= self.weights
                 inc.cumsum(axis=1, out=inc)
                 values[start:stop, first:] = inc[:, self._take]

@@ -180,32 +180,34 @@ def test_shared_cells_draw_like_the_per_path_formulas(spec):
     dts = np.array([0.0, 0.1, 2.5, 0.0, 1e-9, 7.0] * 50)
     rng, shared, into, ref = (np.random.default_rng(8) for _ in range(4))
     cells = spec.cells(dts)
+    two_kinds = isinstance(spec, CompoundPoissonDriver) or getattr(spec, "index", 2.0) < 2.0
+    assert spec.kinds == (2 if two_kinds else 1)
     for i in range(3):
         want = per_path_increments(spec, dts, ref).tobytes()
         assert sample_increments(spec, dts, rng).tobytes() == want
         assert sample_increments(spec, dts, shared, cells).tobytes() == want
-        block, aux = (np.zeros_like(b) for b in spec.empty_blocks((3, dts.size)))
-        assert aux.shape == ((3, dts.size) if spec.auxiliary else (3, 0))
-        row = sample_increments(spec, dts, into, cells, block[i], aux[i])
-        assert row.base is block
-        spec.finish(cells, block[i : i + 1], aux[i : i + 1])
-        assert block[i].tobytes() == want
-        others = np.delete(block, i, axis=0)
+        variates = np.zeros((spec.kinds, 3, dts.size))
+        row = sample_increments(spec, dts, into, cells, variates[:, i])
+        assert row.base is variates and np.shares_memory(row, variates[-1, i])
+        increments = spec.finish(cells, variates[:, i : i + 1])
+        assert np.shares_memory(increments, variates[-1, i])
+        assert increments[0].tobytes() == want
+        others = np.delete(variates, i, axis=1)
         assert not others.any() and not np.signbit(others).any()
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 7])
 @pytest.mark.parametrize("spec", ALL_DRIVERS, ids=lambda s: type(s).__name__ + repr(s))
 def test_one_block_step_maps_every_row_like_its_path_alone(spec, n_rows):
-    # each path makes only its generator calls, into its rows of the two
-    # blocks; one block step then gives every row the bytes of its path's
-    # per-path formulas, signed zeros included
+    # each path makes only its generator calls, into its rows of the block
+    # of variates; one block step then gives every row the bytes of its
+    # path's per-path formulas, signed zeros included
     dts = np.array([0.0, 0.1, 2.5, 0.0, 1e-9, 7.0] * 50)
     cells = spec.cells(dts)
-    block, aux = spec.empty_blocks((n_rows, dts.size))
-    for n, (row, aux_row) in enumerate(zip(block, aux)):
-        sample_increments(spec, dts, np.random.default_rng([n_rows, n]), cells, row, aux_row)
-    spec.finish(cells, block, aux)
+    variates = np.empty((spec.kinds, n_rows, dts.size))
+    for n, path in enumerate(variates.swapaxes(0, 1)):
+        sample_increments(spec, dts, np.random.default_rng([n_rows, n]), cells, path)
+    block = spec.finish(cells, variates)
     for n in range(n_rows):
         want = per_path_increments(spec, dts, np.random.default_rng([n_rows, n]))
         assert block[n].tobytes() == want.tobytes()
@@ -419,6 +421,8 @@ def test_invalid_parameters_rejected():
         SymmetricStableDriver(index=1.5, scale=0.0)
     with pytest.raises(ValueError):
         CompoundPoissonDriver(rate=-0.1)
+    with pytest.raises(ValueError, match="jumps must be GaussianJumps or TwoPointJumps"):
+        CompoundPoissonDriver(jumps=3)
     with pytest.raises(ValueError):
         GaussianJumps(variance=-2.0)
     with pytest.raises(ValueError):

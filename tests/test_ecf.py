@@ -125,6 +125,16 @@ def test_log_cf_refuses_an_empty_ensemble():
         check_scaling(ens, DilativeLaw(1.0, 1.0, 2.0), marginal_points((0.5, 1.0), (1.0,)))
 
 
+def test_a_constant_ensemble_gives_infinite_z_scores():
+    # every path is t at t = 1, 2: |cf| = 1 and the standard error is 0, so
+    # the relation's nonzero difference is -inf sigma and the row fails
+    ens = SamplePath(TimeGrid(np.array([1.0, 2.0])), np.tile([1.0, 2.0], (50, 1)))
+    report = check_scaling(ens, DilativeLaw(1.0, 1.0, 2.0), marginal_points((1.0,), (0.5,)))
+    (row,) = report.rows
+    assert row.z_real == row.z_imag == -math.inf
+    assert not row.passed and report.pass_fraction == 0.0
+
+
 def test_a_single_path_is_the_one_row_ensemble():
     # a 1-d path once raised IndexError in the projection; as one row, its
     # |cf| is 1, below the floor 5/sqrt(1), so every row is unestimable
@@ -533,6 +543,12 @@ def test_joint_oracle_reduces_to_marginal():
     # a zero tail coordinate adds nothing
     padded = oracle_joint_log_cf(GaussianDriver(), UNIT, (2.0, 5.0), (0.7, 0.0))
     assert padded == pytest.approx(want, rel=1e-14)
+
+
+def test_joint_oracle_refuses_unequal_lengths():
+    # zip would drop the unpaired time silently
+    with pytest.raises(ValueError, match="equal length"):
+        oracle_joint_log_cf(GaussianDriver(), UNIT, (1.0, 2.0), (0.7,))
 
 
 def test_joint_oracle_permutation_invariant():
@@ -1024,6 +1040,11 @@ def test_derive_rng_rejects_what_seed_sequence_rejects():
     for seed, n in [(-1, 0), (7, -1)]:
         with pytest.raises(ValueError):
             derive_rng(seed, n)
+    # a seed that is no integer gets SeedSequence's own words
+    with pytest.raises(TypeError) as want:
+        np.random.SeedSequence(1.5, spawn_key=(0,))
+    with pytest.raises(TypeError, match=re.escape(str(want.value))):
+        derive_rng(1.5, 0)
 
 
 def test_derived_generator_pickles_like_the_reference():

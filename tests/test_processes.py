@@ -194,7 +194,7 @@ BLOCK_PLANS = {
     **{repr(spec): (spec, UNIT, [0.5, 1.0, 2.0]) for spec in ALL_DRIVERS},
     # the truncation point lies above t = 0.5, so X_0.5 = 0: the first column
     "starts-at-an-output": (
-        SymmetricStableDriver(0.05, 1.0),
+        SymmetricStableDriver(1.5, 1.0),
         DilationParams(30.0, 1.0),
         [0.5, 2.0],
     ),
@@ -425,6 +425,13 @@ def test_ou_evolve_flow_identity():
     assert full.value_at(t) == pytest.approx(rhs, rel=1e-12)
 
 
+def test_ou_evolve_refuses_a_after_b():
+    grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
+    y = SamplePath(grid, np.array([-0.2, 0.0, 0.5]), role="Y")
+    with pytest.raises(ValueError, match="need a <= b"):
+        ou_evolve(0.0, y, -0.5, 1.0, 0.0)
+
+
 def test_ou_evolve_requires_anchor_knots():
     grid = TimeGrid(np.array([-1.0, 1.0]))
     y = SamplePath(grid, np.array([-0.2, 0.5]), role="Y")
@@ -606,6 +613,16 @@ def test_simulate_driving_anchor_and_clock():
     assert abs(draws.var() - want) <= 4.0 * se
 
 
+def test_simulate_driving_anchors_at_the_first_point_without_log_time_zero():
+    # no grid point at u = 0: Y starts at 0 on the first point and sums the
+    # driver's increments over the clock from there
+    log_grid = TimeGrid(np.array([0.5, 1.0, 2.0]))
+    y = simulate_driving(GaussianDriver(), 1.0, log_grid, np.random.default_rng(6))
+    durations = np.diff(tau(1.0, log_grid.points))
+    increments = sample_increments(GaussianDriver(), durations, np.random.default_rng(6))
+    assert y.values.tolist() == [0.0, *np.cumsum(increments)]
+
+
 def test_truncation_tightens_with_tolerance():
     # a stricter tail budget must not shrink the simulated window: the clock
     # covers at least as much total duration and at least as many steps
@@ -694,7 +711,9 @@ def test_pathwise_functions_take_an_ensemble_row_by_row():
 
 # _truncation_point(spec, params, 1e-4) away from alpha = delta = 1, recorded
 # bit for bit before the stable tail was read from stable_part, for the
-# Gaussian with drift, stable 1.5, stable 0.8, compound Poisson and gamma
+# Gaussian with drift, stable 1.5, stable 0.8, compound Poisson and gamma;
+# the stable 0.8 entries were re-recorded when the tail rule below index 1
+# came to bound the tail's log-CF, not its scale, by tail_tol
 TAIL_DRIVERS = (
     GaussianDriver(variance=0.7, drift=0.3),
     SymmetricStableDriver(1.5, 0.6),
@@ -703,16 +722,16 @@ TAIL_DRIVERS = (
     GammaDriver(2.0, 3.0),
 )
 TAIL_PINS = {
-    (0.35, -0.4): (-69.62268895020581, -33.77339586816653, -276.071364665785, -77.64917431237872, -74.94607359165762),
-    (0.25, -0.2): (-68.98930020901682, -44.698304367344946, -128.18373868616396, -77.01578557118972, -74.31268485046863),
-    (0.7, 0.0): (-13.15762910282312, -12.624661685741765, -14.661526888038178, -14.162269865992696, -13.583033997266748),
-    (0.5, 1.0): (-18.21582812596066, -12.763360079585365, -7.089311707435519, -18.667813249703716, -17.06842567312312),
-    (1.0, 1.0): (-8.761340472700358, -6.97356816665711, -4.823456764867362, -8.987333034571886, -8.187639246281586),
-    (0.8, -0.5): (-16.709787468532877, -12.532064392210136, -26.32073874243414, -18.89882893094367, -18.16161964347428),
-    (2.0, 3.0): (-3.8801350222661246, -2.70202948368714, -1.3401595882462156, -3.993131303201889, -3.5932844090567393),
-    (0.3, 0.1): (-32.02926995398269, -29.470965846728053, -29.28064244808139, -32.78257849355445, -30.116932532586787),
-    (3.0, -1.0): (-3.1581302285772583, -2.8979861403880096, -4.167513912518555, -3.639719350307633, -3.477533307064367),
-    (0.05, 0.1): (-210.09321441617666, -155.56853395242373, -98.82805023092527, -214.61306565360724, -198.61918988780127),
+    (0.35, -0.4): (-69.62268895020581, -33.77339586816653, -322.1230665256659, -77.64917431237872, -74.94607359165762),
+    (0.25, -0.2): (-68.98930020901682, -44.698304367344946, -151.20958961610444, -77.01578557118972, -74.31268485046863),
+    (0.7, 0.0): (-13.15762910282312, -12.624661685741765, -17.95093416374396, -14.162269865992696, -13.583033997266748),
+    (0.5, 1.0): (-18.21582812596066, -12.763360079585365, -8.931379781830756, -18.667813249703716, -17.06842567312312),
+    (1.0, 1.0): (-8.761340472700358, -6.97356816665711, -6.139219675149674, -8.987333034571886, -8.187639246281586),
+    (0.8, -0.5): (-16.709787468532877, -12.532064392210136, -31.73858602006719, -18.89882893094367, -18.16161964347428),
+    (2.0, 3.0): (-3.8801350222661246, -2.70202948368714, -1.8819443160095204, -3.993131303201889, -3.5932844090567393),
+    (0.3, 0.1): (-32.02926995398269, -29.470965846728053, -35.42086936273218, -32.78257849355445, -30.116932532586787),
+    (3.0, -1.0): (-3.1581302285772583, -2.8979861403880096, -5.190885064960352, -3.639719350307633, -3.477533307064367),
+    (0.05, 0.1): (-210.09321441617666, -155.56853395242373, -117.24873097487763, -214.61306565360724, -198.61918988780127),
 }
 
 
@@ -721,6 +740,22 @@ def test_truncation_points_are_pinned_away_from_the_default_pair(alpha, delta):
     params = DilationParams(alpha, delta)
     got = tuple(_truncation_point(spec, params, 1e-4) for spec in TAIL_DRIVERS)
     assert got == TAIL_PINS[(alpha, delta)]
+
+
+@pytest.mark.parametrize("index", [0.1, 0.25])
+def test_a_small_index_plan_keeps_the_tail_its_cf_needs(index):
+    # below index 1 a tail whose stable scale is below tail_tol still has a
+    # log-CF of up to tail_tol**index: the plan once dropped it, so stable
+    # 0.1 drew X(0.5) = 0.0 on every path and its ECF read 1.0 against 0.765
+    spec, n_paths = SymmetricStableDriver(index, 1.0), 4000
+    times = np.array([0.5, 1.0, 2.0])
+    x = simulate_ensemble(spec, UNIT, times, n_paths, master_seed=17).values
+    for t, column in zip(times, x.T):
+        # the law is symmetric, so its CF is real: E cos(X_t) against it,
+        # with the standard error of a mean of n_paths cosines under the law
+        cf, cf2 = (math.exp(ecf.oracle_log_cf(spec, UNIT, t, th).real) for th in (1.0, 2.0))
+        se = math.sqrt(((1.0 + cf2) / 2.0 - cf**2) / n_paths)
+        assert abs(np.cos(column).mean() - cf) <= 4.0 * se
 
 
 @pytest.mark.parametrize("alpha, delta", list(TAIL_PINS))

@@ -69,6 +69,16 @@ def test_negative_delta_rejections():
     assert "2" in v.reason and "1.5" in v.reason
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.0, -1.0])
+def test_a_nan_alpha_is_refused_as_not_finite(delta):
+    # nan fails every comparison: without the finite check it would get the
+    # wrong reason at delta > 0, be admitted as self-similar at delta = 0 and
+    # raise required_moment_order's WrongRegime at delta < 0
+    v = admissibility(DilationParams(math.nan, delta), GaussianDriver())
+    assert v.status == INADMISSIBLE
+    assert v.reason.startswith("alpha and delta must be finite; got alpha = nan")
+
+
 def test_required_moment_order():
     assert required_moment_order(DilationParams(1.0, -1.0)) == 2.0
     assert required_moment_order(DilationParams(1.0, -0.5)) == pytest.approx(
