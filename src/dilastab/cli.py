@@ -54,9 +54,9 @@ from .ecf import (
     simulate_ensemble,
 )
 from .errors import DilastabError, InadmissibleParams
-from .integrator import TimeGrid
+from .integrator import SamplePath, TimeGrid
 from .processes import MAX_COUNT, REFINE, TAIL_TOL, TRANSFORMS, DilationParams
-from .processes import check_memory, pull_back
+from .processes import apply_transforms, check_memory, pull_back
 from .validation import admissibility, read_number
 
 __all__ = ["MAX_COUNT", "main", "cmd_simulate", "cmd_verify", "cmd_oracle"]
@@ -329,6 +329,7 @@ def cmd_verify(run):
         points.append(TestPoint((vals[0], vals[1]), (vals[2], vals[3])))
 
     # every number the law derives, checked before anything is simulated
+    (scale,) = (f.name for f in fields(law) if f.name in ("T", "n"))
     try:
         terms = [term for p in points for term in law.terms(p)]
         needed = sorted({t for _, point in terms for t in point.times})
@@ -338,14 +339,25 @@ def cmd_verify(run):
     except OverflowError:
         in_range = False
     if not in_range:
-        (scale,) = (f.name for f in fields(law) if f.name in ("T", "n"))
         raise ValueError(
             f"--{scale} = {getattr(law, scale)!r} takes the test points or the "
             "law's multiplier out of the float range"
         )
+    # the chain's round trip s -> time of X -> s drifts by about |log s|/2 ulps,
+    # past TimeGrid's matching rule from about s = 1e58: one row of zeros
+    # through the run's chain finds each test time, or names it here
+    grid = _output_grid(run, extra_times=pulled)
+    row = apply_transforms(SamplePath(grid, np.zeros(grid.points.size)), run.params, run.transform)
+    lost = [s for s in needed if not row.grid.contains(s)]
+    if lost:
+        raise ValueError(
+            f"--{scale} = {getattr(law, scale)!r} and the test times ask for the time "
+            f"{lost[0]!r}, which the transform chain rounds off the grid on its way "
+            "through the time of X"
+        )
 
     ens = simulate_ensemble(
-        run.driver, run.params, _output_grid(run, extra_times=pulled), run.n_paths, run.seed,
+        run.driver, run.params, grid, run.n_paths, run.seed,
         run.refine, run.tail_tol, run.transform,
     )
     # check_scaling drops a row's oracle where it has none (OracleOutOfDomain)

@@ -273,9 +273,12 @@ def oracle_log_cf(spec, params, t, theta):
 
     Supported for the drivers with a stable_part; requires t > 0, positive
     rates p*H + delta and a finite value (OracleOutOfDomain otherwise, also
-    when a term overflows).
+    when a term overflows).  A non-finite t or theta raises ValueError naming it.
     """
     t, theta = float(t), float(theta)
+    for name, value in (("t", t), ("theta", theta)):
+        if not math.isfinite(value):
+            raise ValueError(f"the oracle needs a finite {name}, got {value!r}")
     if t <= 0:
         raise NonPositiveTime("the oracle needs t > 0")
     try:
@@ -317,8 +320,9 @@ def oracle_joint_log_cf(spec, params, times, thetas):
     """
     times = [float(t) for t in times]
     thetas = [float(th) for th in thetas]
-    if len(times) != len(thetas):
-        raise ValueError("times and thetas must have equal length")
+    if not len(times) == len(thetas) > 0:
+        lengths = f"{len(times)} and {len(thetas)}"
+        raise ValueError(f"times and thetas must have equal length, at least 1; got {lengths}")
     ts, ths = zip(*sorted(zip(times, thetas), key=lambda pair: pair[0]))
     tails = np.cumsum(ths[::-1])[::-1]
     total, prev = 0.0 + 0.0j, None

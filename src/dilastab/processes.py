@@ -25,13 +25,15 @@ degenerates and X is instead simulated directly as L(t**delta / (e**delta -
 1)).
 
 The transform family, TRANSFORMS, applied by apply_transforms, the one map
-of paths from X to V, Z and D (ou_from_integral is its lamperti step):
+of paths from X to V, Z and D:
 
   * lamperti     V_u = e^(-H u) X_{e^u}; V has the translative scaling
                  Psi_{. + T} = e^(delta T) Psi_., equals the moving average
                  integral_{-inf}^u e^((s - u) H) dY_s, and solves a wide-sense
                  Ornstein-Uhlenbeck equation with rate lambda = delta/2 - alpha
-                 driven by Y.  lamperti_inverse maps V back to X.
+                 driven by Y, so ou_evolve of V_0 = X_1 by an independent
+                 simulate_driving path has V's law on the same cells.
+                 lamperti_inverse maps V back to X.
   * time_stable  Z_s = V_{log s}: n-fold time scaling s -> n**(1/delta) s
                  multiplies Psi by n.
   * idt          D_s = V_{log(s)/delta}: Psi at dilated times n*s is n times
@@ -68,7 +70,6 @@ __all__ = [
     "simulate_driving",
     "extract_background",
     "ou_evolve",
-    "ou_from_integral",
     "Transform",
     "TRANSFORMS",
     "apply_transforms",
@@ -466,30 +467,6 @@ def ou_evolve(v0, y, ou_rate, a, b):
     v0 = np.asarray(v0, dtype=float)[..., None]
     values = np.exp(ou_rate * seg) * (v0 + integral[..., ia : ib + 1])
     return SamplePath(TimeGrid(seg.copy()), values, role="V")
-
-
-def ou_from_integral(spec, params, out_log_times, rng, refine=REFINE, tail_tol=TAIL_TOL):
-    """V_t = integral_{-inf}^t e^((u - t) H) dY_u, the moving-average form, on a log-time grid.
-
-    V is the lamperti transform of X: this is the lamperti step of the
-    simulate_dilative path drawn from rng at the times e^t, on the caller's
-    grid, so it equals apply_transforms on that path up to the rounding of
-    t -> e^t -> t.  Requires delta != 0.  Log times without strictly
-    increasing positive float times e^t raise ValueError naming them; the
-    path and its transform raise their own, whatever the caller's errstate.
-    """
-    if params.delta == 0:
-        raise DegenerateDelta("the moving-average form needs delta != 0")
-    u = out_log_times.points
-    with np.errstate(all="ignore"):  # e^t under- or overflows below about -745 or above 709.78
-        times = np.exp(u)
-    if not (times[0] > 0 and times[-1] < math.inf and (np.diff(times) > 0).all()):
-        raise ValueError(
-            f"log times in [{u[0]:.6g}, {u[-1]:.6g}] have no strictly increasing "
-            "positive float times e^t for X"
-        )
-    x = simulate_dilative(spec, params, TimeGrid(times), rng, refine, tail_tol)
-    return SamplePath(out_log_times, apply_transforms(x, params, ("lamperti",)).values, "V")
 
 
 def _log_clock(pts, delta):

@@ -27,6 +27,7 @@ from dilastab import (
     GaussianDriver,
     GaussianJumps,
     IdtLaw,
+    SamplePath,
     SymmetricStableDriver,
     TestPoint,
     TimeGrid,
@@ -37,6 +38,7 @@ from dilastab import (
     apply_transforms,
     cascade_partial_sums,
     check_scaling,
+    derive_rng,
     estimate_log_cf,
     extract_background,
     increment_pair,
@@ -49,7 +51,7 @@ from dilastab import (
     simulate_ensemble,
 )
 from dilastab.cli import main as cli_main
-from dilastab.processes import ou_from_integral
+from dilastab.processes import REFINE
 
 MASTER_SEED = 20250819
 UNIT = DilationParams(1.0, 1.0)
@@ -267,15 +269,44 @@ def test_criterion_06_transform_consistency(gauss_bundle):
     rhs = math.exp(rate * (t - s)) * flow.value_at(s) + math.exp(rate * t) * integral
     flow_err = abs(flow.value_at(t) - rhs) / max(1.0, abs(rhs))
 
-    # the moving-average form equals the transformed direct simulation
-    log_out = TimeGrid(np.array([-0.7, 0.0, 0.7, 1.4]))
-    out = TimeGrid(np.exp(log_out.points))
-    agree = True
-    for seed in range(5):
-        v = ou_from_integral(GaussianDriver(), UNIT, log_out, np.random.default_rng(seed))
-        x = simulate_dilative(GaussianDriver(), UNIT, out, np.random.default_rng(seed))
-        w = apply_transforms(x, UNIT, ("lamperti",))
-        agree = agree and np.allclose(v.values, w.values, rtol=1e-12, atol=1e-14)
+    # the Lamperti theorem in law, by two independent constructions of V on
+    # [0, 2]: lamperti of X at the times e^u, and ou_evolve of V(0) = X(1)
+    # by the background Y on the plan's own cells, ceil(du * refine) per
+    # segment between the knots; both sides then share the cells, the
+    # left-endpoint weights e^(Ha) and the clock increments, so their laws
+    # agree exactly at grid level, and a wrong OU rate must be rejected
+    knots, n_paths = np.array([0.0, 1.0, 2.0]), 4000
+    x = simulate_ensemble(GaussianDriver(), UNIT, np.exp(knots), n_paths, MASTER_SEED)
+    side_a = apply_transforms(x, UNIT, ("lamperti",))
+    x1 = simulate_ensemble(GaussianDriver(), UNIT, (1.0,), n_paths, MASTER_SEED + 1)
+    counts = np.ceil(np.diff(knots) * REFINE).astype(int)
+    cells = TimeGrid(
+        np.concatenate(
+            [np.linspace(a, b, c + 1)[:-1] for a, b, c in zip(knots, knots[1:], counts)]
+            + [knots[-1:]]
+        )
+    )
+    y_rows = [
+        simulate_driving(GaussianDriver(), UNIT.delta, cells, derive_rng(MASTER_SEED + 2, n))
+        for n in range(n_paths)
+    ]
+    background = SamplePath(cells, np.array([row.values for row in y_rows]), role="Y")
+    law_points = [TestPoint((u,), (th,)) for u in (1.0, 2.0) for th in (0.25, 0.5)]
+    law_points.append(TestPoint((1.0, 2.0), (0.4, -0.2)))
+
+    class SameLaw:
+        """Both sides have one law: Psi_first(point) - Psi_second(point) = 0."""
+
+        def terms(self, point):
+            return (1.0, point), (-1.0, point)
+
+    def max_z(rate):
+        side_b = ou_evolve(x1.values[:, 0], background, rate, 0.0, 2.0)
+        rows = check_scaling((side_a, side_b), SameLaw(), law_points).rows
+        return max(max(abs(r.z_real), abs(r.z_imag)) for r in rows)
+
+    in_law = max_z(UNIT.ou_rate)
+    wrong_rate = max_z(UNIT.ou_rate + 0.25)
 
     # transforming there and back preserves the scaling verdicts
     ens = gauss_bundle["ens"]
@@ -290,10 +321,11 @@ def test_criterion_06_transform_consistency(gauss_bundle):
         a.passed == b.passed for a, b in zip(direct.rows, round_trip.rows)
     )
     elapsed = time.perf_counter() - start + charge(gauss_bundle)
-    ok = flow_err <= 1e-12 and agree and verdicts_match
+    ok = flow_err <= 1e-12 and in_law <= 3.0 and wrong_rate > 3.0 and verdicts_match
     report(6, "transform consistency", ok, elapsed)
     assert flow_err <= 1e-12
-    assert agree
+    assert in_law <= 3.0, in_law
+    assert wrong_rate > 3.0, wrong_rate
     assert verdicts_match
 
 

@@ -1287,6 +1287,38 @@ def test_verify_law_out_of_float_range_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "law, time",
+    [
+        (("time_stable", "--n", "1e100", "--times", "1"), "1e+100"),
+        (("idt", "--n", "1e70", "--times", "1"), "1e+70"),
+        (("time_stable", "--n", "2", "--times", "1e100"), "1e+100"),
+        (("idt", "--n", "2", "--times", "1", "--pair", "1e100,1,1,1"), "1e+100"),
+    ],
+    ids=["scaled", "scaled-idt", "base", "pair"],
+)
+def test_verify_names_a_test_time_the_chain_rounds_off_the_grid(capsys, law, time):
+    # the chain's round trip s -> time of X -> s drifts by about |log s|/2 ulps,
+    # past TimeGrid's matching rule from about s = 1e58; such a run exited 2
+    # with "time 1e+100 is not a grid point", which named no input
+    code, out, err = run_cli(
+        capsys, "verify", "--law", *law, "--thetas", "1e-60", "--n-paths", "30", "--threshold", "0"
+    )
+    assert out == ""
+    scale = f"--n = {float(law[2])!r} "
+    assert_one_error_line(code, err, scale, f"the time {time}, ", "rounds off the grid")
+
+
+def test_verify_runs_a_large_scale_the_chain_carries_back(capsys):
+    # at --n 1e80 the round trip still lands within the matching rule
+    code, out, _ = run_cli(
+        capsys, "verify", "--law", "time_stable", "--n", "1e80", "--times", "1",
+        "--thetas", "1e-60", "--n-paths", "30", "--threshold", "0",
+    )
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 1
+
+
+@pytest.mark.parametrize(
     "argv, words",
     [
         (("simulate", *SMALL, "--alpha", "1e308"), ("alpha = 1e+308", "delta = 1.0")),

@@ -44,7 +44,6 @@ from dilastab import (
     marginal_points,
     oracle_joint_log_cf,
     oracle_log_cf,
-    ou_from_integral,
     simulate_dilative,
     simulate_ensemble,
 )
@@ -551,6 +550,27 @@ def test_joint_oracle_refuses_unequal_lengths():
         oracle_joint_log_cf(GaussianDriver(), UNIT, (1.0, 2.0), (0.7,))
 
 
+def test_joint_oracle_refuses_empty_input():
+    # zip(*sorted(...)) had raised "not enough values to unpack"
+    with pytest.raises(ValueError, match="equal length, at least 1; got 0 and 0$"):
+        oracle_joint_log_cf(GaussianDriver(), UNIT, [], [])
+
+
+@pytest.mark.parametrize(
+    "t, theta, words",
+    [
+        (math.nan, 1.0, "finite t, got nan"),
+        (math.inf, 1.0, "finite t, got inf"),
+        (1.0, math.nan, "finite theta, got nan"),
+        (1.0, -math.inf, "finite theta, got -inf"),
+    ],
+)
+def test_oracle_refuses_a_non_finite_time_or_theta(t, theta, words):
+    # a nan t had been blamed on an overflow of the log-CF
+    with pytest.raises(ValueError, match=f"^the oracle needs a {words}$"):
+        oracle_log_cf(GaussianDriver(), UNIT, t, theta)
+
+
 def test_joint_oracle_permutation_invariant():
     spec = SymmetricStableDriver(1.5, 1.0)
     params = DilationParams(1.0, 0.5)
@@ -741,9 +761,6 @@ SIMULATORS = {
     "simulate_dilative": lambda spec, params: simulate_dilative(
         spec, params, TimeGrid(np.array([0.5, 1.0, 2.0])), np.random.default_rng(0)
     ),
-    "ou_from_integral": lambda spec, params: ou_from_integral(
-        spec, params, TimeGrid(np.array([-0.7, 0.0, 0.7])), np.random.default_rng(0)
-    ),
 }
 
 
@@ -754,8 +771,6 @@ SIMULATORS = {
         pytest.param(simulator, spec, params, id=f"{case}-{simulator}")
         for case, (spec, params) in DRAWS_PAST_THE_FLOAT_RANGE.items()
         for simulator in SIMULATORS
-        # the moving-average form refuses delta = 0 (DegenerateDelta) before drawing
-        if not (simulator == "ou_from_integral" and params.delta == 0)
     ],
 )
 def test_draws_past_the_float_range_name_the_driver(errstate, simulator, spec, params):

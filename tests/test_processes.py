@@ -30,7 +30,6 @@ from dilastab import (
     extract_background,
     ibp_integral,
     ou_evolve,
-    ou_from_integral,
     plan_dilative,
     rs_integral,
     sample_increments,
@@ -439,56 +438,22 @@ def test_ou_evolve_requires_anchor_knots():
         ou_evolve(0.0, y, -0.5, 0.0, 1.0)
 
 
-def test_ou_from_integral_matches_transform():
-    log_out = TimeGrid(np.array([-0.7, 0.0, 0.7, 1.4]))
-    out = TimeGrid(np.exp(log_out.points))
-    for seed in range(5):
-        v = ou_from_integral(GaussianDriver(), UNIT, log_out, np.random.default_rng(seed))
-        x = simulate_dilative(GaussianDriver(), UNIT, out, np.random.default_rng(seed))
-        w = apply_transforms(x, UNIT, ("lamperti",))
-        assert v.role == "V"
-        assert np.allclose(v.values, w.values, rtol=1e-12, atol=1e-14)
-
-
 @pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
-def test_ou_from_integral_names_a_weight_that_overflows(errstate):
+def test_lamperti_names_a_weight_that_overflows(errstate):
     # e^(-H u) = e^799 at u = -2 times X = 0 at the truncation point: one
-    # ValueError naming alpha and delta, where V was [nan, -3.9e-23]; it is
-    # apply_transforms' line for the lamperti step at the times e^u
-    grid = TimeGrid(np.array([-2.0, 0.0]))
+    # ValueError naming alpha and delta, where V was [nan, -3.9e-23]
     params = DilationParams(400.0, 1.0)
     with np.errstate(all=errstate), warnings.catch_warnings():
         warnings.simplefilter("error")
+        x = simulate_dilative(
+            GaussianDriver(), params, TimeGrid(np.exp([-2.0, 0.0])), np.random.default_rng(0)
+        )
         with pytest.raises(ValueError, match="float range") as exc:
-            ou_from_integral(GaussianDriver(), params, grid, np.random.default_rng(0))
+            apply_transforms(x, params, ("lamperti",))
     assert str(exc.value) == (
         "the lamperti transform at alpha = 400.0 and delta = 1.0 takes times in "
         "[0.135335, 1] or the values on them out of the float range"
     )
-
-
-@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
-@pytest.mark.parametrize(
-    "log_times, shown",
-    [([-800.0, 0.0], "[-800, 0]"), ([0.0, 710.0], "[0, 710]"), ([-1000.0, 1000.0], "[-1000, 1000]")],
-    ids=["underflow", "overflow", "both"],
-)
-def test_ou_from_integral_refuses_log_times_with_no_float_time(errstate, log_times, shown):
-    # X has no float time e^t there; at alpha = delta = 1 such grids were simulated
-    grid = TimeGrid(np.array(log_times))
-    with np.errstate(all=errstate), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError) as exc:
-            ou_from_integral(GaussianDriver(), UNIT, grid, np.random.default_rng(0))
-    assert str(exc.value).startswith(f"log times in {shown} ")
-
-
-def test_ou_from_integral_rejects_zero_delta():
-    params = DilationParams(0.7, 0.0)
-    with pytest.raises(DegenerateDelta):
-        ou_from_integral(
-            GaussianDriver(), params, TimeGrid(np.array([0.0, 1.0])), np.random.default_rng(0)
-        )
 
 
 def test_reparam_time_stable():
