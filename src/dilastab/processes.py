@@ -475,14 +475,20 @@ def _log_clock(pts, delta):
     return np.log(pts)
 
 
+def _no_underflow(times):
+    # e^x underflows to 0 below about -745, where x has no float time: nan
+    # marks it as out of the float range, as an overflow's inf is
+    return np.where(times > 0, times, np.nan)
+
+
 def _exp_clock(pts, delta):
-    return np.exp(pts)
+    return _no_underflow(np.exp(pts))
 
 
 def _idt_clock(pts, delta):
     if delta == 0:
         raise DegenerateDelta("IDT reparametrisation needs delta != 0")
-    return np.exp(delta * pts)
+    return _no_underflow(np.exp(delta * pts))
 
 
 def _log_time(s, delta):
@@ -552,9 +558,11 @@ def apply_transforms(path, params, transforms):
     copies the values only while they are still path's: a matrix the chain
     made itself is relabelled as it is, reversed as a view where the clock
     runs backwards.  An empty chain returns path's values.  A step that
-    takes finite values to a non-finite time or value raises ValueError
-    naming the transform, alpha, delta and the times it was given, whatever
-    the caller's errstate; values that are already non-finite are carried on.
+    takes its times out of the float range (an exp clock's underflow to 0
+    included), distinct times to one float time, or finite values to
+    non-finite ones raises ValueError naming the transform, alpha, delta and
+    the times it was given, whatever the caller's errstate; values that are
+    already non-finite are carried on.
     A bare string of names or an unknown name raises ValueError.
     """
     grid, values, role = path.grid, path.values, path.role
@@ -574,12 +582,16 @@ def apply_transforms(path, params, transforms):
                 out = values if own else values.copy()
             else:
                 out = step.weight(pts, new, params.hurst) * values
-        if not (np.isfinite(new).all() and np.isfinite(out).all()) and np.isfinite(values).all():
-            raise ValueError(
-                f"the {name} transform at alpha = {params.alpha!r} and delta = {params.delta!r} "
-                f"takes times in [{grid.points[0]:.6g}, {grid.points[-1]:.6g}] or the values "
-                "on them out of the float range"
-            )
+        at = (
+            f"the {name} transform at alpha = {params.alpha!r} and delta = {params.delta!r} "
+            f"takes times in [{grid.points[0]:.6g}, {grid.points[-1]:.6g}]"
+        )
+        if not np.isfinite(new).all() or (
+            not np.isfinite(out).all() and np.isfinite(values).all()
+        ):
+            raise ValueError(f"{at} or the values on them out of the float range")
+        if not (np.diff(new) > 0).all():
+            raise ValueError(f"{at} to float times that are not strictly increasing")
         grid, values, role, own = TimeGrid(new), out, step.role, True
     return SamplePath(grid, values, role)
 

@@ -456,6 +456,50 @@ def test_lamperti_names_a_weight_that_overflows(errstate):
     )
 
 
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize(
+    "log_times, shown",
+    [([-800.0, 0.0], "[-800, 0]"), ([0.0, 710.0], "[0, 710]"), ([-1000.0, 1000.0], "[-1000, 1000]")],
+    ids=["underflow", "overflow", "both"],
+)
+def test_exp_clocks_refuse_log_times_with_no_float_time(errstate, log_times, shown):
+    # e^u underflows to 0 below about -745: lamperti_inverse made an X refused
+    # for not starting at 0, and time_stable and idt a grid at time 0 that no
+    # log clock pulls back
+    v = SamplePath(TimeGrid(np.array(log_times)), np.array([0.3, -0.2]), role="V")
+    for name in ("lamperti_inverse", "time_stable", "idt"):
+        with np.errstate(all=errstate), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                apply_transforms(v, UNIT, (name,))
+        assert str(exc.value) == (
+            f"the {name} transform at alpha = 1.0 and delta = 1.0 takes times in {shown} "
+            "or the values on them out of the float range"
+        )
+
+
+@pytest.mark.parametrize(
+    "name, times, shown",
+    [
+        ("lamperti", [1e300, np.nextafter(1e300, math.inf)], "[1e+300, 1e+300]"),
+        ("lamperti_inverse", [-1e-20, 0.0], "[-1e-20, 0]"),
+        ("time_stable", [-1e-20, 0.0], "[-1e-20, 0]"),
+        ("idt", [-1e-20, 0.0], "[-1e-20, 0]"),
+    ],
+    ids=["lamperti", "lamperti_inverse", "time_stable", "idt"],
+)
+def test_a_transform_refuses_to_take_distinct_times_to_one(name, times, shown):
+    # TimeGrid had refused the merged times in a line naming no transform
+    role = "X" if name == "lamperti" else "V"
+    path = SamplePath(TimeGrid(np.array(times)), np.array([0.3, -0.2]), role=role)
+    with pytest.raises(ValueError) as exc:
+        apply_transforms(path, UNIT, (name,))
+    assert str(exc.value) == (
+        f"the {name} transform at alpha = 1.0 and delta = 1.0 takes times in {shown} "
+        "to float times that are not strictly increasing"
+    )
+
+
 def test_reparam_time_stable():
     grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
     v = SamplePath(grid, np.array([0.2, -0.1, 0.4]), role="V")
