@@ -22,6 +22,7 @@ import numpy as np
 from dilastab import (
     DilationParams,
     GaussianDriver,
+    TimeGrid,
     plan_dilative,
 )
 
@@ -46,7 +47,7 @@ def main():
     print(f"{'refine':>7} {'sample var':>11} {'observed':>9} {'predicted':>10}")
     rng = np.random.default_rng(args.seed)
     for refine in (4, 8, 16, 32, 64, 128):
-        plan = plan_dilative(GaussianDriver(), params, np.array([0.0]), refine=float(refine))
+        plan = plan_dilative(GaussianDriver(), params, TimeGrid([1.0]), refine=float(refine))
         draws = plan.rows(args.paths, lambda n: rng)[:, 0]
         var = draws.var(ddof=1)
         print(

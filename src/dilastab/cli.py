@@ -242,7 +242,13 @@ def _output_grid(run, extra_times=()):
         raise ValueError("a transform chain containing 'lamperti' needs geometric spacing")
     # the builders' temporaries: three arrays of the grid's length
     check_memory(3 * run.points, f"points = {run.points} output times")
-    grid = _SPACINGS[run.spacing](run.t_min, run.t_max, run.points)
+    try:
+        grid = _SPACINGS[run.spacing](run.t_min, run.t_max, run.points)
+    except ValueError as exc:  # the builder's words name no input
+        raise ValueError(
+            f"--t-min = {run.t_min!r}, --t-max = {run.t_max!r} and --points = {run.points} "
+            f"(grid.t_min, grid.t_max and grid.points) make no {run.spacing} grid: {exc}"
+        ) from None
     # a time the grid already holds, under TimeGrid's own matching rule, is not added twice
     extra = [t for t in extra_times if not grid.contains(t)]
     if extra:

@@ -129,9 +129,6 @@ def simulate_ensemble(
     """
     grid = out_times if isinstance(out_times, TimeGrid) else TimeGrid(out_times)
     transforms = _chain(transforms)
-    pts = grid.points
-    if pts[0] <= 0:
-        raise NonPositiveTime("output times must be strictly positive")
     n_paths = read_number(int, "n_paths", n_paths)
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths!r}")
@@ -139,8 +136,9 @@ def simulate_ensemble(
     if master_seed < 0:
         raise ValueError(f"master_seed must be >= 0, got {master_seed!r}")
     # the values and their transformed copy, refused before the plan is built
+    pts = grid.points
     check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
-    plan = plan_dilative(driver, params, np.log(pts), refine, tail_tol)
+    plan = plan_dilative(driver, params, grid, refine, tail_tol)
     x = SamplePath(grid, plan.rows(n_paths, partial(derive_rng, master_seed)))
     return apply_transforms(x, params, transforms)
 

@@ -66,7 +66,6 @@ __all__ = [
     "DilationParams",
     "SimulationPlan",
     "plan_dilative",
-    "simulate_dilative",
     "simulate_driving",
     "extract_background",
     "ou_evolve",
@@ -224,10 +223,11 @@ def _grid_cells(u, delta, hurst):
 class SimulationPlan:
     """Precomputed discretisation shared by every path of an ensemble.
 
-    X at output time j sums weights[i] times the driver's increment over the
-    clock increment durations[i] for the cells i < out_index[j].  The
-    driver's per-cell constants spec.cells(durations) are computed once, when
-    the plan is built.  Every run(rng, out) consumes the generator
+    X at output time t_j, the log-time knot log t_j at out_index[j], sums
+    weights[i] times the driver's increment over the clock increment
+    durations[i] for the cells i < out_index[j].  The driver's per-cell
+    constants spec.cells(durations) are computed once, when the plan is
+    built (by plan_dilative).  Every run(rng, out) consumes the generator
     identically, so path n of an ensemble is reproducible from its derived
     stream alone.
     """
@@ -305,16 +305,20 @@ def _refuse_non_finite(values, spec, at):
         )
 
 
-def plan_dilative(spec, params, log_out_times, refine=REFINE, tail_tol=TAIL_TOL):
-    """Build the discretisation for X at output times e^(u), u in log_out_times.
+def plan_dilative(spec, params, out_times, refine=REFINE, tail_tol=TAIL_TOL):
+    """Build the discretisation for X at the times of the TimeGrid out_times.
 
-    Checks admissibility (raising InadmissibleParams with the verdict), picks
+    Works at their logs u = log t (a first time <= 0 raises NonPositiveTime),
+    checks admissibility (raising InadmissibleParams with the verdict), picks
     the truncation point from the driver's tail scale, and refines uniformly
     in log time with at least `refine` steps per unit; a grid of more than
     MAX_COUNT cells raises ValueError, and one whose arrays exceed physical
     memory MemoryError, before it is built; weights or a clock out of the
     float range raise ValueError before the driver checks its own cells.
     """
+    if out_times.points[0] <= 0:
+        raise NonPositiveTime("output times must be strictly positive")
+    u_out = np.log(out_times.points)
     verdict = admissibility(params, spec)
     if not verdict.admissible:
         raise InadmissibleParams(verdict)
@@ -324,7 +328,6 @@ def plan_dilative(spec, params, log_out_times, refine=REFINE, tail_tol=TAIL_TOL)
         )
     if not 0 < tail_tol < math.inf:
         raise ValueError(f"tail_tol must be a finite number > 0, got {tail_tol!r}")
-    u_out = np.asarray(log_out_times, dtype=float)
     # inf and nan are looked for below, whatever the caller's errstate
     with np.errstate(all="ignore"):
         if verdict.status == DEGENERATE_EQUAL:
@@ -377,19 +380,6 @@ def plan_dilative(spec, params, log_out_times, refine=REFINE, tail_tol=TAIL_TOL)
     return SimulationPlan(spec, params, durations, weights, out_idx)
 
 
-def simulate_dilative(spec, params, out_times, rng, refine=REFINE, tail_tol=TAIL_TOL):
-    """Simulate one path of the additive (alpha, delta)-dilatively stable process.
-
-    out_times must be strictly positive; draws that leave the float range
-    raise ValueError naming the driver, alpha and delta.
-    """
-    pts = out_times.points
-    if pts[0] <= 0:
-        raise NonPositiveTime("output times must be strictly positive")
-    plan = plan_dilative(spec, params, np.log(pts), refine=refine, tail_tol=tail_tol)
-    return SamplePath(out_times, plan.rows(1, lambda n: rng)[0], role="X")
-
-
 def simulate_driving(spec, delta, log_times, rng):
     """Sample the background process Y = L(tau(delta, .)) on a log-time grid.
 
@@ -422,6 +412,8 @@ def extract_background(x, params):
     to 0 far below t = 1) raise ValueError naming alpha, delta and the
     times, whatever the caller's errstate.
     """
+    if x.role != "X":
+        raise ValueError(f"extract_background expects an X path, got {x.role}")
     pts = x.grid.points
     if pts[0] <= 0:
         raise NonPositiveTime("background extraction needs strictly positive times")
@@ -455,6 +447,8 @@ def ou_evolve(v0, y, ou_rate, a, b):
     V_t = e^(rate*(t-s)) V_s + e^(rate*t) * integral_s^t e^(-rate*u) dY_u
     holds exactly at grid level.  v0 is one number, or one per row.
     """
+    if y.role != "Y":
+        raise ValueError(f"ou_evolve expects a Y driver, got {y.role}")
     ia = y.grid.index_of(a)
     ib = y.grid.index_of(b)
     if ia > ib:
@@ -485,22 +479,16 @@ def _exp_clock(pts, delta):
     return _no_underflow(np.exp(pts))
 
 
-def _idt_clock(pts, delta):
+def _idt_rate(delta):
     if delta == 0:
         raise DegenerateDelta("IDT reparametrisation needs delta != 0")
-    return _no_underflow(np.exp(delta * pts))
+    return delta
 
 
 def _log_time(s, delta):
     if s <= 0:
         raise ValueError(f"cannot pull the nonpositive time {s!r} back through a log clock")
     return math.log(s)
-
-
-def _idt_time(s, delta):
-    if delta == 0:
-        raise DegenerateDelta("IDT reparametrisation needs delta != 0")
-    return _log_time(s, delta) / delta
 
 
 @dataclass(frozen=True)
@@ -532,7 +520,11 @@ TRANSFORMS = {
     # Z_s = V_(log s)
     "time_stable": Transform(_exp_clock, _log_time, None, "V", "Z"),
     # D_r = V_(log(r) / delta)
-    "idt": Transform(_idt_clock, _idt_time, None, "V", "D"),
+    "idt": Transform(
+        lambda pts, delta: _no_underflow(np.exp(_idt_rate(delta) * pts)),
+        lambda s, delta: _log_time(s, _idt_rate(delta)) / delta,
+        None, "V", "D",
+    ),
 }
 
 

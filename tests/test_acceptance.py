@@ -45,8 +45,8 @@ from dilastab import (
     oracle_joint_log_cf,
     oracle_log_cf,
     ou_evolve,
+    plan_dilative,
     rs_integral,
-    simulate_dilative,
     simulate_driving,
     simulate_ensemble,
 )
@@ -237,7 +237,8 @@ def test_criterion_05_background_round_trip():
         size = int(rng.integers(4, 11))
         u = np.unique(np.concatenate([rng.uniform(-1.5, 1.5, size), [0.0]]))
         grid = TimeGrid(np.exp(u))
-        x = simulate_dilative(spec, params, grid, rng, refine=4.0, tail_tol=1e-2)
+        plan = plan_dilative(spec, params, grid, refine=4.0, tail_tol=1e-2)
+        x = SamplePath(grid, plan.rows(1, lambda n: rng)[0])
         y = extract_background(x, params)
         pts = x.grid.points
         rebuilt = x.values[0] + np.cumsum(

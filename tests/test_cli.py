@@ -1071,6 +1071,28 @@ def test_oracle_checks_grid_and_parameters_like_simulate(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("simulate", "--t-min", "2", "--t-max", "0.5"), None),
+        (("simulate", "--t-min", "1", "--t-max", "1.0000000000000002", "--points", "5"), None),
+        (("simulate",), {"grid": {"t_min": 2.0, "t_max": 0.5}}),
+        (("oracle", "--times", "1", "--thetas", "1", "--t-min", "2", "--t-max", "0.5"), None),
+    ],
+    ids=["flags", "times-that-round-to-one", "config-keys", "oracle"],
+)
+def test_a_grid_that_is_not_increasing_names_its_inputs(capsys, tmp_path, argv, config):
+    # the builder's own line, "grid times must be strictly increasing", named no input
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv += ("--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv, "--n-paths", "3")
+    assert out == ""
+    words = ("--t-min", "--t-max", "--points", "grid.t_min", "grid.t_max", "grid.points")
+    assert_one_error_line(code, err, *words, "grid times must be strictly increasing")
+
+
+@pytest.mark.parametrize(
     "argv, memory, target, name, words",
     [
         (

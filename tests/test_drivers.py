@@ -272,7 +272,7 @@ def test_plan_computes_cells_once(cells_made):
     # every driver's plan computes its cells when it is built; its runs only draw
     rng = np.random.default_rng(6)
     for spec in ALL_DRIVERS:
-        plan = plan_dilative(spec, DilationParams(1.0, 1.0), np.log([0.5, 1.0, 2.0]))
+        plan = plan_dilative(spec, DilationParams(1.0, 1.0), TimeGrid([0.5, 1.0, 2.0]))
         assert plan.cells is cells_made[-1]
         for _ in range(100):
             plan.run(rng)
@@ -505,7 +505,7 @@ OVERFLOWING_CELLS = {
     "sample_increments": lambda spec, rng: sample_increments(spec, np.ones(3), rng),
     "sample_increments_scalar": lambda spec, rng: sample_increments(spec, 1.0, rng),
     "plan_dilative": lambda spec, rng: plan_dilative(
-        spec, DilationParams(1.0, 1.0), np.log([0.5, 1.0])
+        spec, DilationParams(1.0, 1.0), TimeGrid([0.5, 1.0])
     ),
 }
 

@@ -44,7 +44,7 @@ from dilastab import (
     marginal_points,
     oracle_joint_log_cf,
     oracle_log_cf,
-    simulate_dilative,
+    plan_dilative,
     simulate_ensemble,
 )
 from dilastab._seeds import BLOCK, _block_seeds
@@ -678,10 +678,9 @@ def test_simulate_ensemble_reproducible():
     assert np.array_equal(a.values, b.values)
     assert a.n_paths == 40 and a.role == "X"
     # row n is exactly the single-path simulation under the derived stream
-    direct = simulate_dilative(
-        GaussianDriver(), UNIT, grid, derive_rng(99, 0), refine=8.0
-    )
-    assert np.array_equal(a.values[0], direct.values)
+    rng = derive_rng(99, 0)
+    direct = plan_dilative(GaussianDriver(), UNIT, grid, refine=8.0).rows(1, lambda n: rng)[0]
+    assert np.array_equal(a.values[0], direct)
 
 
 @pytest.mark.parametrize(
@@ -758,9 +757,9 @@ SIMULATORS = {
     "simulate_ensemble": lambda spec, params: simulate_ensemble(
         spec, params, (0.5, 1.0, 2.0), 30, master_seed=1
     ),
-    "simulate_dilative": lambda spec, params: simulate_dilative(
-        spec, params, TimeGrid(np.array([0.5, 1.0, 2.0])), np.random.default_rng(0)
-    ),
+    "plan_rows": lambda spec, params: plan_dilative(
+        spec, params, TimeGrid(np.array([0.5, 1.0, 2.0]))
+    ).rows(1, lambda n: np.random.default_rng(0)),
 }
 
 

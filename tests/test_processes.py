@@ -33,7 +33,6 @@ from dilastab import (
     plan_dilative,
     rs_integral,
     sample_increments,
-    simulate_dilative,
     simulate_driving,
     simulate_ensemble,
     tau,
@@ -59,14 +58,13 @@ def test_params_derived_exponents():
 
 
 def test_plan_rejects_bad_inputs():
-    log_out = np.log(OUT.points)
     with pytest.raises(InadmissibleParams) as exc:
-        plan_dilative(GaussianDriver(), DilationParams(0.3, 1.0), log_out)
+        plan_dilative(GaussianDriver(), DilationParams(0.3, 1.0), OUT)
     assert exc.value.verdict is not None
     with pytest.raises(ValueError):
-        plan_dilative(GaussianDriver(), UNIT, log_out, refine=0.5)
+        plan_dilative(GaussianDriver(), UNIT, OUT, refine=0.5)
     with pytest.raises(ValueError):
-        plan_dilative(GaussianDriver(), UNIT, log_out, tail_tol=0.0)
+        plan_dilative(GaussianDriver(), UNIT, OUT, tail_tol=0.0)
 
 
 @pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
@@ -85,7 +83,7 @@ def test_plan_names_what_leaves_the_float_range(errstate, alpha, delta, t_max):
     with np.errstate(all=errstate), warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="float range") as exc:
-            plan_dilative(GaussianDriver(), DilationParams(alpha, delta), np.log([0.5, t_max]))
+            plan_dilative(GaussianDriver(), DilationParams(alpha, delta), TimeGrid([0.5, t_max]))
     message = str(exc.value)
     assert f"alpha = {alpha!r}" in message and f"delta = {delta!r}" in message
     assert f"{math.log(t_max):.6g}]" in message
@@ -94,7 +92,7 @@ def test_plan_names_what_leaves_the_float_range(errstate, alpha, delta, t_max):
 def test_degenerate_plan_has_one_cell_per_output():
     params = DilationParams(0.5, 1.0)
     spec = GaussianDriver()
-    plan = plan_dilative(spec, params, np.log(OUT.points))
+    plan = plan_dilative(spec, params, OUT)
     # one cell of unit weight per output time, each output the sum up to it
     assert plan.durations.shape == plan.weights.shape == (len(OUT),)
     assert plan.weights.tolist() == [1.0] * len(OUT)
@@ -132,7 +130,7 @@ def test_degenerate_variance_matches_clock():
     params = DilationParams(0.5, 1.0)
     rng = np.random.default_rng(12)
     n = 4000
-    plan = plan_dilative(GaussianDriver(), params, np.log(OUT.points))
+    plan = plan_dilative(GaussianDriver(), params, OUT)
     draws = plan.rows(n, lambda i: rng)
     for j, t in enumerate(OUT.points):
         want = t / (math.e - 1.0)
@@ -141,21 +139,24 @@ def test_degenerate_variance_matches_clock():
         assert abs(got - want) <= 4.0 * se
 
 
-def test_simulate_validates_times():
-    rng = np.random.default_rng(0)
-    with pytest.raises(NonPositiveTime):
-        simulate_dilative(
-            GaussianDriver(), UNIT, TimeGrid(np.array([-1.0, 1.0])), rng
-        )
-    with pytest.raises(NonPositiveTime):
-        simulate_dilative(GaussianDriver(), UNIT, TimeGrid(np.array([0.0, 1.0])), rng)
+@pytest.mark.parametrize("first", [-1.0, 0.0, -0.0])
+def test_plan_refuses_non_positive_times(first):
+    # the plan takes its log times itself: log 0 and log -1 have no float time
+    with pytest.raises(NonPositiveTime, match="^output times must be strictly positive$"):
+        plan_dilative(GaussianDriver(), UNIT, TimeGrid([first, 1.0]))
 
 
-def test_simulate_reproducible():
-    a = simulate_dilative(GaussianDriver(), UNIT, OUT, np.random.default_rng(7))
-    b = simulate_dilative(GaussianDriver(), UNIT, OUT, np.random.default_rng(7))
-    assert np.array_equal(a.values, b.values)
-    assert a.role == "X"
+def test_plan_refuses_log_times():
+    # an array of log times (here u = 0, t = 1) fails loudly, not as a wrong plan
+    with pytest.raises(AttributeError, match="points"):
+        plan_dilative(GaussianDriver(), UNIT, np.array([0.0]))
+
+
+def test_plan_rows_reproducible():
+    plan = plan_dilative(GaussianDriver(), UNIT, OUT)
+    a = plan.rows(1, lambda n: np.random.default_rng(7))[0]
+    b = plan.rows(1, lambda n: np.random.default_rng(7))[0]
+    assert np.array_equal(a, b)
 
 
 def test_variance_at_unit_time():
@@ -163,7 +164,7 @@ def test_variance_at_unit_time():
     want = 0.2909883534346632
     n = 4000
     rng = np.random.default_rng(13)
-    plan = plan_dilative(GaussianDriver(), UNIT, np.array([0.0]), refine=64.0)
+    plan = plan_dilative(GaussianDriver(), UNIT, TimeGrid([1.0]), refine=64.0)
     draws = plan.rows(n, lambda i: rng)[:, 0]
     se = want * math.sqrt(2.0 / n)
     assert abs(draws.var() - want) <= 4.0 * se
@@ -205,7 +206,7 @@ BLOCK_PLANS = {
 @pytest.mark.parametrize("case", BLOCK_PLANS)
 def test_rows_sum_blocks_as_each_row_alone(case):
     spec, params, times = BLOCK_PLANS[case]
-    plan = plan_dilative(spec, params, np.log(times))
+    plan = plan_dilative(spec, params, TimeGrid(times))
     if case == "starts-at-an-output":
         assert plan.out_index[0] == 0
     if case == "no-cells":
@@ -229,7 +230,7 @@ def test_rows_sum_blocks_as_each_row_alone(case):
 )
 def test_rows_reads_n_rows_as_a_whole_count(n_rows, words):
     # 2.7 once drew 2 rows, True 1, and -1 failed in numpy naming no input
-    plan = plan_dilative(GaussianDriver(), UNIT, np.log([0.5, 1.0, 2.0]))
+    plan = plan_dilative(GaussianDriver(), UNIT, TimeGrid([0.5, 1.0, 2.0]))
     with pytest.raises(ValueError, match=re.escape(words)):
         plan.rows(n_rows, lambda n: np.random.default_rng(n))
     assert plan.rows(2.0, np.random.default_rng).shape == (2, 3)
@@ -238,7 +239,7 @@ def test_rows_reads_n_rows_as_a_whole_count(n_rows, words):
 
 def test_an_ensemble_is_a_prefix_of_a_larger_one_across_blocks():
     times = (0.5, 1.0, 2.0)
-    plan = plan_dilative(GaussianDriver(), UNIT, np.log(times))
+    plan = plan_dilative(GaussianDriver(), UNIT, TimeGrid(times))
     block = _block_rows(plan)
     n = 3 * block + 5
     big = simulate_ensemble(GaussianDriver(), UNIT, times, n, master_seed=5).values
@@ -294,7 +295,7 @@ def test_an_ensemble_draws_each_path_through_run_sample_increments_and_derive_rn
 def test_rows_memory_stays_flat_in_the_row_count(spec, refine, n_rows, cells):
     # beyond the (n_rows, outputs) result, rows holds a block of increments,
     # not all of them: the whole (n_rows, cells) matrix of gamma is 5.7 MB
-    plan = plan_dilative(spec, UNIT, np.log(np.geomspace(0.5, 8.0, 8)), refine=refine)
+    plan = plan_dilative(spec, UNIT, TimeGrid(np.geomspace(0.5, 8.0, 8)), refine=refine)
     assert plan.durations.size == cells
     rng = np.random.default_rng(0)
     tracemalloc.start()
@@ -314,7 +315,7 @@ def test_floats_per_cell_bound_a_plan_and_its_first_row(spec):
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        plan = plan_dilative(spec, UNIT, np.log([0.5, 1.0, 2.0]), refine=20000.0)
+        plan = plan_dilative(spec, UNIT, TimeGrid([0.5, 1.0, 2.0]), refine=20000.0)
         plan.rows(1, lambda n: rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -328,7 +329,8 @@ def test_floats_per_cell_bound_a_plan_and_its_first_row(spec):
 def test_round_trip_recovers_background():
     rng = np.random.default_rng(3)
     grid = TimeGrid(np.exp(np.array([-1.0, -0.25, 0.0, 0.5, 1.2])))
-    x = simulate_dilative(GaussianDriver(), UNIT, grid, rng, refine=4.0, tail_tol=1e-2)
+    plan = plan_dilative(GaussianDriver(), UNIT, grid, refine=4.0, tail_tol=1e-2)
+    x = SamplePath(grid, plan.rows(1, lambda n: rng)[0])
     y = extract_background(x, UNIT)
     assert y.role == "Y"
     assert y.value_at(0.0) == 0.0
@@ -378,9 +380,16 @@ def test_extract_background_needs_unit_knot():
         extract_background(bad, UNIT)
 
 
+def test_extract_background_refuses_a_path_that_is_not_x():
+    # a V path's values were divided by X's weights and returned as a Y
+    v = SamplePath(TimeGrid([0.5, 1.0, 2.0]), np.array([0.1, 0.0, 0.3]), role="V")
+    with pytest.raises(ValueError, match="^extract_background expects an X path, got V$"):
+        extract_background(v, UNIT)
+
+
 def test_lamperti_round_trip():
     rng = np.random.default_rng(4)
-    x = simulate_dilative(GaussianDriver(), UNIT, OUT, rng)
+    x = SamplePath(OUT, plan_dilative(GaussianDriver(), UNIT, OUT).rows(1, lambda n: rng)[0])
     v = apply_transforms(x, UNIT, ("lamperti",))
     assert type(v) is SamplePath and v.role == "V"
     assert np.allclose(v.grid.points, np.log(OUT.points), rtol=1e-14)
@@ -431,6 +440,13 @@ def test_ou_evolve_refuses_a_after_b():
         ou_evolve(0.0, y, -0.5, 1.0, 0.0)
 
 
+def test_ou_evolve_refuses_a_driver_that_is_not_y():
+    # an X path's increments were integrated as Y's and returned as a V
+    x = SamplePath(TimeGrid([-1.0, 0.0, 1.0]), np.array([-0.2, 0.0, 0.5]))
+    with pytest.raises(ValueError, match="^ou_evolve expects a Y driver, got X$"):
+        ou_evolve(0.5, x, -0.5, 0.0, 1.0)
+
+
 def test_ou_evolve_requires_anchor_knots():
     grid = TimeGrid(np.array([-1.0, 1.0]))
     y = SamplePath(grid, np.array([-0.2, 0.5]), role="Y")
@@ -445,9 +461,10 @@ def test_lamperti_names_a_weight_that_overflows(errstate):
     params = DilationParams(400.0, 1.0)
     with np.errstate(all=errstate), warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = simulate_dilative(
-            GaussianDriver(), params, TimeGrid(np.exp([-2.0, 0.0])), np.random.default_rng(0)
-        )
+        grid = TimeGrid(np.exp([-2.0, 0.0]))
+        rng = np.random.default_rng(0)
+        plan = plan_dilative(GaussianDriver(), params, grid)
+        x = SamplePath(grid, plan.rows(1, lambda n: rng)[0])
         with pytest.raises(ValueError, match="float range") as exc:
             apply_transforms(x, params, ("lamperti",))
     assert str(exc.value) == (
@@ -635,9 +652,9 @@ def test_simulate_driving_anchors_at_the_first_point_without_log_time_zero():
 def test_truncation_tightens_with_tolerance():
     # a stricter tail budget must not shrink the simulated window: the clock
     # covers at least as much total duration and at least as many steps
-    log_out = np.array([0.0])
-    loose = plan_dilative(GaussianDriver(), UNIT, log_out, tail_tol=1e-2)
-    tight = plan_dilative(GaussianDriver(), UNIT, log_out, tail_tol=1e-6)
+    unit = TimeGrid([1.0])
+    loose = plan_dilative(GaussianDriver(), UNIT, unit, tail_tol=1e-2)
+    tight = plan_dilative(GaussianDriver(), UNIT, unit, tail_tol=1e-6)
     assert len(tight.durations) >= len(loose.durations)
     assert tight.durations.sum() >= loose.durations.sum()
 
@@ -645,8 +662,8 @@ def test_truncation_tightens_with_tolerance():
 def test_stable_simulation_runs():
     rng = np.random.default_rng(15)
     params = DilationParams(1.0, 0.5)
-    path = simulate_dilative(SymmetricStableDriver(1.5), params, OUT, rng)
-    assert np.all(np.isfinite(path.values))
+    path = plan_dilative(SymmetricStableDriver(1.5), params, OUT).rows(1, lambda n: rng)[0]
+    assert np.all(np.isfinite(path))
 
 
 @given(
@@ -783,7 +800,7 @@ def test_plan_names_the_driver_whose_cells_leave_the_float_range(errstate):
     with np.errstate(all=errstate), warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="float range") as exc:
-            plan_dilative(spec, UNIT, np.log(OUT.points))
+            plan_dilative(spec, UNIT, OUT)
     assert '{"kind": "symmetric_stable", "index": 0.3, "scale": 1e+300}' in str(exc.value)
 
 
@@ -792,7 +809,7 @@ def test_plan_names_alpha_and_delta_before_the_driver():
     # delta, and leaves the driver's own check to its cells
     spec = SymmetricStableDriver(0.3, 1e300)
     with pytest.raises(ValueError, match=r"alpha = 1e\+308 and delta = 1.0"):
-        plan_dilative(spec, DilationParams(1e308, 1.0), np.log(OUT.points))
+        plan_dilative(spec, DilationParams(1e308, 1.0), OUT)
 
 
 def test_only_the_driver_describes_a_driver():
@@ -808,4 +825,4 @@ def test_truncation_point_is_finite_where_moment_times_q_overflows():
     bound = _truncation_point(spec, DilationParams(2.0, -1.0), 1e-4)
     assert math.isfinite(bound) and bound < 0
     with pytest.raises(ValueError, match='the driver {"kind": "compound_poisson"'):
-        plan_dilative(spec, DilationParams(2.0, -1.0), np.log(OUT.points))
+        plan_dilative(spec, DilationParams(2.0, -1.0), OUT)

@@ -20,6 +20,18 @@ def test_scaling_demo_output_is_pinned(package_env):
     assert hashlib.sha256(out).hexdigest() == "d511f2e0a983fc036c86f9778aabbfd495ba6d13c96866a8cd598018a0c469d9"
 
 
+def test_refinement_study_output_is_pinned(package_env):
+    # sha256 of the stdout at 500 paths, which draws every refinement's plan
+    # from one generator: the variances depend on every plan and every draw
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "refinement_study.py"), "--paths", "500"],
+        env=package_env,
+        capture_output=True,
+        check=True,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == "e5e4fc13b72ccb24ec538612a0d33511bb2bb7b839b2ce3356815a5d98308650"
+
+
 def test_scaling_demo_reports_unestimable_rows(package_env):
     # at 30 paths the |cf| floor 5/sqrt(30) is above most test points' |cf|
     out = subprocess.run(
