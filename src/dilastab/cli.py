@@ -15,8 +15,9 @@ individual flags taking precedence, and a value is checked the same way
 whatever its source.  The master seed resolves as: --seed flag, then the
 config file, then the DILASTAB_SEED environment variable, then 0.  All
 numbers are emitted with shortest round-trip formatting, so equal inputs
-produce byte-identical outputs.  --threads is accepted and ignored, for the
-reason simulate_ensemble gives.
+produce byte-identical outputs.  --threads is accepted and ignored: the
+per-path draws hold the interpreter lock, so a second thread raised the slow
+end of command times (SimulationPlan.rows gives the figures).
 
 n_paths, the grid's points, r_steps and the cells of the refined log-time
 grid are at most processes.MAX_COUNT = 10**9 each, so that no float array

@@ -3,14 +3,17 @@
 An ensemble holds N independent path realisations on a common grid.  The
 finite dimensional empirical CF at (times, thetas) averages the per-path
 terms exp(i * W), W = sum_j theta_j * X(t_j), over paths; its standard error
-is sqrt((1 - |cf|^2) / N).  A log-CF is estimated at the end r = 1 of the
-ray r * theta, r = k/R for k = 1..R, with the phase unwrapped continuously
-from r = 0 where the log-CF is 0 -- the principal-branch angle alone would
-be wrong whenever the accumulated phase passes pi.  A ray is aborted
-(LowMagnitude) when |cf| falls below max(0.1, 5/sqrt(N)), the region where
-log-CF estimates stop being meaningful at the available sample size, and
-(PhaseAmbiguous) when doubling its steps moves the unwrapped phase at r = 1
-by whole turns.
+is sqrt((1 - |cf|^2) / N), except where 1 - |cf|^2 has cancelled to 0 or
+below (|W| under about 1e-8): there the terms' own variance
+mean(|exp(i * W) - cf|^2), formed from their differences to the first term
+so that equal terms give 0, takes its place.  A log-CF is estimated at the
+end r = 1 of the ray r * theta, r = k/R for k = 1..R, with the phase
+unwrapped continuously from r = 0 where the log-CF is 0 -- the
+principal-branch angle alone would be wrong whenever the accumulated phase
+passes pi.  A ray is aborted (LowMagnitude) when |cf| falls below
+max(0.1, 5/sqrt(N)), the region where log-CF estimates stop being
+meaningful at the available sample size, and (PhaseAmbiguous) when doubling
+its steps moves the unwrapped phase at r = 1 by whole turns.
 
 A ray is streamed (_ray_means): its per-path terms at r = 1/R and r = 1 are
 exact, each position between is formed in a complex N-vector as the one
@@ -243,12 +246,23 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     )
     floor = max(0.1, 5.0 / math.sqrt(n))
     rs = np.arange(1, r_steps + 1) / r_steps
-    cfs = _ray_means(rs, w)[0]
+    cfs, last = _ray_means(rs, w)
     mags = np.abs(cfs)
     low = np.nonzero(mags < floor)[0]
     if low.size:
         i = int(low[0])
         raise LowMagnitude(float(rs[i]), float(mags[i]), floor)
+    cf, mag = complex(cfs[-1]), float(mags[-1])
+    var = 1.0 - mag * mag
+    if var <= 0.0:
+        # |cf| has rounded to 1 (|W| below about 1e-8), but the terms' spread
+        # has not: their variance, taken from their differences to the first
+        # term, is 0 only where every term is equal
+        dev = last - last[0]
+        dev -= dev.mean()
+        var = float(np.vdot(dev, dev).real) / n
+    # freed before a doubled ray allocates its own end terms
+    del last
     phases = np.unwrap(np.concatenate([[0.0], np.angle(cfs)]))
     if (np.abs(np.diff(phases)) > math.pi / 2).any():
         # the doubled ray beside the first one's means, magnitudes and phases
@@ -261,8 +275,7 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
         turns = round((np.unwrap(np.angle(fine))[-1] - phases[-1]) / (2 * math.pi))
         if turns:
             raise PhaseAmbiguous(r_steps, turns)
-    cf, mag = complex(cfs[-1]), float(mags[-1])
-    se = math.sqrt(max(0.0, 1.0 - mag * mag) / n)
+    se = math.sqrt(var / n)
     return EcfEstimate(cf, se, complex(math.log(mag), float(phases[-1])), se / mag)
 
 

@@ -1,15 +1,11 @@
-"""Grids, sample paths, and pathwise stochastic integrals.
+"""Grids, sample paths, and the pathwise stochastic integral.
 
 Integrals against a cadlag integrator Y are taken in the left-endpoint
 Riemann-Stieltjes sense on the integrator's own grid,
 
     rs_integral(A, Y, a, b) = sum_j A(t_j) * (Y(t_{j+1}) - Y(t_j)),
 
-with the reversed orientation defined by a sign flip.  ibp_integral evaluates
-the same quantity through the integration-by-parts form
-A(b) Y(b) - A(a) Y(a) - int A'(t) Y(t) dt, where the remaining ordinary
-integral is approximated with the trapezoid rule; the two agree in the
-refinement limit but not on a fixed grid.
+with the reversed orientation defined by a sign flip.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import numpy as np
 from .errors import OffGrid
 from .validation import read_number
 
-__all__ = ["TimeGrid", "SamplePath", "PATH_ROLES", "rs_integral", "ibp_integral"]
+__all__ = ["TimeGrid", "SamplePath", "PATH_ROLES", "rs_integral"]
 
 # Which process a path's values describe:
 #   Y  driver in log time (exponentially scaled increments)
@@ -163,21 +159,3 @@ def rs_integral(weight, path, a, b):
     w = _weight_values(weight, path.grid.points[ia:ib])
     return (w * np.diff(path.values[..., ia : ib + 1])).sum(axis=-1)
 
-
-def ibp_integral(weight, weight_prime, path, a, b):
-    """Integration-by-parts form of the same integral, along the last axis.
-
-    weight_prime must be the derivative of weight; the correction term
-    int weight'(t) * path(t) dt is computed with the trapezoid rule on the
-    grid, so on a fixed grid this differs from rs_integral by a refinement
-    error that vanishes as the mesh shrinks.
-    """
-    ia = path.grid.index_of(a)
-    ib = path.grid.index_of(b)
-    if ia > ib:
-        return -ibp_integral(weight, weight_prime, path, b, a)
-    pts = path.grid.points[ia : ib + 1]
-    vals = path.values[..., ia : ib + 1]
-    boundary = float(weight(pts[-1])) * vals[..., -1] - float(weight(pts[0])) * vals[..., 0]
-    correction = np.trapezoid(_weight_values(weight_prime, pts) * vals, pts, axis=-1)
-    return boundary - correction

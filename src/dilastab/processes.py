@@ -262,17 +262,18 @@ class SimulationPlan:
         the truncation point.  rng_of is called once per row, in row order,
         so a caller's generators are made only as they are drawn from.  The
         draws are Python-bound and hold the interpreter lock, so they run
-        serially: on a 2-core machine one pool task per path on 2 threads had
-        made 1000 gamma paths of 710 cells about 4 times slower.  Each path
-        makes only its generator calls (run), straight into its view of a
-        (spec.kinds, rows, k) block of variates, at most _BLOCK_FLOATS per
-        kind, with no copy.  The driver's formulas (spec.finish) then map the
-        whole block at once, since per path numpy's per-call overhead
-        outweighs their arithmetic, and the increments they return are
-        weighed and summed at once.  Draws or weighted sums that leave the
-        float range raise ValueError naming the driver, alpha and delta,
-        whatever the caller's errstate, and an n_rows that is no whole
-        number >= 0 one naming it.
+        serially: on a 2-core machine a second drawing thread cut the fastest
+        commands on gamma paths of 710 cells by about 15% but raised their
+        90th-percentile time, and slowed paths of 78-94 cells 1.5-2 times.
+        Each path makes only its generator calls (run), straight into its
+        view of a (spec.kinds, rows, k) block of variates, at most
+        _BLOCK_FLOATS per kind, with no copy.  The driver's formulas
+        (spec.finish) then map the whole block at once, since per path
+        numpy's per-call overhead outweighs their arithmetic, and the
+        increments they return are weighed and summed at once.  Draws or
+        weighted sums that leave the float range raise ValueError naming the
+        driver, alpha and delta, whatever the caller's errstate, and an
+        n_rows that is no whole number >= 0 one naming it.
         """
         n_rows, k = read_number(int, "n_rows", n_rows), self.durations.size
         if n_rows < 0:

@@ -242,6 +242,29 @@ def test_verify_passes_correct_law(capsys, tmp_path):
         assert key in row
 
 
+def test_verify_passes_a_true_law_at_tiny_theta(capsys):
+    # 1 - |cf|^2 rounds to 0 here on both sides; the se must not, or z is infinite
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--law",
+        "dilative",
+        "--T",
+        "2",
+        "--times",
+        "1",
+        "--thetas",
+        "1e-8",
+        "--n-paths",
+        "1000",
+        "--seed",
+        "3",
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert all(math.isfinite(z) for z in row["z"])
+
+
 def test_verify_pair_points(capsys):
     code, out, _ = run_cli(
         capsys,

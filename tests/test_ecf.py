@@ -86,6 +86,19 @@ def test_se_formula():
     assert est.logcf_se == pytest.approx(est.cf_se / abs(est.cf_mean), rel=1e-12)
 
 
+def test_se_survives_a_cf_that_rounds_to_one():
+    # at theta = 1e-8, 1 - |cf|^2 rounds to 0; the terms' spread about cf,
+    # about theta * sd(X), must stand in for it, or every z-score is infinite
+    ens = normal_ensemble(0.0, 1.0, 1000, 1)
+    x = ens.values[:, 0]
+    for theta in (1e-8, 1e-9):
+        assert 1.0 - abs(np.exp(1j * theta * x).mean()) ** 2 == 0.0
+        est = estimate_cf(ens, (1.0,), (theta,))
+        assert est.cf_se > 0
+        assert est.cf_se == pytest.approx(theta * x.std() / math.sqrt(1000), rel=1e-9)
+        assert est.logcf_se == pytest.approx(est.cf_se / abs(est.cf_mean), rel=1e-12)
+
+
 def test_projection_validation():
     ens = normal_ensemble(0.0, 1.0, 50, 2)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dilastab import OffGrid, SamplePath, TimeGrid, ibp_integral, rs_integral
+from dilastab import OffGrid, SamplePath, TimeGrid, rs_integral
 
 DYADIC_GRID = TimeGrid(np.array([0.0, 1.0, 2.0, 4.0]))
 DYADIC_PATH = SamplePath(DYADIC_GRID, np.array([0.0, 1.0, -1.0, 3.0]))
@@ -191,34 +191,14 @@ def test_change_of_variables_exponential():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_ibp_constant_path():
-    # a constant path has no increments, so the trapezoid term must cancel
-    # the boundary term (which alone is about 1.77 here) down to quadrature
-    # error
-    grid = TimeGrid(np.linspace(0.0, 5.0, 1025))
-    path = SamplePath(grid, np.full(1025, 3.7), role="Y")
-    got = ibp_integral(lambda t: np.sin(t / 10.0), lambda t: np.cos(t / 10.0) / 10.0, path, 0.0, 5.0)
-    assert abs(got) <= 1e-6
-
-
-def test_left_sum_vs_parts_on_smooth_path():
+def test_left_sum_on_smooth_path():
     # integral of cos dY with Y = t^2 over [0, 1]; the exact value is
     # 2 (cos 1 + sin 1 - 1)
     exact = 0.7635465813520725
     grid = TimeGrid(np.linspace(0.0, 1.0, 2001))
     path = SamplePath(grid, grid.points**2)
     left = rs_integral(np.cos, path, 0.0, 1.0)
-    parts = ibp_integral(np.cos, lambda t: -np.sin(t), path, 0.0, 1.0)
     assert abs(left - exact) <= 1e-3
-    assert abs(parts - exact) <= 1e-6
-
-
-def test_ibp_orientation():
-    grid = TimeGrid(np.linspace(0.0, 1.0, 101))
-    path = SamplePath(grid, grid.points**2)
-    fwd = ibp_integral(np.cos, lambda t: -np.sin(t), path, 0.0, 1.0)
-    rev = ibp_integral(np.cos, lambda t: -np.sin(t), path, 1.0, 0.0)
-    assert rev == pytest.approx(-fwd, rel=1e-12)
 
 
 def test_scalar_weight_fallback():

@@ -28,7 +28,6 @@ from dilastab import (
     apply_transforms,
     driver_to_dict,
     extract_background,
-    ibp_integral,
     ou_evolve,
     plan_dilative,
     rs_integral,
@@ -710,12 +709,10 @@ def test_pathwise_functions_take_an_ensemble_row_by_row():
     pts = grid.points
     for t in (pts[0], 1.0, pts[-1]):
         assert _same_bits(x.value_at(t), [row.value_at(t) for row in rows])
-    weight, weight_prime = (lambda t: t**-0.3), (lambda t: -0.3 * t**-1.3)
+    weight = lambda t: t**-0.3
     for a, b in ((pts[0], pts[-1]), (pts[150], pts[7]), (1.0, 1.0)):
         want = [rs_integral(weight, row, a, b) for row in rows]
         assert _same_bits(rs_integral(weight, x, a, b), want)
-        want = [ibp_integral(weight, weight_prime, row, a, b) for row in rows]
-        assert _same_bits(ibp_integral(weight, weight_prime, x, a, b), want)
     y = extract_background(x, params)
     ys = [extract_background(row, params) for row in rows]
     assert y.role == "Y" and np.array_equal(y.grid.points, ys[0].grid.points)
