@@ -171,6 +171,8 @@ def _read(kind, name, value):
                 value = json.loads(value)
             except json.JSONDecodeError:
                 raise ValueError(f"{name} must be a JSON object, got {value!r:.60}") from None
+            except RecursionError:  # nested past Python's recursion limit
+                raise ValueError(f"{name} is JSON nested too deep, got {value!r:.60}") from None
         return driver_from_dict(value)
     if kind is list:
         if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
@@ -202,8 +204,12 @@ def _load_config(args):
     """
     config = {}
     if args.config:
-        with open(args.config) as fh:
-            config = dict(_json_object("the config file", json.load(fh)))
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                config = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+                raise ValueError(f"--config {args.config!r} cannot be read as JSON: {exc}") from None
+        config = dict(_json_object("the config file", config))
         grid = _json_object("grid", config.pop("grid", {}))
         # a misspelt key would otherwise leave its default in place silently
         keys = {row.key for row in _INPUTS if row.key}

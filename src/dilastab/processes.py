@@ -14,9 +14,12 @@ here as a random integral in logarithmic time,
 
 where the background process Y has exponentially scaled increments and is
 realised pathwise as L(tau(delta, .)) for a two-sided Levy driver L and the
-exponential clock tau.  The simulator truncates the lower integration limit
-where the neglected tail scale drops below a tolerance, refines the log-time
-grid uniformly, and takes left-endpoint sums; driver increments are sampled
+exponential clock tau.  X and Y are both drawn as ensembles, a matrix of one
+row per path, by a SimulationPlan: a weighted sum of driver increments, with
+weights e^(u H) for X and 1 for Y; a single path is the one-row case.  The
+simulator truncates the lower integration limit where the neglected tail
+scale drops below a tolerance, refines the log-time grid uniformly, and takes
+left-endpoint sums; driver increments are sampled
 exactly over the clock increments, so the only discretisation error is in the
 weight, not in the driver law.
 
@@ -32,7 +35,7 @@ of paths from X to V, Z and D:
                  integral_{-inf}^u e^((s - u) H) dY_s, and solves a wide-sense
                  Ornstein-Uhlenbeck equation with rate lambda = delta/2 - alpha
                  driven by Y, so ou_evolve of V_0 = X_1 by an independent
-                 simulate_driving path has V's law on the same cells.
+                 simulate_driving ensemble has V's law on the same cells.
                  lamperti_inverse maps V back to X.
   * time_stable  Z_s = V_{log s}: n-fold time scaling s -> n**(1/delta) s
                  multiplies Psi by n.
@@ -223,25 +226,29 @@ def _grid_cells(u, delta, hurst):
 class SimulationPlan:
     """Precomputed discretisation shared by every path of an ensemble.
 
-    X at output time t_j, the log-time knot log t_j at out_index[j], sums
-    weights[i] times the driver's increment over the clock increment
-    durations[i] for the cells i < out_index[j].  The driver's per-cell
-    constants spec.cells(durations) are computed once, when the plan is
-    built (by plan_dilative).  Every run(rng, out) consumes the generator
-    identically, so path n of an ensemble is reproducible from its derived
-    stream alone.
+    A plan is a weighted sum of driver increments: weights e^(u H) for X
+    (plan_dilative) and 1 for the background Y (simulate_driving).  The
+    value at output time j, the grid point out_index[j], sums weights[i]
+    times the driver's increment over the clock increment durations[i] for
+    the cells i < out_index[j], less the same sum up to the grid point
+    anchor: 0, the empty sum, for X, and log time 0 for Y.  The driver's
+    per-cell constants spec.cells(durations) are computed once, when the
+    plan is built.  Every run(rng, out) consumes the generator identically,
+    so path n of an ensemble is reproducible from its derived stream alone.
     """
 
     spec: object
-    params: DilationParams
+    at: str  # the parameters rows' errors name, as "alpha = 1.0 and delta = 1.0"
     durations: np.ndarray  # clock increments fed to the driver sampler
-    weights: np.ndarray  # e^(u H) left-endpoint weights
+    weights: np.ndarray  # e^(u H) left-endpoint weights, or 1
     out_index: np.ndarray  # grid positions of the output times
+    anchor: int = 0  # grid position every sum is taken from
 
     def __post_init__(self):
         self.cells = self.spec.cells(self.durations)
         # grid point i > 0 is the (i-1)-th partial sum; an output time at
-        # the truncation point (i = 0) is X = 0, the first column in rows
+        # grid point 0 (X's truncation point) is the empty sum, the first
+        # column in rows
         self._at_start = bool(self.out_index[0] == 0)
         self._take = self.out_index[int(self._at_start) :] - 1
 
@@ -257,10 +264,10 @@ class SimulationPlan:
     def rows(self, n_rows, rng_of):
         """Draw n_rows paths into one (n_rows, outputs) matrix.
 
-        Row n is X at the output times for the increments run(rng_of(n)):
-        their weighted partial sums at out_index, and 0 at an output time on
-        the truncation point.  rng_of is called once per row, in row order,
-        so a caller's generators are made only as they are drawn from.  The
+        Row n holds the plan's sums at the output times for the increments
+        run(rng_of(n)): their weighted partial sums at out_index, less the
+        one at anchor.  rng_of is called once per row, in row order, so a
+        caller's generators are made only as they are drawn from.  The
         draws are Python-bound and hold the interpreter lock, so they run
         serially: on a 2-core machine a second drawing thread cut the fastest
         commands on gamma paths of 710 cells by about 15% but raised their
@@ -271,9 +278,9 @@ class SimulationPlan:
         (spec.finish) then map the whole block at once, since per path
         numpy's per-call overhead outweighs their arithmetic, and the
         increments they return are weighed and summed at once.  Draws or
-        weighted sums that leave the float range raise ValueError naming the
-        driver, alpha and delta, whatever the caller's errstate, and an
-        n_rows that is no whole number >= 0 one naming it.
+        sums that leave the float range raise ValueError naming the driver
+        and the plan's parameters (at), whatever the caller's errstate, and
+        an n_rows that is no whole number >= 0 one naming it.
         """
         n_rows, k = read_number(int, "n_rows", n_rows), self.durations.size
         if n_rows < 0:
@@ -293,17 +300,14 @@ class SimulationPlan:
                 inc *= self.weights
                 inc.cumsum(axis=1, out=inc)
                 values[start:stop, first:] = inc[:, self._take]
-        at = f"alpha = {self.params.alpha!r} and delta = {self.params.delta!r}"
-        _refuse_non_finite(values, self.spec, at)
+                if self.anchor:
+                    values[start:stop] -= inc[:, self.anchor - 1, None]
+        if not np.isfinite(values).all():
+            raise ValueError(
+                f"{self.spec._named()} at {self.at} draws increments or sums of them "
+                "out of the float range"
+            )
         return values
-
-
-def _refuse_non_finite(values, spec, at):
-    """Raise ValueError naming the driver if its draws, or sums of them, left the float range."""
-    if not np.isfinite(values).all():
-        raise ValueError(
-            f"{spec._named()} at {at} draws increments or sums of them out of the float range"
-        )
 
 
 def plan_dilative(spec, params, out_times, refine=REFINE, tail_tol=TAIL_TOL):
@@ -378,28 +382,32 @@ def plan_dilative(spec, params, out_times, refine=REFINE, tail_tol=TAIL_TOL):
             f"e^(u H) or the clock tau(delta, u) out of the float range for log times "
             f"u in [{u_min:.6g}, {u_out[-1]:.6g}]"
         )
-    return SimulationPlan(spec, params, durations, weights, out_idx)
+    at = f"alpha = {params.alpha!r} and delta = {params.delta!r}"
+    return SimulationPlan(spec, at, durations, weights, out_idx)
 
 
-def simulate_driving(spec, delta, log_times, rng):
-    """Sample the background process Y = L(tau(delta, .)) on a log-time grid.
+def simulate_driving(spec, delta, log_times, n_rows, rng_of):
+    """Draw n_rows paths of the background Y = L(tau(delta, .)) on a log-time grid.
 
-    Anchored at Y = 0 at log time 0 when the grid contains it, else at the
-    first grid point.  At delta = 0 the clock is the identity and Y is the
-    two-sided driver L itself: one stream draws the increments of every
-    cell, left to right, and their sums are anchored at L(0) = 0.  Draws or
-    sums that leave the float range raise ValueError naming the driver and
-    delta.
+    Y is a plan of unit weights over the grid's clock increments, with every
+    grid point an output, anchored at Y = 0 at log time 0 when the grid
+    contains it, else at the first grid point.  Row n draws every cell's
+    increment, left to right, from rng_of(n), as SimulationPlan.rows does
+    for X, so one path is simulate_driving(spec, delta, grid, 1, lambda n:
+    rng).  At delta = 0 the clock is the identity and Y is the two-sided
+    driver L itself, anchored at L(0) = 0.  Returns one role-Y SamplePath of
+    (n_rows, points) values.  Draws or sums that leave the float range raise
+    ValueError naming the driver and delta.
     """
-    durations, _ = _grid_cells(log_times.points, delta, 0.0)
+    durations, weights = _grid_cells(log_times.points, delta, 0.0)
     try:
         anchor = log_times.index_of(0.0)
     except OffGrid:
         anchor = 0
-    with np.errstate(all="ignore"):  # inf and nan are looked for below
-        values = _partial_sums(sample_increments(spec, durations, rng), anchor)
-    _refuse_non_finite(values, spec, f"delta = {delta!r}")
-    return SamplePath(log_times, values, role="Y")
+    plan = SimulationPlan(
+        spec, f"delta = {delta!r}", durations, weights, np.arange(len(log_times)), anchor
+    )
+    return SamplePath(log_times, plan.rows(n_rows, rng_of), role="Y")
 
 
 def extract_background(x, params):
@@ -466,7 +474,7 @@ def ou_evolve(v0, y, ou_rate, a, b):
 
 def _log_clock(pts, delta):
     if pts[0] <= 0:
-        raise NonPositiveTime("the transform needs strictly positive times")
+        raise NonPositiveTime("its log clock needs strictly positive times")
     return np.log(pts)
 
 
@@ -555,7 +563,8 @@ def apply_transforms(path, params, transforms):
     included), distinct times to one float time, or finite values to
     non-finite ones raises ValueError naming the transform, alpha, delta and
     the times it was given, whatever the caller's errstate; values that are
-    already non-finite are carried on.
+    already non-finite are carried on; a log clock given a time <= 0 raises
+    NonPositiveTime naming the same.
     A bare string of names or an unknown name raises ValueError.
     """
     grid, values, role = path.grid, path.values, path.role
@@ -565,8 +574,15 @@ def apply_transforms(path, params, transforms):
         if step.source is not None and role != step.source:
             raise ValueError(f"the {name} transform expects a {step.source} path, got {role}")
         pts = grid.points
+        at = (
+            f"the {name} transform at alpha = {params.alpha!r} and delta = {params.delta!r} "
+            f"takes times in [{pts[0]:.6g}, {pts[-1]:.6g}]"
+        )
         with np.errstate(all="ignore"):  # inf and nan are looked for below
-            new = step.clock(pts, params.delta)
+            try:
+                new = step.clock(pts, params.delta)
+            except NonPositiveTime as exc:
+                raise NonPositiveTime(f"{at}; {exc}") from None
             if new.size > 1 and new[0] > new[-1]:
                 # the relabelled clock runs backwards (idt at delta < 0): flip
                 # points and columns together
@@ -575,10 +591,6 @@ def apply_transforms(path, params, transforms):
                 out = values if own else values.copy()
             else:
                 out = step.weight(pts, new, params.hurst) * values
-        at = (
-            f"the {name} transform at alpha = {params.alpha!r} and delta = {params.delta!r} "
-            f"takes times in [{grid.points[0]:.6g}, {grid.points[-1]:.6g}]"
-        )
         if not np.isfinite(new).all() or (
             not np.isfinite(out).all() and np.isfinite(values).all()
         ):

@@ -10,6 +10,7 @@ that uses them.
 import json
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -262,13 +263,15 @@ def test_criterion_06_transform_consistency(gauss_bundle):
     start = time.perf_counter()
     # exact evolution identity on a shared grid
     log_grid = TimeGrid(np.linspace(-1.5, 1.5, 13))
-    y = simulate_driving(GaussianDriver(), 1.0, log_grid, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    y = simulate_driving(GaussianDriver(), 1.0, log_grid, 1, lambda n: rng)
     rate = UNIT.ou_rate
     flow = ou_evolve(0.83, y, rate, -1.5, 1.5)
     s, t = 0.75, 1.5
     integral = rs_integral(lambda u: np.exp(-rate * u), y, s, t)
     rhs = math.exp(rate * (t - s)) * flow.value_at(s) + math.exp(rate * t) * integral
-    flow_err = abs(flow.value_at(t) - rhs) / max(1.0, abs(rhs))
+    # one row: the flow identity of its one path
+    (flow_err,) = abs(flow.value_at(t) - rhs) / np.maximum(1.0, abs(rhs))
 
     # the Lamperti theorem in law, by two independent constructions of V on
     # [0, 2]: lamperti of X at the times e^u, and ou_evolve of V(0) = X(1)
@@ -287,11 +290,9 @@ def test_criterion_06_transform_consistency(gauss_bundle):
             + [knots[-1:]]
         )
     )
-    y_rows = [
-        simulate_driving(GaussianDriver(), UNIT.delta, cells, derive_rng(MASTER_SEED + 2, n))
-        for n in range(n_paths)
-    ]
-    background = SamplePath(cells, np.array([row.values for row in y_rows]), role="Y")
+    background = simulate_driving(
+        GaussianDriver(), UNIT.delta, cells, n_paths, partial(derive_rng, MASTER_SEED + 2)
+    )
     law_points = [TestPoint((u,), (th,)) for u in (1.0, 2.0) for th in (0.25, 0.5)]
     law_points.append(TestPoint((1.0, 2.0), (0.4, -0.2)))
 

@@ -110,6 +110,19 @@ def test_simulate_include_origin(capsys):
     assert "include-origin" in err
 
 
+def test_a_log_clock_given_non_positive_times_names_its_transform(capsys):
+    # the second lamperti is given the first one's log times, some below 0
+    code, out, err = run_cli(
+        capsys, "simulate", "--transform", "lamperti", "--transform", "lamperti", "--n-paths", "3"
+    )
+    assert out == ""
+    words = (
+        "the lamperti transform at alpha = 1.0 and delta = 1.0 takes times in "
+        "[-0.693147, 0.693147]; its log clock needs strictly positive times"
+    )
+    assert_one_error_line(code, err, words)
+
+
 def test_simulate_output_file(capsys, tmp_path):
     target = tmp_path / "paths.csv"
     code, out, _ = run_cli(
@@ -537,13 +550,19 @@ def test_unusable_tail_tol_exit_2(capsys, value):
         ('{"npaths": 5, "grid": {"pionts": 3}}', ("unknown config key 'npaths'",)),
         ('{"grid": {"pionts": 3}}', ("unknown config key 'grid.pionts'",)),
         ('{"grid.points": 3}', ("unknown config key 'grid.points'",)),
+        # no JSON, no UTF-8, or nested past Python's recursion limit: CONFIG
+        # stands for the flag and the file's path
+        ("", ("CONFIG cannot be read as JSON: Expecting value",)),
+        (b"\xff\xfe", ("CONFIG cannot be read as JSON: 'utf-8' codec can't decode",)),
+        ("[" * 3000 + "]" * 3000, ("CONFIG cannot be read as JSON",)),
+        ('{"driver": ' + "[" * 3000 + "]" * 3000 + "}", ("CONFIG cannot be read as JSON",)),
     ],
 )
 def test_malformed_config_exit_2(capsys, tmp_path, content, words):
     cfg = tmp_path / "run.json"
-    cfg.write_text(content)
+    cfg.write_bytes(content if isinstance(content, bytes) else content.encode())
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
-    assert_one_error_line(code, err, *words)
+    assert_one_error_line(code, err, *(w.replace("CONFIG", f"--config {str(cfg)!r}") for w in words))
 
 
 @pytest.mark.parametrize(
@@ -803,6 +822,10 @@ def test_verify_report_bytes_are_pinned(capsys):
             '{"kind": "compound_poisson", "jumps": {"kind": "two_point", "magnitud": 2}}',
             ("two_point jump law has no field 'magnitud'", "magnitude"),
         ),
+        # nested past Python's recursion limit: json's RecursionError once
+        # ended in a traceback
+        ("[" * 3000 + "]" * 3000, ("driver is JSON nested too deep", "(from --driver)")),
+        ('{"a": ' * 3000 + "1" + "}" * 3000, ("driver is JSON nested too deep", "(from --driver)")),
     ],
 )
 def test_bad_driver_fields_exit_2(capsys, driver, words):

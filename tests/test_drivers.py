@@ -313,17 +313,19 @@ def test_two_point_increments_live_on_lattice():
 def test_two_sided_anchored_at_zero():
     grid = TimeGrid(np.array([-2.0, -0.5, 0.0, 1.0, 3.0]))
     # at delta = 0 the clock is the identity: Y is the two-sided L
-    path = simulate_driving(GaussianDriver(), 0.0, grid, np.random.default_rng(5))
-    assert path.value_at(0.0) == 0.0
+    rng = np.random.default_rng(5)
+    path = simulate_driving(GaussianDriver(), 0.0, grid, 1, lambda n: rng)
+    assert path.value_at(0.0).tolist() == [0.0]
 
 
 def test_two_sided_gamma_monotone_across_line():
     # the negative half is laid out right to left, so a subordinator keeps
     # nondecreasing paths on the whole line
     grid = TimeGrid(np.linspace(-3.0, 3.0, 25))
-    path = simulate_driving(GammaDriver(1.0, 1.0), 0.0, grid, np.random.default_rng(6))
-    assert np.all(np.diff(path.values) >= 0)
-    assert path.values[0] < 0 < path.values[-1]
+    rng = np.random.default_rng(6)
+    path = simulate_driving(GammaDriver(1.0, 1.0), 0.0, grid, 1, lambda n: rng).values[0]
+    assert np.all(np.diff(path) >= 0)
+    assert path[0] < 0 < path[-1]
 
 
 def test_two_sided_negative_increment_law():
@@ -331,10 +333,8 @@ def test_two_sided_negative_increment_law():
     grid = TimeGrid(np.array([-1.5, 0.0, 1.0]))
     rng = np.random.default_rng(7)
     n = 4000
-    incs = np.empty(n)
-    for k in range(n):
-        path = simulate_driving(GaussianDriver(1.0, 0.4), 0.0, grid, rng)
-        incs[k] = path.value_at(0.0) - path.value_at(-1.5)
+    paths = simulate_driving(GaussianDriver(1.0, 0.4), 0.0, grid, n, lambda k: rng)
+    incs = paths.value_at(0.0) - paths.value_at(-1.5)
     theta = 0.8
     ecf = np.exp(1j * theta * incs).mean()
     want = cmath.exp(1.5 * GaussianDriver(1.0, 0.4).levy_exponent(theta))
@@ -344,8 +344,8 @@ def test_two_sided_negative_increment_law():
 
 def test_two_sided_reproducible():
     grid = TimeGrid(np.array([-1.0, 0.0, 1.0]))
-    a = simulate_driving(GaussianDriver(), 0.0, grid, np.random.default_rng(9))
-    b = simulate_driving(GaussianDriver(), 0.0, grid, np.random.default_rng(9))
+    a = simulate_driving(GaussianDriver(), 0.0, grid, 1, lambda n: np.random.default_rng(9))
+    b = simulate_driving(GaussianDriver(), 0.0, grid, 1, lambda n: np.random.default_rng(9))
     assert np.array_equal(a.values, b.values)
 
 
@@ -480,10 +480,11 @@ def test_two_sided_is_one_stream_of_anchored_sums():
     # the increments over every cell, drawn left to right from one stream,
     # summed from L(0) = 0 in both directions
     grid = TimeGrid(np.array([-2.0, -0.5, 0.0, 1.0, 3.0]))
-    path = simulate_driving(GammaDriver(1.0, 1.0), 0.0, grid, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    path = simulate_driving(GammaDriver(1.0, 1.0), 0.0, grid, 1, lambda n: rng).values[0]
     inc = sample_increments(GammaDriver(1.0, 1.0), np.diff(grid.points), np.random.default_rng(3))
-    np.testing.assert_allclose(np.diff(path.values), inc, rtol=1e-15)
-    assert path.values[2] == 0.0
+    np.testing.assert_allclose(np.diff(path), inc, rtol=1e-15)
+    assert path[2] == 0.0
 
 
 def test_poisson_cell_limit_is_numpys():
@@ -500,8 +501,10 @@ def test_poisson_cell_limit_is_numpys():
 
 TWO_SIDED = TimeGrid(np.arange(-2.0, 3.0))
 OVERFLOWING_CELLS = {
-    "simulate_driving_delta_0": lambda spec, rng: simulate_driving(spec, 0.0, TWO_SIDED, rng),
-    "simulate_driving": lambda spec, rng: simulate_driving(spec, 1.0, TWO_SIDED, rng),
+    "simulate_driving_delta_0": lambda spec, rng: simulate_driving(
+        spec, 0.0, TWO_SIDED, 1, lambda n: rng
+    ),
+    "simulate_driving": lambda spec, rng: simulate_driving(spec, 1.0, TWO_SIDED, 1, lambda n: rng),
     "sample_increments": lambda spec, rng: sample_increments(spec, np.ones(3), rng),
     "sample_increments_scalar": lambda spec, rng: sample_increments(spec, 1.0, rng),
     "plan_dilative": lambda spec, rng: plan_dilative(

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dilastab import (
     TimeGrid,
     TwoPointJumps,
     apply_transforms,
+    derive_rng,
     driver_to_dict,
     extract_background,
     ou_evolve,
@@ -106,7 +108,7 @@ def test_degenerate_plan_has_one_cell_per_output():
 
 def test_plan_rejects_negative_durations():
     with pytest.raises(ValueError, match="durations must be >= 0"):
-        SimulationPlan(GaussianDriver(), UNIT, np.array([0.1, -0.2]), np.ones(2), np.arange(1, 3))
+        SimulationPlan(GaussianDriver(), "delta = 1.0", np.array([0.1, -0.2]), np.ones(2), [1, 2])
 
 
 def test_truncation_point_takes_an_underflowing_log_in_pieces():
@@ -245,6 +247,23 @@ def test_an_ensemble_is_a_prefix_of_a_larger_one_across_blocks():
     for m in (1, block - 1, block, block + 1, 2 * block + 3, n):
         small = simulate_ensemble(GaussianDriver(), UNIT, times, m, master_seed=5).values
         assert small.tobytes() == big[:m].tobytes()
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0], ids=["two-sided-L", "delta-1"])
+def test_background_rows_are_one_row_draws_across_blocks(delta):
+    # Y's rows from partial(derive_rng, s) are, bit for bit, the one-row
+    # draws from derive_rng(s, n), over more than one block of rows, and
+    # every row is 0 at log time 0
+    grid = TimeGrid(np.linspace(-2.0, 3.0, 401))
+    block = max(1, processes._BLOCK_FLOATS // (len(grid) - 1))
+    n = 3 * block + 5
+    spec = SymmetricStableDriver(1.5, 1.0)
+    y = simulate_driving(spec, delta, grid, n, partial(derive_rng, 5))
+    assert y.role == "Y" and y.values.shape == (n, len(grid))
+    assert (y.value_at(0.0) == 0.0).all()
+    for k in range(n):
+        one = simulate_driving(spec, delta, grid, 1, lambda m: derive_rng(5, k))
+        assert one.values.tobytes() == y.values[k].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -400,8 +419,14 @@ def test_lamperti_round_trip():
 
 def test_lamperti_rejects_nonpositive_times():
     bad = SamplePath(TimeGrid(np.array([0.0, 1.0])), np.array([0.0, 0.3]))
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(NonPositiveTime) as exc:
         apply_transforms(bad, UNIT, ("lamperti",))
+    # named as every other refusal of the chain: the transform, alpha, delta
+    # and the times it was given
+    assert str(exc.value) == (
+        "the lamperti transform at alpha = 1.0 and delta = 1.0 takes times in [0, 1]; "
+        "its log clock needs strictly positive times"
+    )
 
 
 def test_ou_evolve_zero_noise():
@@ -594,7 +619,7 @@ def test_driving_draws_past_the_float_range_name_the_driver(errstate, delta):
     with np.errstate(all=errstate), warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="float range") as exc:
-            simulate_driving(spec, delta, grid, np.random.default_rng(0))
+            simulate_driving(spec, delta, grid, 1, lambda n: np.random.default_rng(0))
     assert json.dumps(driver_to_dict(spec)) in str(exc.value)
     assert f"at delta = {delta!r} " in str(exc.value)
 
@@ -621,18 +646,30 @@ def test_transform_names_what_leaves_the_float_range(errstate, points, values):
     assert carried.values.tolist() == [math.inf, math.inf]
 
 
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+def test_driving_refuses_anchored_sums_past_the_float_range(errstate):
+    # the sums from the first grid point stay finite, but Y, the same sums
+    # less the one at log time 0, does not: refused with no RuntimeWarning,
+    # whatever the errstate
+    spec = SymmetricStableDriver(1.0, 1e307)
+    grid = TimeGrid(np.linspace(-3.0, 3.0, 7))
+    increments = sample_increments(spec, np.diff(grid.points), np.random.default_rng(905))
+    assert np.isfinite(np.cumsum(increments)).all()
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at delta = 0.0 draws increments or sums of them"):
+            simulate_driving(spec, 0.0, grid, 1, lambda n: np.random.default_rng(905))
+
+
 def test_simulate_driving_anchor_and_clock():
     log_grid = TimeGrid(np.array([-1.0, 0.0, 0.8]))
-    y = simulate_driving(GaussianDriver(), 1.0, log_grid, np.random.default_rng(6))
-    assert y.role == "Y"
-    assert y.value_at(0.0) == 0.0
     # variance of Y_u - Y_0 is the clock increment tau(u) - tau(0)
     n = 4000
     rng = np.random.default_rng(14)
-    draws = np.empty(n)
-    for k in range(n):
-        p = simulate_driving(GaussianDriver(), 1.0, log_grid, rng)
-        draws[k] = p.value_at(0.8)
+    y = simulate_driving(GaussianDriver(), 1.0, log_grid, n, lambda k: rng)
+    assert y.role == "Y" and y.values.shape == (n, 3)
+    assert (y.value_at(0.0) == 0.0).all()
+    draws = y.value_at(0.8)
     want = tau(1.0, 0.8)
     se = want * math.sqrt(2.0 / n)
     assert abs(draws.var() - want) <= 4.0 * se
@@ -642,10 +679,11 @@ def test_simulate_driving_anchors_at_the_first_point_without_log_time_zero():
     # no grid point at u = 0: Y starts at 0 on the first point and sums the
     # driver's increments over the clock from there
     log_grid = TimeGrid(np.array([0.5, 1.0, 2.0]))
-    y = simulate_driving(GaussianDriver(), 1.0, log_grid, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    y = simulate_driving(GaussianDriver(), 1.0, log_grid, 1, lambda n: rng).values[0]
     durations = np.diff(tau(1.0, log_grid.points))
     increments = sample_increments(GaussianDriver(), durations, np.random.default_rng(6))
-    assert y.values.tolist() == [0.0, *np.cumsum(increments)]
+    assert y.tolist() == [0.0, *np.cumsum(increments)]
 
 
 def test_truncation_tightens_with_tolerance():
