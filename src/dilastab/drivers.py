@@ -165,8 +165,9 @@ class LevyDriver(_Parameters):
             raise ValueError("durations must be >= 0")
         with np.errstate(all="ignore"):  # inf and nan are looked for below
             cells = self._cells(dts)
-        # |nan| <= limit is False too
-        if not all((np.abs(cell) <= self.cell_limit).all() for cell in cells):
+        # reductions, not an |cell| array of the plan's length; nan fails both
+        lo, hi = -self.cell_limit, self.cell_limit
+        if not all(lo <= np.min(c, initial=0.0) and np.max(c, initial=0.0) <= hi for c in cells):
             own = self.cell_limit < LevyDriver.cell_limit
             limit = f" or past {self.cell_limit:.6g}, the most its sampler takes," if own else ""
             raise ValueError(
@@ -196,7 +197,8 @@ class GaussianDriver(LevyDriver):
         return 1j * self.drift * th - 0.5 * self.variance * th**2
 
     def _cells(self, dts):
-        return self.drift * dts, np.sqrt(self.variance * dts)
+        scale = self.variance * dts
+        return self.drift * dts, np.sqrt(scale, out=scale)
 
     def draw(self, cells, rng, out):
         rng.standard_normal(out=out[0])
@@ -416,16 +418,17 @@ def sample_increments(spec, durations, rng, cells=None, out=None):
     depend on the durations alone.  Without out, both of the driver's steps
     run on a new (spec.kinds, *durations.shape) array (one value per kind
     for a scalar duration), the one-row block, and the finished increments
-    are returned.  With out, only the per-path step runs: out is a path's
-    (spec.kinds, k) view of a (spec.kinds, rows, k) block, such as
-    SimulationPlan.rows passes, the variates are written there and out[-1]
-    is returned; the caller maps the whole block with spec.finish(cells,
-    block).  Each driver draws one standard variate of each kind per
-    duration (cell), all k cells of a kind at once, and maps them with the
-    float operations of numpy's own samplers (location-scale, uniform).  The
-    variates drawn, and their order, therefore fix the output bytes for a
-    seed, whether a path is drawn alone or in a block; spec.kinds is the
-    number of kinds:
+    are returned; increments out of the float range raise ValueError naming
+    the driver, whatever the caller's errstate.  With out, only the
+    per-path step runs: out is a path's (spec.kinds, k) view of a
+    (spec.kinds, rows, k) block, such as SimulationPlan.rows passes, the
+    variates are written there and out[-1] is returned; the caller maps the
+    whole block with spec.finish(cells, block).  Each driver draws one
+    standard variate of each kind per duration (cell), all k cells of a kind
+    at once, and maps them with the float operations of numpy's own samplers
+    (location-scale, uniform).  The variates drawn, and their order,
+    therefore fix the output bytes for a seed, whether a path is drawn alone
+    or in a block; spec.kinds is the number of kinds:
 
     ===========================  =============================================
     driver                       variates, in order
@@ -446,8 +449,11 @@ def sample_increments(spec, durations, rng, cells=None, out=None):
         spec.draw(cells, rng, out)
         return out[-1]
     out = np.empty((spec.kinds,) + (dts.shape or (1,)))
-    spec.draw(cells, rng, out)
-    increments = spec.finish(cells, out)
+    with np.errstate(all="ignore"):  # inf and nan are looked for below
+        spec.draw(cells, rng, out)
+        increments = spec.finish(cells, out)
+    if not np.isfinite(increments).all():
+        raise ValueError(f"{spec._named()} draws increments out of the float range")
     return float(increments[0]) if dts.ndim == 0 else increments
 
 

@@ -127,13 +127,6 @@ class SamplePath:
         return self.values[..., self.grid.index_of(t)]
 
 
-def _partial_sums(increments, anchor):
-    """Partial sums along the last axis, from the empty sum at index 0, less the one at anchor."""
-    sums = np.cumsum(increments, axis=-1)
-    sums = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
-    return sums - sums[..., anchor : anchor + 1]
-
-
 def _weight_values(weight, pts):
     try:
         w = np.asarray(weight(pts), dtype=float)

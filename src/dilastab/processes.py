@@ -19,9 +19,10 @@ row per path, by a SimulationPlan: a weighted sum of driver increments, with
 weights e^(u H) for X and 1 for Y; a single path is the one-row case.  The
 simulator truncates the lower integration limit where the neglected tail
 scale drops below a tolerance, refines the log-time grid uniformly, and takes
-left-endpoint sums; driver increments are sampled
-exactly over the clock increments, so the only discretisation error is in the
-weight, not in the driver law.
+left-endpoint sums, in one step (_partial_sums) with extract_background, their
+inverse, and ou_evolve; driver increments are sampled exactly over the clock
+increments, so the only discretisation error is in the weight, not in the
+driver law.
 
 In the boundary case alpha = delta/2 (H = 0, delta > 0) the integral
 degenerates and X is instead simulated directly as L(t**delta / (e**delta -
@@ -59,7 +60,7 @@ from .errors import (
     NonPositiveTime,
     OffGrid,
 )
-from .integrator import SamplePath, TimeGrid, _partial_sums
+from .integrator import SamplePath, TimeGrid
 from .timechange import tau, tau_density
 from .validation import DEGENERATE_EQUAL, admissibility, read_number
 
@@ -92,12 +93,13 @@ TAIL_TOL = 1e-4
 # weights and the driver's cells, and a draw its block of variates (spec.kinds
 # rows of cells) and the temporaries of its calls and formulas.
 # The peak of tracemalloc over plan_dilative and rows(1), in floats per cell,
-# at alpha = delta = 1, times 0.5, 1 and 2 and refine 20000 (119k-202k cells):
-#   Gaussian (both tested)   6.13    compound Poisson, Gaussian jumps   6.01
+# at alpha = delta = 1, times 0.5, 1 and 2 and refine 20000 (119k-202k cells),
+# is 4.00 for every driver over plan_dilative alone, and over both:
+#   Gaussian (both tested)   5.01    compound Poisson, Gaussian jumps   6.01
 #   stable 1.5               7.00    compound Poisson, two-point jumps  6.01
-#   stable 1                 5.13    gamma                              5.13
-#   stable 2                 5.13
-# plus about 3 KiB of array headers and Python objects, whatever the cells
+#   stable 1                 5.01    gamma                              4.38
+#   stable 2                 4.00
+# plus at most about 6 KiB of array headers and Python objects, whatever the cells
 _FLOATS_PER_CELL = 7
 
 # the most increments SimulationPlan.rows holds at once: it draws whole rows
@@ -222,6 +224,21 @@ def _grid_cells(u, delta, hurst):
     return durations, np.exp(hurst * u[:-1])
 
 
+def _partial_sums(inc, index, anchor):
+    """The sums of the first i increments of inc (..., k), i in index, less the sum at anchor.
+
+    Position 0 is the empty sum +0.0, and anchor 0 subtracts nothing.
+    Overwrites inc with its cumulative sums along the last axis.
+    """
+    inc.cumsum(axis=-1, out=inc)
+    sums = np.zeros(inc.shape[:-1] + (index.size,))
+    inner = index > 0  # position 0 reads nothing: with no cells there is no inc[..., -1]
+    sums[..., inner] = inc[..., index[inner] - 1]
+    if anchor:
+        sums -= inc[..., anchor - 1, None]
+    return sums
+
+
 @dataclass(eq=False)
 class SimulationPlan:
     """Precomputed discretisation shared by every path of an ensemble.
@@ -233,8 +250,9 @@ class SimulationPlan:
     the cells i < out_index[j], less the same sum up to the grid point
     anchor: 0, the empty sum, for X, and log time 0 for Y.  The driver's
     per-cell constants spec.cells(durations) are computed once, when the
-    plan is built.  Every run(rng, out) consumes the generator identically,
-    so path n of an ensemble is reproducible from its derived stream alone.
+    plan is built.  Paths are drawn by rows, one as rows(1, lambda n: rng)[0],
+    and every run(rng, out) consumes the generator identically, so path n of
+    an ensemble is reproducible from its derived stream alone.
     """
 
     spec: object
@@ -246,32 +264,24 @@ class SimulationPlan:
 
     def __post_init__(self):
         self.cells = self.spec.cells(self.durations)
-        # grid point i > 0 is the (i-1)-th partial sum; an output time at
-        # grid point 0 (X's truncation point) is the empty sum, the first
-        # column in rows
-        self._at_start = bool(self.out_index[0] == 0)
-        self._take = self.out_index[int(self._at_start) :] - 1
 
-    def run(self, rng, out=None):
-        """One path's draw over the plan's cells from rng: sample_increments.
-
-        Without out, its finished increments, in a new array.  Given out, the
-        path's (spec.kinds, k) view of the block of variates rows maps, it
-        writes only the path's variates there and returns out[-1].
-        """
+    def run(self, rng, out):
+        """Draw one path's variates from rng into out, its (spec.kinds, k) view of
+        the block of variates rows maps (sample_increments); returns out[-1]."""
         return sample_increments(self.spec, self.durations, rng, self.cells, out)
 
     def rows(self, n_rows, rng_of):
         """Draw n_rows paths into one (n_rows, outputs) matrix.
 
         Row n holds the plan's sums at the output times for the increments
-        run(rng_of(n)): their weighted partial sums at out_index, less the
-        one at anchor.  rng_of is called once per row, in row order, so a
-        caller's generators are made only as they are drawn from.  The
-        draws are Python-bound and hold the interpreter lock, so they run
-        serially: on a 2-core machine a second drawing thread cut the fastest
-        commands on gamma paths of 710 cells by about 15% but raised their
-        90th-percentile time, and slowed paths of 78-94 cells 1.5-2 times.
+        run(rng_of(n), ...) draws: their weighted partial sums at out_index,
+        less the one at anchor (_partial_sums).  rng_of is called once per
+        row, in row order, so a caller's generators are made only as they
+        are drawn from.  The draws are Python-bound and hold the interpreter
+        lock, so they run serially: on a 2-core machine a second drawing
+        thread cut the fastest commands on gamma paths of 710 cells by about
+        15% but raised their 90th-percentile time, and slowed paths of 78-94
+        cells 1.5-2 times.
         Each path makes only its generator calls (run), straight into its
         view of a (spec.kinds, rows, k) block of variates, at most
         _BLOCK_FLOATS per kind, with no copy.  The driver's formulas
@@ -286,8 +296,6 @@ class SimulationPlan:
         if n_rows < 0:
             raise ValueError(f"n_rows must be >= 0, got {n_rows!r}")
         values = np.empty((n_rows, self.out_index.size))
-        first = int(self._at_start)
-        values[:, :first] = 0.0
         block = max(1, _BLOCK_FLOATS // max(k, 1))
         variates = np.empty((self.spec.kinds, min(block, n_rows), k))
         paths = list(variates.swapaxes(0, 1))  # each row's (kinds, k) view, for run
@@ -298,10 +306,7 @@ class SimulationPlan:
                     self.run(rng_of(n), path)
                 inc = self.spec.finish(self.cells, variates[:, : stop - start])
                 inc *= self.weights
-                inc.cumsum(axis=1, out=inc)
-                values[start:stop, first:] = inc[:, self._take]
-                if self.anchor:
-                    values[start:stop] -= inc[:, self.anchor - 1, None]
+                values[start:stop] = _partial_sums(inc, self.out_index, self.anchor)
         if not np.isfinite(values).all():
             raise ValueError(
                 f"{self.spec._named()} at {self.at} draws increments or sums of them "
@@ -375,6 +380,7 @@ def plan_dilative(spec, params, out_times, refine=REFINE, tail_tol=TAIL_TOL):
             grid = _refined_log_grid(knots, counts.astype(int))
             out_idx = np.searchsorted(grid, u_out)
             durations, weights = _grid_cells(grid, params.delta, params.hurst)
+            del grid  # one float per cell less while the driver builds its cells
     finite = np.isfinite(durations).all() and np.isfinite(weights).all()
     if not (finite and math.isfinite(u_min)):
         raise ValueError(
@@ -400,10 +406,7 @@ def simulate_driving(spec, delta, log_times, n_rows, rng_of):
     ValueError naming the driver and delta.
     """
     durations, weights = _grid_cells(log_times.points, delta, 0.0)
-    try:
-        anchor = log_times.index_of(0.0)
-    except OffGrid:
-        anchor = 0
+    anchor = log_times.index_of(0.0) if log_times.contains(0.0) else 0
     plan = SimulationPlan(
         spec, f"delta = {delta!r}", durations, weights, np.arange(len(log_times)), anchor
     )
@@ -434,7 +437,7 @@ def extract_background(x, params):
     # inf and nan are looked for below; the unused clock may overflow
     with np.errstate(all="ignore"):
         _, weights = _grid_cells(u, params.delta, params.hurst)
-        y = _partial_sums(np.diff(x.values) / weights, i1)
+        y = _partial_sums(np.diff(x.values) / weights, np.arange(pts.size), i1)
     if np.isfinite(x.values).all() and not np.isfinite(y).all():
         raise ValueError(
             f"alpha = {params.alpha!r} and delta = {params.delta!r} take the weights e^(u H), "
@@ -458,18 +461,15 @@ def ou_evolve(v0, y, ou_rate, a, b):
     """
     if y.role != "Y":
         raise ValueError(f"ou_evolve expects a Y driver, got {y.role}")
-    ia = y.grid.index_of(a)
-    ib = y.grid.index_of(b)
+    ia, ib = y.grid.index_of(a), y.grid.index_of(b)
     if ia > ib:
         raise ValueError("need a <= b")
-    i0 = y.grid.index_of(0.0)
     u = y.grid.points
-    w = np.exp(-ou_rate * u[:-1])
-    integral = _partial_sums(w * np.diff(y.values), i0)
+    inc = np.exp(-ou_rate * u[:-1]) * np.diff(y.values)
+    integral = _partial_sums(inc, np.arange(ia, ib + 1), y.grid.index_of(0.0))
     seg = u[ia : ib + 1]
     v0 = np.asarray(v0, dtype=float)[..., None]
-    values = np.exp(ou_rate * seg) * (v0 + integral[..., ia : ib + 1])
-    return SamplePath(TimeGrid(seg.copy()), values, role="V")
+    return SamplePath(TimeGrid(seg.copy()), np.exp(ou_rate * seg) * (v0 + integral), role="V")
 
 
 def _log_clock(pts, delta):

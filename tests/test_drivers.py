@@ -269,13 +269,12 @@ def test_negative_duration_rejected_after_a_hit():
 
 
 def test_plan_computes_cells_once(cells_made):
-    # every driver's plan computes its cells when it is built; its runs only draw
+    # every driver's plan computes its cells when it is built; its rows only draw
     rng = np.random.default_rng(6)
     for spec in ALL_DRIVERS:
         plan = plan_dilative(spec, DilationParams(1.0, 1.0), TimeGrid([0.5, 1.0, 2.0]))
         assert plan.cells is cells_made[-1]
-        for _ in range(100):
-            plan.run(rng)
+        plan.rows(100, lambda n: rng)
     assert len(cells_made) == len(ALL_DRIVERS)
 
 
@@ -530,6 +529,21 @@ def test_every_sampler_names_the_driver_whose_cells_it_cannot_draw(errstate, sam
             OVERFLOWING_CELLS[sampler](spec, np.random.default_rng(0))
     assert json.dumps(driver_to_dict(spec)) in str(exc.value)
     assert "lam value" not in str(exc.value)
+
+
+@pytest.mark.parametrize("errstate", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize(
+    "durations, seed", [(np.full(6, 1.0), 0), (1.0, 34)], ids=["array", "scalar"]
+)
+def test_sample_increments_refuses_draws_out_of_the_float_range(errstate, durations, seed):
+    # scale * tan(u) overflows for |tan(u)| > 17.9: at index 3 of seed 0's six
+    # draws, and at seed 34's one; the finite cells pass, the increment does not
+    spec = SymmetricStableDriver(1.0, 1e307)
+    with np.errstate(all=errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as exc:
+            sample_increments(spec, durations, np.random.default_rng(seed))
+    assert str(exc.value) == f"{spec._named()} draws increments out of the float range"
 
 
 def test_cells_name_nan_durations():

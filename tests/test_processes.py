@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -334,6 +335,7 @@ def test_floats_per_cell_bound_a_plan_and_its_first_row(spec):
     tracemalloc.start()
     try:
         plan = plan_dilative(spec, UNIT, TimeGrid([0.5, 1.0, 2.0]), refine=20000.0)
+        _, built = tracemalloc.get_traced_memory()
         plan.rows(1, lambda n: rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -342,6 +344,11 @@ def test_floats_per_cell_bound_a_plan_and_its_first_row(spec):
     assert cells > 10**5
     # a few KiB of array headers and Python objects do not grow with the cells
     assert peak <= processes._FLOATS_PER_CELL * 8 * cells + 2**14
+    # the build alone peaks at 4 floats per cell (the refined grid and three
+    # temporaries of the clock or the weights, or the Gaussian plan's
+    # durations, weights and two cells), leaving 3 for the first row and for
+    # any per-cell work a later weight rule adds to the build
+    assert built <= 4 * 8 * cells + 2**14
 
 
 def test_round_trip_recovers_background():
@@ -455,6 +462,28 @@ def test_ou_evolve_flow_identity():
     integral = rs_integral(lambda u: np.exp(-rate * u), y, s, t)
     rhs = math.exp(rate * (t - s)) * full.value_at(s) + math.exp(rate * t) * integral
     assert full.value_at(t) == pytest.approx(rhs, rel=1e-12)
+
+
+def test_pathwise_sums_keep_their_bytes():
+    # extract_background and ou_evolve, on ensembles and on 1-d paths, with
+    # the anchor (t = 1, log time 0) inside the grid and ou_evolve windows
+    # that do not start at 0; recorded before they shared the plan's
+    # partial-sum step
+    params = DilationParams(0.8, 0.6)
+    grid = TimeGrid(np.exp(np.linspace(-1.5, 1.5, 31)))
+    x = simulate_ensemble(SymmetricStableDriver(1.5, 1.0), params, grid, 5, master_seed=33)
+    log_grid = TimeGrid(np.linspace(-2.0, 3.0, 41))
+    y = simulate_driving(GaussianDriver(), 0.6, log_grid, 5, partial(derive_rng, 34))
+    v0s = np.array([0.3, -1.2, 0.0, 2.5, 0.7])
+    y0 = SamplePath(log_grid, y.values[0], role="Y")
+    parts = [
+        extract_background(x, params).values,
+        extract_background(SamplePath(grid, x.values[0]), params).values,
+        ou_evolve(v0s, y, params.ou_rate, -1.0, 2.0).values,
+        ou_evolve(0.83, y0, params.ou_rate, 0.5, 2.5).values,
+    ]
+    digest = hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
+    assert digest == "7409bdf0aa97af3d4d03adbe14753c729893cff4ae651659586c5e61d3b6da59"
 
 
 def test_ou_evolve_refuses_a_after_b():
