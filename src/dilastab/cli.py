@@ -54,7 +54,7 @@ from .ecf import (
     oracle_log_cf,
     simulate_ensemble,
 )
-from .errors import DilastabError, InadmissibleParams
+from .errors import DilastabError, InadmissibleParams, NonFiniteSum
 from .integrator import SamplePath, TimeGrid
 from .processes import MAX_COUNT, REFINE, TAIL_TOL, TRANSFORMS, DilationParams
 from .processes import apply_transforms, check_memory, pull_back
@@ -377,9 +377,9 @@ def cmd_verify(run):
     oracle = None if run.transform else partial(oracle_joint_log_cf, run.driver, run.params)
     try:
         report = check_scaling(ens, law, points, r_steps=run.r_steps, oracle=oracle)
-    except FloatingPointError:
+    except NonFiniteSum:
         # sum_j theta_j X(t_j) overflowed; simulate_ensemble refuses non-finite draws,
-        # so the thetas are the cause, and numpy's text names only its own matmul
+        # so the thetas are the cause
         raise ValueError(
             "--thetas (or a --pair's thetas) times the simulated values leave the "
             "float range: a sum theta_j X(t_j) overflows"

@@ -3,8 +3,9 @@
 An ensemble holds N independent path realisations on a common grid.  The
 finite dimensional empirical CF at (times, thetas) averages the per-path
 terms exp(i * W), W = sum_j theta_j * X(t_j), over paths; its standard error
-is sqrt((1 - |cf|^2) / N), except where 1 - |cf|^2 has cancelled to 0 or
-below (|W| under about 1e-8): there the terms' own variance
+is sqrt((1 - |cf|^2) / N), except where 1 - |cf|^2 is below _SE_CANCEL =
+2**-30 (|W| under about 3e-5), where its rounding error of a few 1e-16
+would be more than about 1e-6 of it: there the terms' own variance
 mean(|exp(i * W) - cf|^2), formed from their differences to the first term
 so that equal terms give 0, takes its place.  A log-CF is estimated at the
 end r = 1 of the ray r * theta, r = k/R for k = 1..R, with the phase
@@ -53,8 +54,8 @@ import numpy as np
 
 from .errors import (
     DegenerateDelta,
-    DilastabError,
     LowMagnitude,
+    NonFiniteSum,
     NonPositiveTime,
     OracleOutOfDomain,
     PhaseAmbiguous,
@@ -93,6 +94,8 @@ R_STEPS = 16
 # np.unwrap's temporaries, per path the projection W, the two exact complex end
 # vectors and the two complex vectors of the running power
 _FLOATS_PER_POSITION, _FLOATS_PER_PATH = 11, 9
+# below this 1 - |cf|^2 carries too much cancellation to be a variance
+_SE_CANCEL = 2.0**-30
 
 
 def _path_rng(master_seed, n):
@@ -132,12 +135,8 @@ def simulate_ensemble(
     """
     grid = out_times if isinstance(out_times, TimeGrid) else TimeGrid(out_times)
     transforms = _chain(transforms)
-    n_paths = read_number(int, "n_paths", n_paths)
-    if n_paths < 0:
-        raise ValueError(f"n_paths must be >= 0, got {n_paths!r}")
-    master_seed = read_number(int, "master_seed", master_seed)
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed!r}")
+    n_paths = read_number(int, "n_paths", n_paths, least=0)
+    master_seed = read_number(int, "master_seed", master_seed, least=0)
     # the values and their transformed copy, refused before the plan is built
     pts = grid.points
     check_memory(2 * n_paths * pts.size, f"n_paths = {n_paths} paths of {pts.size} output times")
@@ -162,8 +161,10 @@ def _projection(ens, times, thetas):
     th = np.asarray(thetas, dtype=float)
     if th.shape != (len(idx),):
         raise ValueError("times and thetas must have equal length")
-    # np.dot gives the bytes of @, whose loop over a single column is slow
-    return np.dot(np.atleast_2d(ens.values)[:, idx], th)
+    # np.dot gives the bytes of @, whose loop over a single column is slow; a
+    # sum that overflows is refused by the caller, whatever the errstate
+    with np.errstate(all="ignore"):
+        return np.dot(np.atleast_2d(ens.values)[:, idx], th)
 
 
 def _cf_terms(rs, w):
@@ -225,12 +226,10 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     least one path (a 1-d path is one); a ray whose means and per-path
     vectors (O(r_steps + n_paths) floats, not their product) would exceed
     physical memory raises MemoryError before they are allocated, and
-    non-finite sums sum_j theta_j X(t_j) raise DilastabError before any cos
-    or sin.
+    non-finite sums sum_j theta_j X(t_j) raise NonFiniteSum before any cos
+    or sin, with no numpy warning or error whatever the errstate.
     """
-    r_steps = read_number(int, "r_steps", r_steps)
-    if r_steps < 1:
-        raise ValueError(f"r_steps must be >= 1, got {r_steps!r}")
+    r_steps = read_number(int, "r_steps", r_steps, least=1)
     w = _projection(ens, times, theta_direction)
     n = w.size
     if n == 0:
@@ -238,7 +237,7 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
     bad = np.count_nonzero(~np.isfinite(w))
     if bad:
         point = f"times {list(map(float, times))}, thetas {list(map(float, theta_direction))}"
-        raise DilastabError(f"{bad} of {n} paths have a non-finite sum theta_j X(t_j) at {point}")
+        raise NonFiniteSum(f"{bad} of {n} paths have a non-finite sum theta_j X(t_j) at {point}")
     per_path = _FLOATS_PER_PATH * n
     check_memory(
         _FLOATS_PER_POSITION * r_steps + per_path,
@@ -254,10 +253,11 @@ def estimate_log_cf(ens, times, theta_direction, r_steps=R_STEPS):
         raise LowMagnitude(float(rs[i]), float(mags[i]), floor)
     cf, mag = complex(cfs[-1]), float(mags[-1])
     var = 1.0 - mag * mag
-    if var <= 0.0:
-        # |cf| has rounded to 1 (|W| below about 1e-8), but the terms' spread
-        # has not: their variance, taken from their differences to the first
-        # term, is 0 only where every term is equal
+    if var < _SE_CANCEL:
+        # |cf| is so near 1 (or has rounded to it, |W| below about 1e-8) that
+        # 1 - |cf|^2 is mostly rounding, but the terms' spread is not: their
+        # variance, from their differences to the first term, is 0 only where
+        # every term is equal
         dev = last - last[0]
         dev -= dev.mean()
         var = float(np.vdot(dev, dev).real) / n

@@ -45,6 +45,10 @@ class InadmissibleParams(DilastabError):
         super().__init__(f"inadmissible parameters: {verdict.reason or verdict.status}")
 
 
+class NonFiniteSum(DilastabError):
+    """A test point's sum theta_j X(t_j) leaves the float range on some path."""
+
+
 class LowMagnitude(DilastabError):
     """Empirical CF magnitude fell below the log-estimator floor."""
 

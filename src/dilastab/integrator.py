@@ -31,14 +31,6 @@ PATH_ROLES = ("Y", "X", "V", "Z", "D")
 _MATCH_RTOL = 32 * np.finfo(float).eps
 
 
-def _grid_size(n):
-    """The point count of a built grid: a whole number of at least 1."""
-    n = read_number(int, "n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    return n
-
-
 @dataclass(eq=False)
 class TimeGrid:
     """Strictly increasing finite set of times."""
@@ -62,13 +54,15 @@ class TimeGrid:
                 f"linear grids need a span t_max - t_min in the float range, "
                 f"got {t_min!r} to {t_max!r}"
             )
-        return cls(np.linspace(float(t_min), float(t_max), _grid_size(n)))
+        n = read_number(int, "n", n, least=1)
+        return cls(np.linspace(float(t_min), float(t_max), n))
 
     @classmethod
     def geometric(cls, t_min, t_max, n):
         if min(t_min, t_max) <= 0:
             raise ValueError(f"geometric grids need times > 0, got {t_min!r} to {t_max!r}")
-        return cls(np.exp(np.linspace(math.log(t_min), math.log(t_max), _grid_size(n))))
+        n = read_number(int, "n", n, least=1)
+        return cls(np.exp(np.linspace(math.log(t_min), math.log(t_max), n)))
 
     def __len__(self):
         return self.points.size
@@ -127,28 +121,19 @@ class SamplePath:
         return self.values[..., self.grid.index_of(t)]
 
 
-def _weight_values(weight, pts):
-    try:
-        w = np.asarray(weight(pts), dtype=float)
-    except (TypeError, ValueError):
-        w = None
-    if w is None or w.shape != pts.shape:
-        # scalar-only callables get evaluated pointwise
-        w = np.asarray([weight(p) for p in pts], dtype=float)
-    return w
-
-
 def rs_integral(weight, path, a, b):
     """Left-endpoint Riemann-Stieltjes integral of `weight` against `path`.
 
-    a and b must be grid points; the reversed orientation (a > b) is the
-    negation of the forward one.  Taken along the last axis: a number for
-    one path, one per row for an ensemble.
+    weight is called once, on the array of the left endpoints of the grid
+    cells between a and b, and must map it elementwise (np.exp, not
+    math.exp).  a and b must be grid points; the reversed orientation
+    (a > b) is the negation of the forward one.  Taken along the last axis:
+    a number for one path, one per row for an ensemble.
     """
     ia = path.grid.index_of(a)
     ib = path.grid.index_of(b)
     if ia > ib:
         return -rs_integral(weight, path, b, a)
-    w = _weight_values(weight, path.grid.points[ia:ib])
+    w = weight(path.grid.points[ia:ib])
     return (w * np.diff(path.values[..., ia : ib + 1])).sum(axis=-1)
 

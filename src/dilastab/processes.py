@@ -292,9 +292,7 @@ class SimulationPlan:
         and the plan's parameters (at), whatever the caller's errstate, and
         an n_rows that is no whole number >= 0 one naming it.
         """
-        n_rows, k = read_number(int, "n_rows", n_rows), self.durations.size
-        if n_rows < 0:
-            raise ValueError(f"n_rows must be >= 0, got {n_rows!r}")
+        n_rows, k = read_number(int, "n_rows", n_rows, least=0), self.durations.size
         values = np.empty((n_rows, self.out_index.size))
         block = max(1, _BLOCK_FLOATS // max(k, 1))
         variates = np.empty((self.spec.kinds, min(block, n_rows), k))

@@ -131,16 +131,17 @@ def admissibility(params, spec):
     )
 
 
-def read_number(kind, name, value):
+def read_number(kind, name, value, least=None):
     """kind(value) for kind float or int, or a ValueError naming name.
 
     true is no number, and an int takes only integral numbers (1000.0, not
-    2.7).  Text reads as the number it spells: "1e3" is the int 1000.
+    2.7).  Text reads as the number it spells: "1e3" is the int 1000.  With
+    least given, a number below it is refused too.
     """
     error = ValueError(f"{name} must be a number ({kind.__name__}), got {value!r:.60}")
     if kind is int and isinstance(value, str):
         try:
-            return int(value)  # exact, also beyond the float range
+            value = int(value)  # exact, also beyond the float range
         except ValueError:
             try:
                 value = float(value)
@@ -150,9 +151,12 @@ def read_number(kind, name, value):
     if isinstance(value, bool) or truncated:
         raise error
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise error from None
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number!r}")
+    return number
 
 
 class _Parameters:
@@ -173,15 +177,13 @@ def cascade_partial_sums(samples, a, b, beta, levels):
     least a**levels * b samples; raises NotEnoughSamples otherwise.  The gaps
     S_k - S_{k-1} are nonnegative and, for a sample law with a finite moment
     of order 1/beta, shrink geometrically in k.  a, b and levels must be
-    whole numbers and beta a finite number > 0; ValueError names the one
-    that is not.
+    whole numbers of at least 2, 1 and 0, and beta a finite number > 0;
+    ValueError names the one that is not.
     """
-    a = read_number(int, "a", a)
-    b = read_number(int, "b", b)
-    levels = read_number(int, "levels", levels)
+    a = read_number(int, "a", a, least=2)
+    b = read_number(int, "b", b, least=1)
+    levels = read_number(int, "levels", levels, least=0)
     beta = read_number(float, "beta", beta)
-    if a < 2 or b < 1 or levels < 0:
-        raise ValueError("need a >= 2, b >= 1, levels >= 0")
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be finite and > 0, got {beta!r}")
     needed = a**levels * b

@@ -1435,6 +1435,21 @@ def test_float_overflow_exit_2(capsys, argv, words):
     assert_one_error_line(code, err, "float range", *words)
 
 
+@pytest.mark.parametrize("error", [FloatingPointError, OverflowError])
+def test_a_float_error_from_the_library_exits_2(capsys, monkeypatch, error):
+    # the last guard of main: numpy's FloatingPointError under its errstate,
+    # or a float power's OverflowError, that no check before it names
+    def simulate(*args, **kwargs):
+        raise error("overflow encountered in multiply")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", simulate)
+    code, out, err = run_cli(capsys, "simulate", *SMALL)
+    assert out == ""
+    assert_one_error_line(
+        code, err, "error: this configuration leaves the float range (overflow encountered"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, count",
     [

@@ -239,6 +239,16 @@ def test_rows_reads_n_rows_as_a_whole_count(n_rows, words):
     assert plan.rows(np.int64(2), np.random.default_rng).shape == (2, 3)
 
 
+def test_memory_without_sysconf_is_unbounded(monkeypatch):
+    # a platform without these sysconf names bounds no run by its memory
+    def sysconf(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(processes.os, "sysconf", sysconf)
+    assert processes._physical_memory() == math.inf
+    processes.check_memory(10**30, "10**30 floats")
+
+
 def test_an_ensemble_is_a_prefix_of_a_larger_one_across_blocks():
     times = (0.5, 1.0, 2.0)
     plan = plan_dilative(GaussianDriver(), UNIT, TimeGrid(times))

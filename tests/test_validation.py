@@ -141,6 +141,9 @@ def test_cascade_param_validation():
         ("b", 1.5, "b must be a number"),
         ("levels", 3.6, "levels must be a number"),
         ("levels", True, "levels must be a number"),
+        ("a", 1, "a must be >= 2, got 1"),
+        ("b", 0.0, "b must be >= 1, got 0"),
+        ("levels", "-1", "levels must be >= 0, got -1"),
         ("beta", None, "beta must be a number"),
         ("beta", math.nan, "beta must be finite and > 0"),
         ("beta", math.inf, "beta must be finite and > 0"),
